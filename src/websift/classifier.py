@@ -193,13 +193,11 @@ def featurize(tokens: Sequence[str], vocab: Vocabulary, config: ClassifierConfig
     index = vocab.index
     v = len(vocab)
     parts: list[np.ndarray] = []
-    uni = [index[t] for t in tokens if t in index]
+    uni = [i for i in map(index.get, tokens) if i is not None]
     parts.append(np.asarray(uni, dtype=np.int64))
     n_tokens = len(tokens)
     if config.word_ngrams > 1 and n_tokens > 1:
-        hashes = np.fromiter(
-            (token_hash(t) for t in tokens), dtype=np.uint64, count=n_tokens
-        )
+        hashes = np.fromiter(map(token_hash, tokens), dtype=np.uint64, count=n_tokens)
         bucket = np.uint64(config.bucket)
         for n in range(2, config.word_ngrams + 1):
             if n_tokens < n:
@@ -213,6 +211,19 @@ def featurize(tokens: Sequence[str], vocab: Vocabulary, config: ClassifierConfig
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts)
+
+
+def has_no_features(tokens: Sequence[str], vocab: Vocabulary, config: ClassifierConfig) -> bool:
+    """True exactly when featurize(tokens, vocab, config) is empty.
+
+    That takes no in-vocabulary token and no n-gram window, so the tokens
+    are only scanned when they are too few to form a window. Such a document
+    predicts the uniform distribution.
+    """
+    if config.word_ngrams > 1 and len(tokens) > 1:
+        return False
+    index = vocab.index
+    return not any(t in index for t in tokens)
 
 
 # ---------------------------------------------------------------------------

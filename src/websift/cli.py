@@ -233,6 +233,7 @@ def _cmd_filter_score(args) -> int:
         "completed_shards": len(run.completed_shards),  # includes reused shards
         "skipped_shards": len(run.skipped_shards),
         "failed_shards": [{"shard": s, "reason": r} for s, r in run.failed_shards],
+        "zero_feature_docs": run.zero_feature_docs,  # reused shards not counted
         "stats": run.stats.to_json_obj(),
     }
     print(canonical_json(summary))
@@ -438,7 +439,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--shards", required=True, nargs="+", help="shard paths or globs")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="scoring processes, forked; capped at pending shards and CPUs (default: CPUs)",
+    )
     p.add_argument("--resume", action="store_true", help="reuse shards already scored")
     p.set_defaults(func=_cmd_filter_score)
     p = gsub.add_parser("intersect", help="intersect keep manifests")

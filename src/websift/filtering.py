@@ -3,10 +3,10 @@
 score_corpus streams sharded JSONL through a trained classifier and splits
 every document into a kept or rejected stream by thresholding the positive
 class probability (kept means score >= threshold). Shards are independent
-units of work: they can run in parallel, and a completed-shard ledger makes
-interrupted runs restartable without rescoring finished shards. Unreadable
-shards are reported and skipped so one bad file cannot sink a long run;
-malformed records are skipped, counted and logged.
+units of work: forked worker processes score them in parallel, and a
+completed-shard ledger makes interrupted runs restartable without rescoring
+finished shards. Unreadable shards are reported and skipped so one bad file
+cannot sink a long run; malformed records are skipped, counted and logged.
 
 Keep manifests record the sorted kept ids under a corpus fingerprint, which
 intersect() checks before combining runs, so manifests from different
@@ -20,12 +20,10 @@ import json
 import logging
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .classifier import ClassifierModel, predict_tokens
+from .classifier import ClassifierModel, has_no_features, predict_tokens
 from .documents import (
     MalformedRecord,
     corpus_fingerprint,
@@ -43,6 +41,8 @@ log = logging.getLogger(__name__)
 SCORE_BINS = 100
 DEFAULT_TOKEN_BIN_EDGES = (0, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 MANIFEST_HEADER_PREFIX = "# corpus_fingerprint: "
+# json.dumps(obj, ensure_ascii=False, sort_keys=True) without a new encoder per call
+_encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 class ShardUnreadable(WebsiftError):
@@ -220,6 +220,7 @@ class _ShardResult:
     digest: str
     stats: FilterStats
     zero_feature: int
+    malformed: list[str]     # MalformedRecord messages, in line order
 
 
 @dataclass
@@ -231,10 +232,19 @@ class ScoreRun:
     completed_shards: list[str]
     skipped_shards: list[str]            # completed in an earlier run, reused
     failed_shards: list[tuple[str, str]]
+    zero_feature_docs: int               # scored this run with no feature row
 
     @property
     def partial(self) -> bool:
         return bool(self.failed_shards)
+
+
+class WorkerDied(WebsiftError):
+    def __init__(self, shard: Optional[str], exitcode: int):
+        where = f" while scoring shard {shard}" if shard else ""
+        super().__init__(f"scoring worker process died{where} (exit code {exitcode})")
+        self.shard = shard
+        self.exitcode = exitcode
 
 
 def _output_paths(out_dir: str, name: str) -> tuple[str, str]:
@@ -249,16 +259,19 @@ def _score_shard(
     tokenizer: Tokenizer,
     threshold: float,
     path: str,
+    digest: str,
     out_dir: str,
     token_bin_edges: Sequence[int],
 ) -> _ShardResult:
+    """Score one shard. Logs nothing: it may run in a worker process, so the
+    caller logs the result's malformed records and zero-feature count."""
     name = shard_name(path)
-    digest = shard_digest(path)
     stats = FilterStats(
         score_histogram=[0] * SCORE_BINS,
         token_length_histogram=BinCounts.empty(token_bin_edges),
     )
     zero_feature = 0
+    malformed: list[str] = []
     kept_path, rejected_path = _output_paths(out_dir, name)
     kept_tmp, rejected_tmp = kept_path + ".tmp", rejected_path + ".tmp"
     with open(kept_tmp, "w", encoding="utf-8") as kf, \
@@ -270,10 +283,10 @@ def _score_shard(
                 doc = decode_record(raw, name, line_no)
             except MalformedRecord as e:
                 stats.observe_malformed()
-                log.warning("skipping malformed record %s", e)
+                malformed.append(str(e))
                 continue
             tokens = tokenizer.tokenize(doc.text)
-            if not tokens:
+            if has_no_features(tokens, model.vocab, model.config):
                 zero_feature += 1
             score = score_tokens(model, tokens)
             kept = score >= threshold
@@ -281,13 +294,108 @@ def _score_shard(
             obj = doc.to_json_obj()
             obj["score"] = score
             obj["kept"] = kept
-            line = json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n"
+            line = _encode_line(obj) + "\n"
             (kf if kept else rf).write(line)
     os.replace(kept_tmp, kept_path)
     os.replace(rejected_tmp, rejected_path)
-    if zero_feature:
-        log.info("shard %s: %d documents had no tokens, scored 0.5", name, zero_feature)
-    return _ShardResult(name=name, digest=digest, stats=stats, zero_feature=zero_feature)
+    return _ShardResult(name, digest, stats, zero_feature, malformed)
+
+
+# A shard's outcome: its result, or why it could not be read.
+_Outcome = Union[_ShardResult, str]
+
+
+def _attempt(score_one: Callable[[str], _ShardResult], path: str) -> _Outcome:
+    try:
+        return score_one(path)
+    except (OSError, EOFError) as e:
+        return str(e)
+
+
+def _score_forked(
+    score_one: Callable[[str], _ShardResult],
+    pending: Sequence[str],
+    processes: int,
+    settle: Callable[[int, _Outcome], None],
+) -> None:
+    """Score pending shards in this process and processes - 1 forked ones.
+
+    Each process claims the next shard index from a shared counter, so
+    uneven shards balance. Forked workers inherit the model copy-on-write
+    and send back (index, outcome) pairs; settle(index, outcome) runs here,
+    in index order, as each prefix of the pending list completes.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    n = len(pending)
+    # [0] is the next unclaimed index; [j] the index worker j claimed last.
+    claims = ctx.Array("q", [0] + [-1] * (processes - 1))
+
+    def claim(j: int) -> int:
+        with claims.get_lock():
+            i = claims[0]
+            claims[0] = i + 1
+            if j:
+                claims[j] = i
+        return i
+
+    def work(j: int, conn) -> None:
+        while (i := claim(j)) < n:
+            conn.send((i, _attempt(score_one, pending[i])))
+        conn.close()
+
+    workers: dict = {}       # reading end of each worker's pipe -> (j, process)
+    outcomes: dict[int, _Outcome] = {}
+    settled = 0
+
+    def settle_prefix() -> None:
+        nonlocal settled
+        while settled in outcomes:
+            settle(settled, outcomes.pop(settled))
+            settled += 1
+
+    def reap(conn) -> None:
+        j, proc = workers.pop(conn)
+        conn.close()
+        proc.join()
+        if proc.exitcode != 0:
+            lost = claims[j]
+            delivered = lost < settled or lost in outcomes
+            raise WorkerDied(
+                None if lost < 0 or delivered else shard_name(pending[lost]), proc.exitcode
+            )
+
+    def collect(timeout: Optional[float]) -> None:
+        for conn in wait(list(workers), timeout):
+            try:
+                while conn.poll():
+                    i, outcome = conn.recv()
+                    outcomes[i] = outcome
+            except EOFError:    # the worker has exited
+                reap(conn)
+        settle_prefix()
+
+    try:
+        for j in range(1, processes):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=work, args=(j, writer), daemon=True)
+            proc.start()
+            writer.close()
+            workers[reader] = (j, proc)
+        while (i := claim(0)) < n:
+            outcomes[i] = _attempt(score_one, pending[i])
+            collect(0)
+        while workers:
+            collect(None)
+    finally:
+        for conn, (_, proc) in workers.items():
+            conn.close()
+            proc.terminate()
+            proc.join()
+    if settled != n:
+        raise WebsiftError(f"scoring workers returned {settled} of {n} shard results")
 
 
 def _heal_ledger_tail(path: str) -> None:
@@ -338,6 +446,12 @@ def score_corpus(
     With resume=True, shards recorded in the ledger with an unchanged content
     digest are reused instead of rescored. Every input document lands in
     exactly one output stream, in its shard's input order.
+
+    Pending shards are scored by min(workers, pending shards, CPUs)
+    processes: this one and forked workers, which share the model
+    copy-on-write. Forking is only safe while no other thread of the caller
+    holds a lock. One process scores inline. The ledger, the logs and every
+    output byte do not depend on the count.
     """
     if not shards:
         raise ValueError("no shards to score")
@@ -379,35 +493,42 @@ def score_corpus(
         else:
             pending.append(path)
 
-    ledger_lock = threading.Lock()
+    zero_feature = 0
 
-    def record(result: _ShardResult) -> None:
+    def settle(index: int, outcome: _Outcome) -> None:
+        nonlocal zero_feature
+        name = shard_name(pending[index])
+        if isinstance(outcome, str):
+            failed.append((name, outcome))
+            log.error("%s", ShardUnreadable(name, outcome))
+            return
+        for message in outcome.malformed:
+            log.warning("skipping malformed record %s", message)
+        if outcome.zero_feature:
+            log.info("shard %s: %d documents had no tokens in the vocabulary and no "
+                     "n-gram, scored 0.5", name, outcome.zero_feature)
+        zero_feature += outcome.zero_feature
         entry = {
-            "shard": result.name,
-            "digest": result.digest,
-            "stats": result.stats.to_json_obj(),
+            "shard": outcome.name,
+            "digest": outcome.digest,
+            "stats": outcome.stats.to_json_obj(),
         }
-        with ledger_lock, open(ledger_path, "a", encoding="utf-8") as f:
+        with open(ledger_path, "a", encoding="utf-8") as f:
             f.write(canonical_json(entry) + "\n")
             f.flush()
             os.fsync(f.fileno())
+        per_shard[name] = outcome.stats
 
-    def run_one(path: str) -> _ShardResult:
-        return _score_shard(model, tokenizer, threshold, path, out_dir, token_bin_edges)
+    def score_one(path: str) -> _ShardResult:
+        digest = digests[shard_name(path)]
+        return _score_shard(model, tokenizer, threshold, path, digest, out_dir, token_bin_edges)
 
-    if pending:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(shard_name(p), pool.submit(run_one, p)) for p in pending]
-            # Collect in submission order so the ledger is deterministic.
-            for name, future in futures:
-                try:
-                    result = future.result()
-                except (OSError, EOFError) as e:
-                    failed.append((name, str(e)))
-                    log.error("%s", ShardUnreadable(name, str(e)))
-                    continue
-                record(result)
-                per_shard[name] = result.stats
+    processes = min(workers, len(pending), os.cpu_count() or 1)
+    if processes > 1:
+        _score_forked(score_one, pending, processes, settle)
+    else:
+        for index, path in enumerate(pending):
+            settle(index, _attempt(score_one, path))
 
     stats = FilterStats(
         score_histogram=[0] * SCORE_BINS,
@@ -439,6 +560,7 @@ def score_corpus(
         completed_shards=completed,
         skipped_shards=skipped,
         failed_shards=failed,
+        zero_feature_docs=zero_feature,
     )
 
 

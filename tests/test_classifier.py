@@ -20,6 +20,7 @@ from websift.classifier import (
     example_grads,
     example_loss,
     featurize,
+    has_no_features,
     load_labeled_examples,
     load_model,
     model_fingerprint,
@@ -129,6 +130,17 @@ def test_featurize_matches_reference(tokens, ngrams):
     vocab = Vocabulary.from_rows(["a", "b", "cc"], [3, 3, 3])
     got = featurize(tokens, vocab, config)
     assert got.tolist() == reference_ids(tokens, ["a", "b", "cc"], config)
+
+
+@given(
+    tokens=st.lists(st.sampled_from(["a", "b", "x", "y"]), max_size=4),
+    vocab_tokens=st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=3),
+    ngrams=st.integers(1, 3),
+)
+def test_has_no_features_matches_featurize(tokens, vocab_tokens, ngrams):
+    config = ClassifierConfig(dim=4, bucket=97, word_ngrams=ngrams, min_count=1)
+    vocab = Vocabulary.from_rows(vocab_tokens, [1] * len(vocab_tokens))
+    assert has_no_features(tokens, vocab, config) == (featurize(tokens, vocab, config).size == 0)
 
 
 def test_build_vocab_first_occurrence_order(tokenizer):

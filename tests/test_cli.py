@@ -342,6 +342,7 @@ class TestFilterCommands:
         assert summary["completed_shards"] == 2
         assert summary["skipped_shards"] == 0
         assert summary["failed_shards"] == []
+        assert summary["zero_feature_docs"] == 0
         assert summary["stats"]["documents_total"] == 40
         assert os.path.exists(summary["keep_manifest"])
         int(summary["corpus_fingerprint"], 16)

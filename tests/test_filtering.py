@@ -1,17 +1,23 @@
+import gzip
 import json
+import logging
 import math
 import os
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from websift import filtering
 from websift.classifier import ClassifierConfig, LabeledExample, train
 from websift.documents import Document, write_documents
+from websift.errors import WebsiftError
 from websift.filtering import (
     BinCounts,
     CorpusMismatch,
     FilterStats,
+    WorkerDied,
     read_keep_manifest,
     score_corpus,
     score_documents,
@@ -235,6 +241,121 @@ def test_score_corpus_parallel_matches_serial(tmp_path, model, tokenizer, worker
         assert a.read() == b.read()
     assert read_stream(serial.out_dir, "kept") == read_stream(parallel.out_dir, "kept")
     assert read_stream(serial.out_dir, "rejected") == read_stream(parallel.out_dir, "rejected")
+
+
+def run_bytes(out_dir):
+    """Every output file of a scoring run, by relative path."""
+    files = {}
+    for rel in ("ledger.jsonl", "keep_manifest.txt"):
+        with open(os.path.join(out_dir, rel), "rb") as f:
+            files[rel] = f.read()
+    for stream in ("kept", "rejected"):
+        for name in sorted(os.listdir(os.path.join(out_dir, stream))):
+            with open(os.path.join(out_dir, stream, name), "rb") as f:
+                files[f"{stream}/{name}"] = f.read()
+    return files
+
+
+@pytest.mark.parametrize("workers", [2, 6])   # 6: more processes than cores contend for shards
+def test_forked_scoring_matches_serial_bytes_and_logs(
+    tmp_path, model, tokenizer, monkeypatch, caplog, workers
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=7, docs_per_shard=8)
+    for path in shards:
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("{not json\n")
+            f.write(json.dumps({"text": ""}) + "\n")              # no tokens
+            f.write(json.dumps({"text": "unseenword"}) + "\n")    # no feature row
+    results = []
+    for n in (1, workers):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="websift.filtering"):
+            run = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / f"w{n}"), workers=n)
+        messages = [r.getMessage() for r in caplog.records if r.name == "websift.filtering"]
+        results.append((run_bytes(run.out_dir), messages, run.zero_feature_docs))
+    assert results[0] == results[1]
+    _, messages, zero_feature = results[0]
+    assert zero_feature == 2 * len(shards)
+    names = [os.path.basename(p) for p in shards]
+    assert messages == [
+        m
+        for name in names
+        for m in (
+            f"skipping malformed record {name}:9: invalid JSON: Expecting property name "
+            "enclosed in double quotes",
+            f"shard {name}: 2 documents had no tokens in the vocabulary and no n-gram, "
+            "scored 0.5",
+        )
+    ]
+
+
+def test_forked_scoring_reports_truncated_gzip_shard(tmp_path, model, tokenizer, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shards, docs = make_corpus(tmp_path / "corpus", n_shards=4)
+    with open(shards[0], "rb") as f:
+        packed = gzip.compress(f.read())
+    truncated = str(tmp_path / "corpus" / "s002x.jsonl.gz")
+    with open(truncated, "wb") as f:
+        f.write(packed[: len(packed) // 2])
+    listed = shards[:2] + [truncated] + shards[2:]
+    run = score_corpus(model, listed, 0.5, tokenizer, str(tmp_path / "out"), workers=2)
+    assert [name for name, _ in run.failed_shards] == ["s002x.jsonl.gz"]
+    names = [os.path.basename(p) for p in shards]
+    assert run.completed_shards == names
+    assert run.stats.documents_total == len(docs)
+    with open(os.path.join(run.out_dir, "ledger.jsonl"), encoding="utf-8") as f:
+        assert [json.loads(line)["shard"] for line in f] == names
+
+
+def test_score_corpus_raises_when_a_worker_dies(tmp_path, model, tokenizer, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=4)
+    out = str(tmp_path / "out")
+    parent = os.getpid()
+    started = tmp_path / "worker-started"
+    real_score_shard = filtering._score_shard
+
+    def dies_in_worker(*args):
+        if os.getpid() != parent:
+            started.write_text("")
+            os._exit(3)
+        # let the forked worker claim a shard before this process takes more
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return real_score_shard(*args)
+
+    monkeypatch.setattr(filtering, "_score_shard", dies_in_worker)
+    began = time.monotonic()
+    with pytest.raises(WorkerDied) as info:
+        score_corpus(model, shards, 0.5, tokenizer, out, workers=2)
+    assert time.monotonic() - began < 30
+    assert isinstance(info.value, WebsiftError)
+    assert info.value.exitcode == 3
+    names = [os.path.basename(p) for p in shards]
+    assert info.value.shard in names
+    ledger = os.path.join(out, "ledger.jsonl")
+    recorded = []
+    if os.path.exists(ledger):
+        with open(ledger, encoding="utf-8") as f:
+            recorded = [json.loads(line)["shard"] for line in f]
+    assert info.value.shard not in recorded
+    assert recorded == names[: len(recorded)]
+
+
+def test_score_corpus_digests_each_shard_once(tmp_path, model, tokenizer, monkeypatch):
+    calls = []
+    real_digest = filtering.shard_digest
+
+    def counting_digest(path):
+        calls.append(path)
+        return real_digest(path)
+
+    monkeypatch.setattr(filtering, "shard_digest", counting_digest)
+    shards, _ = make_corpus(tmp_path / "corpus")
+    score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "out"))
+    assert calls == shards
 
 
 def test_score_corpus_resume_skips_unchanged(tmp_path, model, tokenizer):
