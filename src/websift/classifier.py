@@ -375,11 +375,6 @@ def predict(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> Predicti
     )
 
 
-def score_text(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> float:
-    """Probability of the positive (kept) label."""
-    return float(predict_tokens(model, tokenizer.tokenize(text))[1])
-
-
 # ---------------------------------------------------------------------------
 # model file format
 #
@@ -508,14 +503,6 @@ def load_model(path: str) -> ClassifierModel:
         input_matrix=input_matrix,
         output_matrix=output_matrix,
     )
-
-
-def model_fingerprint(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

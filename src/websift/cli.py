@@ -10,7 +10,6 @@ seed. The UFW_LOG environment variable sets the default log level; the
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import logging
 import os
@@ -19,8 +18,8 @@ from typing import Optional, Sequence
 
 from . import classifier as clf
 from . import filtering, pipeline, seedpool, verify
-from .documents import parse_document
-from .ioutil import atomic_write_text, canonical_json
+from .documents import expand_shards, parse_document
+from .ioutil import atomic_write_text, canonical_json, sha256_file
 from .errors import WebsiftError
 from .normalize import NormalizePolicy, normalize_text
 from .tokenizers import TokenizerSpec, load_tokenizer
@@ -40,14 +39,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract says 1
     def error(self, message: str):
         raise _UsageError(message)
-
-
-def _expand_shards(patterns: Sequence[str]) -> list[str]:
-    paths: list[str] = []
-    for pattern in patterns:
-        matched = sorted(glob.glob(pattern))
-        paths.extend(matched if matched else [pattern])
-    return paths
 
 
 def _open_in(path: Optional[str]):
@@ -136,7 +127,7 @@ def _cmd_classifier_train(args) -> int:
     clf.save_model(model, args.out)
     summary = {
         "model": args.out,
-        "sha256": clf.model_fingerprint(args.out),
+        "sha256": sha256_file(args.out),
         "examples": len(examples),
         "vocab": len(model.vocab),
         "epoch_losses": [round(x, 6) for x in model.epoch_losses],
@@ -216,7 +207,7 @@ def _cmd_seedpool_show(args) -> int:
 def _cmd_filter_score(args) -> int:
     model = clf.load_model(args.model)
     tokenizer = _tokenizer_from_flag(args.tokenizer)
-    shards = _expand_shards(args.shards)
+    shards = expand_shards(args.shards)
     run = filtering.score_corpus(
         model,
         shards,
@@ -254,7 +245,7 @@ def _cmd_filter_intersect(args) -> int:
 
 def _cmd_filter_stats(args) -> int:
     tokenizer = _tokenizer_from_flag(args.tokenizer)
-    shards = _expand_shards(args.shards)
+    shards = expand_shards(args.shards)
     stats = filtering.token_length_histogram(shards, tokenizer)
     payload = canonical_json(stats.to_json_obj())
     if args.out:

@@ -10,6 +10,7 @@ scored output files remain readable as plain corpora.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import logging
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import WebsiftError
-from .ioutil import open_maybe_gzip
+from .ioutil import open_maybe_gzip, sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +54,15 @@ def shard_name(path: str) -> str:
     return os.path.basename(path)
 
 
+def expand_shards(patterns: Iterable[str]) -> list[str]:
+    """Each pattern's sorted glob matches, or the pattern itself if none match."""
+    paths: list[str] = []
+    for pattern in patterns:
+        matched = sorted(glob.glob(pattern))
+        paths.extend(matched if matched else [pattern])
+    return paths
+
+
 def parse_document(obj: object, shard: str, line_no: int) -> Document:
     """Validate one decoded JSONL object. Raises MalformedRecord."""
     if not isinstance(obj, dict):
@@ -65,6 +75,9 @@ def parse_document(obj: object, shard: str, line_no: int) -> Document:
         doc_id = f"{shard}:{line_no}"
     elif not isinstance(doc_id, str):
         raise MalformedRecord(shard, line_no, "non-string 'id'")
+    elif not doc_id.strip() or "\n" in doc_id or "\r" in doc_id:
+        # keep manifests hold one id per line
+        raise MalformedRecord(shard, line_no, "blank 'id' or 'id' with a line break")
     source = obj.get("source", "")
     if not isinstance(source, str):
         raise MalformedRecord(shard, line_no, "non-string 'source'")
@@ -128,12 +141,7 @@ def write_documents(path: str, docs: Iterable[Document]) -> int:
 # listed in, only on their contents, so runs over the same data agree even
 # when globs expand differently.
 
-def shard_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+shard_digest = sha256_file
 
 
 def corpus_fingerprint(digests: Iterable[str]) -> str:

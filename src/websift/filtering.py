@@ -21,7 +21,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .classifier import ClassifierModel, has_no_features, predict_tokens
 from .documents import (
@@ -59,13 +59,6 @@ class CorpusMismatch(WebsiftError):
             + ", ".join(sorted(set(fingerprints)))
         )
         self.fingerprints = list(fingerprints)
-
-
-@dataclass(frozen=True)
-class ScoredDocument:
-    id: str
-    score: float
-    kept: bool
 
 
 @dataclass
@@ -200,20 +193,6 @@ def score_tokens(model: ClassifierModel, tokens: Sequence[str]) -> float:
     return float(predict_tokens(model, tokens)[1])
 
 
-def score_documents(
-    model: ClassifierModel,
-    tokenizer: Tokenizer,
-    docs: Iterable,
-    threshold: float,
-) -> list[ScoredDocument]:
-    """Score an in-memory document sequence. kept means score >= threshold."""
-    out = []
-    for doc in docs:
-        score = score_tokens(model, tokenizer.tokenize(doc.text))
-        out.append(ScoredDocument(id=doc.id, score=score, kept=score >= threshold))
-    return out
-
-
 @dataclass
 class _ShardResult:
     name: str
@@ -261,15 +240,11 @@ def _score_shard(
     path: str,
     digest: str,
     out_dir: str,
-    token_bin_edges: Sequence[int],
 ) -> _ShardResult:
     """Score one shard. Logs nothing: it may run in a worker process, so the
     caller logs the result's malformed records and zero-feature count."""
     name = shard_name(path)
-    stats = FilterStats(
-        score_histogram=[0] * SCORE_BINS,
-        token_length_histogram=BinCounts.empty(token_bin_edges),
-    )
+    stats = FilterStats()
     zero_feature = 0
     malformed: list[str] = []
     kept_path, rejected_path = _output_paths(out_dir, name)
@@ -439,7 +414,6 @@ def score_corpus(
     out_dir: str,
     workers: int = 1,
     resume: bool = False,
-    token_bin_edges: Sequence[int] = DEFAULT_TOKEN_BIN_EDGES,
 ) -> ScoreRun:
     """Score a sharded corpus into kept/ and rejected/ under out_dir.
 
@@ -521,7 +495,7 @@ def score_corpus(
 
     def score_one(path: str) -> _ShardResult:
         digest = digests[shard_name(path)]
-        return _score_shard(model, tokenizer, threshold, path, digest, out_dir, token_bin_edges)
+        return _score_shard(model, tokenizer, threshold, path, digest, out_dir)
 
     processes = min(workers, len(pending), os.cpu_count() or 1)
     if processes > 1:
@@ -530,10 +504,7 @@ def score_corpus(
         for index, path in enumerate(pending):
             settle(index, _attempt(score_one, path))
 
-    stats = FilterStats(
-        score_histogram=[0] * SCORE_BINS,
-        token_length_histogram=BinCounts.empty(token_bin_edges),
-    )
+    stats = FilterStats()
     completed = [n for n in names if n in per_shard]
     for name in completed:
         stats.merge(per_shard[name])

@@ -1,8 +1,8 @@
-"""Text normalization applied before tokenization.
+"""Text normalization, run by the `websift normalize` command.
 
-The same transform must run ahead of both classifier training and corpus
-scoring, so it is deliberately small and deterministic: NFD decomposition
-with combining-mark removal, full Unicode lowercasing, space-run collapsing,
+Classifier training and corpus scoring tokenize text as given and never
+call it. The transform is small and deterministic: NFD decomposition with
+combining-mark removal, full Unicode lowercasing, space-run collapsing,
 and a cap on consecutive newlines. Tabs and carriage returns pass through
 untouched because they carry document structure downstream tokenizers rely
 on. The transform is a fixed point: applying it twice equals applying it

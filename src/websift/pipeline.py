@@ -22,7 +22,6 @@ directory plus its pool relocatable as a unit.
 
 from __future__ import annotations
 
-import glob
 import json
 import logging
 import os
@@ -35,11 +34,10 @@ from . import seedpool
 from .classifier import (
     ClassifierConfig,
     load_labeled_examples,
-    model_fingerprint,
     save_model,
     train,
 )
-from .documents import Document, iter_documents
+from .documents import Document, expand_shards, iter_documents
 from .errors import WebsiftError
 from .filtering import score_tokens
 from .ioutil import atomic_write_text, canonical_json, sha256_file, sha256_text
@@ -525,11 +523,7 @@ def _do_training_set(run_dir: str, state: RunState) -> None:
 
 
 def _iter_raw_documents(config: PipelineConfig):
-    paths: list[str] = []
-    for pattern in config.raw_shards:
-        expanded = sorted(glob.glob(pattern))
-        paths.extend(expanded if expanded else [pattern])
-    for path in paths:
+    for path in expand_shards(config.raw_shards):
         yield from iter_documents(path, strict=False)
 
 
@@ -612,7 +606,7 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
         state.round,
         {
             "model_path": model_rel,
-            "model_sha256": model_fingerprint(model_path),
+            "model_sha256": sha256_file(model_path),
             "sample_scores_path": scores_rel,
             "sample_scores_sha256": sha256_file(scores_path),
             "anneal_plan_path": plan_rel,

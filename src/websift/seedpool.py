@@ -296,12 +296,6 @@ class SeedPoolStore:
         return self.commit(manifest)
 
 
-def mark_underrepresented(
-    store: SeedPoolStore, name: str, factor: int, version: Optional[int] = None
-) -> SeedPoolManifest:
-    return store.mark_underrepresented(name, factor, version)
-
-
 # ---------------------------------------------------------------------------
 # assembly
 

@@ -94,10 +94,8 @@ class Tokenizer:
         self.vocab_sha256 = vocab_sha256
         if vocab:
             self._lengths = sorted({len(t) for t in vocab}, reverse=True)
-            self._max_len = self._lengths[0]
         else:
             self._lengths = []
-            self._max_len = 0
 
     def tokenize(self, text: str) -> list[str]:
         if self.spec.preserve_structural:

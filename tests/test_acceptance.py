@@ -11,6 +11,7 @@ pytest -rA or -s).
 """
 
 import filecmp
+import json
 import os
 import re
 import shutil
@@ -29,13 +30,13 @@ from websift.classifier import (
     ClassifierConfig,
     LabeledExample,
     example_grads,
-    model_fingerprint,
     predict,
     save_model,
     train,
 )
 from websift.documents import Document, write_documents
-from websift.filtering import intersect_ids, score_corpus, score_documents
+from websift.filtering import intersect_ids, score_corpus
+from websift.ioutil import sha256_file
 from websift.normalize import normalize_text
 from websift.pipeline import PROMOTED, read_journal
 from websift.seedpool import InsufficientSeedData, SeedPoolStore, assemble_training_set
@@ -187,8 +188,8 @@ def test_c03_classifier_accuracy_and_retrain_determinism(tokenizer, tmp_path):
     save_model(model, first)
     save_model(retrained, second)
     assert filecmp.cmp(first, second, shallow=False)
-    fp = model_fingerprint(first)
-    assert fp == model_fingerprint(second)
+    fp = sha256_file(first)
+    assert fp == sha256_file(second)
     _finish("C03", t0, 30.0,
             f"held-out accuracy {accuracy:.3f} on {len(held_out)} docs; retrain byte-identical ({fp[:12]})")
 
@@ -248,24 +249,44 @@ def test_c05_filtering_laws_hold_on_generated_corpora(tokenizer, quality_model):
     )
     thresholds = st.floats(min_value=0.0, max_value=1.0)
 
+    # Each case is the only shard of one reused work dir: every call rewrites
+    # the shard and all of score_corpus's outputs for it.
+    case_dir = tempfile.mkdtemp(dir=scratch)
+    case_path = os.path.join(case_dir, "case.jsonl")
+
+    def score_streams(docs, threshold, out):
+        """score_corpus over docs as one shard; its kept and rejected (id, score, kept) rows."""
+        write_documents(case_path, docs)
+        out_dir = os.path.join(case_dir, out)
+        run = score_corpus(model, [case_path], threshold, tokenizer, out_dir)
+        assert not run.partial
+        streams = []
+        for stream in ("kept", "rejected"):
+            with open(os.path.join(out_dir, stream, "case.jsonl.scored.jsonl"), encoding="utf-8") as f:
+                rows = [json.loads(line) for line in f]
+            streams.append([(r["id"], r["score"], r["kept"]) for r in rows])
+        return streams
+
     @settings(max_examples=1000, derandomize=True)
     @given(docs=docs_strategy, threshold=thresholds)
     def partition_is_exact(docs, threshold):
-        scored = score_documents(model, tokenizer, docs, threshold)
-        assert [s.id for s in scored] == [d.id for d in docs]
-        kept = {s.id for s in scored if s.kept}
-        rejected = {s.id for s in scored if not s.kept}
-        assert all(s.kept == (s.score >= threshold) for s in scored)
-        assert kept | rejected == {d.id for d in docs}
-        assert not (kept & rejected)
+        kept, rejected = score_streams(docs, threshold, "out")
+        ids = [d.id for d in docs]
+        kept_ids, rejected_ids = [r[0] for r in kept], [r[0] for r in rejected]
+        assert sorted(kept_ids + rejected_ids) == sorted(ids)   # each id in exactly one stream
+        # each stream keeps input order
+        assert kept_ids == [i for i in ids if i in set(kept_ids)]
+        assert rejected_ids == [i for i in ids if i in set(rejected_ids)]
+        assert all(flag and score >= threshold for _, score, flag in kept)
+        assert all(not flag and score < threshold for _, score, flag in rejected)
 
     @settings(max_examples=1000, derandomize=True)
     @given(docs=docs_strategy, pair=st.tuples(thresholds, thresholds))
     def raising_threshold_only_shrinks_the_kept_set(docs, pair):
         low, high = sorted(pair)
-        kept_low = {s.id for s in score_documents(model, tokenizer, docs, low) if s.kept}
-        kept_high = {s.id for s in score_documents(model, tokenizer, docs, high) if s.kept}
-        assert kept_high <= kept_low
+        kept_low, _ = score_streams(docs, low, "low")
+        kept_high, _ = score_streams(docs, high, "high")
+        assert {r[0] for r in kept_high} <= {r[0] for r in kept_low}
 
     shard_layouts = st.lists(st.lists(texts, min_size=1, max_size=3), min_size=1, max_size=3)
 

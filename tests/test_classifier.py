@@ -23,13 +23,11 @@ from websift.classifier import (
     has_no_features,
     load_labeled_examples,
     load_model,
-    model_fingerprint,
     ngram_hash,
     parse_labeled_line,
     predict,
     predict_tokens,
     save_model,
-    score_text,
     token_hash,
     train,
 )
@@ -301,7 +299,6 @@ def test_train_is_deterministic(tmp_path, tokenizer):
     save_model(train(dataset, config, tokenizer), str(a))
     save_model(train(dataset, config, tokenizer), str(b))
     assert a.read_bytes() == b.read_bytes()
-    assert model_fingerprint(str(a)) == model_fingerprint(str(b))
 
 
 def test_train_loss_decreases_and_separates(tokenizer):
@@ -341,14 +338,14 @@ def test_predict_distribution(toy_model, tokenizer):
 
 def test_score_is_positive_probability(toy_model, tokenizer):
     text = "good0 bad3 good2"
-    s = score_text(toy_model, text, tokenizer)
+    s = predict(toy_model, text, tokenizer).dist["positive"]
     assert 0.0 <= s <= 1.0
-    assert s == pytest.approx(predict(toy_model, text, tokenizer).dist["positive"])
+    assert s == float(predict_tokens(toy_model, tokenizer.tokenize(text))[1])
 
 
 def test_predict_no_content_is_uniform(toy_model, tokenizer):
     assert predict_tokens(toy_model, []).tolist() == [0.5, 0.5]
-    assert score_text(toy_model, "", tokenizer) == 0.5
+    assert predict(toy_model, "", tokenizer).dist["positive"] == 0.5
     # argmax tie resolves to the first configured label
     assert predict(toy_model, "", tokenizer).label == "negative"
 

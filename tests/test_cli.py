@@ -20,6 +20,7 @@ from websift import classifier as clf
 from websift import filtering, pipeline, verify
 from websift.documents import Document, write_documents
 from websift.classifier import load_labeled_examples
+from websift.ioutil import sha256_file
 from websift.normalize import NormalizePolicy, normalize_text
 from websift.tokenizers import TokenizerSpec, load_tokenizer
 
@@ -178,7 +179,7 @@ class TestClassifierCommands:
         assert summary["examples"] == 60
         assert summary["vocab"] > 0
         assert len(summary["epoch_losses"]) == 3
-        assert summary["sha256"] == clf.model_fingerprint(model_file["path"])
+        assert summary["sha256"] == sha256_file(model_file["path"])
 
     def test_predict_labels_split_cleanly(self, capsys, tmp_path, model_file):
         docs = [

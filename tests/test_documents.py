@@ -9,6 +9,7 @@ from websift.documents import (
     MalformedRecord,
     corpus_fingerprint,
     decode_record,
+    expand_shards,
     iter_documents,
     parse_document,
     shard_digest,
@@ -37,6 +38,10 @@ def test_parse_document_full_round_trip():
         {},
         {"text": 5},
         {"text": "ok", "id": 7},
+        {"text": "ok", "id": ""},
+        {"text": "ok", "id": " \t"},
+        {"text": "ok", "id": "b\nz"},
+        {"text": "ok", "id": "a\rq"},
         {"text": "ok", "source": 1},
         {"text": "ok", "meta": []},
         [],
@@ -85,6 +90,15 @@ def test_write_documents_round_trip(tmp_path):
     n = write_documents(str(path), docs)
     assert n == 2
     assert list(iter_documents(str(path))) == docs
+
+
+def test_shard_globs_expand_sorted_and_unmatched_patterns_kept(tmp_path):
+    for name in ("b.jsonl", "a.jsonl", "c.txt"):
+        (tmp_path / name).write_text("")
+    missing = str(tmp_path / "none-*.jsonl")
+    assert expand_shards([str(tmp_path / "*.jsonl"), missing, str(tmp_path / "c.txt")]) == [
+        str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl"), missing, str(tmp_path / "c.txt"),
+    ]
 
 
 def test_shard_digest_matches_hashlib(tmp_path):

@@ -20,7 +20,6 @@ from websift.filtering import (
     WorkerDied,
     read_keep_manifest,
     score_corpus,
-    score_documents,
     score_tokens,
     intersect,
     intersect_ids,
@@ -175,19 +174,6 @@ def test_filter_stats_json_round_trip():
 
 # -- scoring -----------------------------------------------------------------------
 
-def test_score_documents_threshold_rule(model, tokenizer):
-    docs = [
-        Document(id="a", text=" ".join(POS_WORDS[:10])),
-        Document(id="b", text=" ".join(NEG_WORDS[:10])),
-    ]
-    scored = score_documents(model, tokenizer, docs, threshold=0.5)
-    assert [s.id for s in scored] == ["a", "b"]
-    for s, doc in zip(scored, docs):
-        assert s.score == score_tokens(model, tokenizer.tokenize(doc.text))
-        assert s.kept == (s.score >= 0.5)
-    assert scored[0].kept and not scored[1].kept
-
-
 def test_score_corpus_partitions_exactly(tmp_path, model, tokenizer):
     shards, docs = make_corpus(tmp_path / "corpus")
     run = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "out"))
@@ -210,12 +196,18 @@ def test_score_corpus_partitions_exactly(tmp_path, model, tokenizer):
 
 
 def test_score_corpus_kept_flags_match_threshold(tmp_path, model, tokenizer):
-    shards, _ = make_corpus(tmp_path / "corpus", n_shards=1)
+    shards, docs = make_corpus(tmp_path / "corpus", n_shards=1)
     run = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "out"))
-    for _, _, score, kept in read_stream(run.out_dir, "kept"):
-        assert kept and score >= 0.5
-    for _, _, score, kept in read_stream(run.out_dir, "rejected"):
-        assert not kept and score < 0.5
+    kept = read_stream(run.out_dir, "kept")
+    rejected = read_stream(run.out_dir, "rejected")
+    assert kept and rejected
+    for _, _, score, flag in kept:
+        assert flag and score >= 0.5
+    for _, _, score, flag in rejected:
+        assert not flag and score < 0.5
+    texts = {d.id: d.text for d in docs}
+    for _, doc_id, score, _ in kept + rejected:
+        assert score == score_tokens(model, tokenizer.tokenize(texts[doc_id]))
 
 
 def test_score_corpus_threshold_monotonicity(tmp_path, model, tokenizer):
@@ -430,6 +422,20 @@ def test_score_corpus_counts_malformed_records(tmp_path, model, tokenizer):
     assert run.stats.records_malformed == 2
     assert run.stats.documents_kept == 1
     assert not run.partial
+
+
+def test_keep_manifest_holds_exactly_the_kept_ids(tmp_path, model, tokenizer):
+    # ids that are blank or span lines would not read back one per line
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "s000.jsonl"
+    text = " ".join(POS_WORDS[:6])
+    path.write_text("".join(json.dumps({"id": i, "text": text}) + "\n"
+                            for i in ("b\nz", "a\rq", " ", "c")), encoding="utf-8")
+    run = score_corpus(model, [str(path)], 0.5, tokenizer, str(tmp_path / "out"))
+    assert run.stats.records_malformed == 3
+    assert run.stats.documents_kept == 1
+    assert read_keep_manifest(run.keep_manifest_path)[1] == ["c"]
 
 
 def test_score_corpus_empty_text_scores_half(tmp_path, model, tokenizer):
