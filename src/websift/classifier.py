@@ -295,6 +295,20 @@ def example_grads(
     return loss, grad_output, grad_row
 
 
+def _row_update_plan(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Distinct rows of `ids`, most repeated first, and the update prefixes.
+
+    Subtracting one vector from the first n of those rows, for each n in the
+    prefixes in turn, gives every row one subtraction per occurrence in
+    `ids`, in sequence: the same float operations as
+    `np.subtract.at(matrix, ids, vector)`, so the result is bit-identical.
+    (A single `counts * vector` subtraction would round differently.)
+    """
+    uniq, counts = np.unique(ids, return_counts=True)
+    order = np.argsort(-counts, kind="stable")
+    return uniq[order], [int((counts > r).sum()) for r in range(counts.max(initial=0))]
+
+
 def train(
     dataset: Sequence[LabeledExample], config: ClassifierConfig, tokenizer: Tokenizer
 ) -> ClassifierModel:
@@ -303,6 +317,11 @@ def train(
     The caller owns example order (training sets come pre-shuffled from the
     seed pool assembler); train never reorders, so identical inputs produce
     an identical model.
+
+    Each example is tokenized and featurized once, before the first epoch.
+    A step updates each distinct feature row once per occurrence of that row
+    in the example, in sequence, so a repeated row receives exactly the
+    updates a per-occurrence loop would give it.
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -311,7 +330,15 @@ def train(
         if ex.label not in label_index:
             raise ValueError(f"label {ex.label!r} not in configured labels {config.labels}")
 
-    vocab = build_vocab((tokenizer.tokenize(ex.text) for ex in dataset), config)
+    token_seqs = [tokenizer.tokenize(ex.text) for ex in dataset]
+    vocab = build_vocab(token_seqs, config)
+    steps = []
+    for ex, tokens in zip(dataset, token_seqs):
+        ids = featurize(tokens, vocab, config)
+        steps.append((ids, *_row_update_plan(ids), label_index[ex.label]))
+    del token_seqs
+    zero_feature = sum(1 for ids, *_ in steps if not ids.size)
+
     rng = np.random.default_rng(config.seed)
     rows = len(vocab) + config.bucket
     bound = 1.0 / config.dim
@@ -321,25 +348,24 @@ def train(
     total = config.epochs * len(dataset)
     t = 0
     epoch_losses = []
-    zero_feature_seen = 0
     for epoch in range(config.epochs):
         loss_sum = 0.0
-        for ex in dataset:
+        for ids, distinct, prefixes, y in steps:
             lr_t = config.lr * (1.0 - t / total)
             t += 1
-            ids = featurize(tokenizer.tokenize(ex.text), vocab, config)
-            y = label_index[ex.label]
             loss, grad_output, grad_row = example_grads(input_matrix, output_matrix, ids, y)
             loss_sum += loss
             output_matrix -= lr_t * grad_output
-            if ids.size:
-                np.subtract.at(input_matrix, ids, lr_t * grad_row)
-            else:
-                zero_feature_seen += 1
+            if prefixes:
+                update = lr_t * grad_row
+                block = input_matrix[distinct]
+                for n in prefixes:
+                    block[:n] -= update
+                input_matrix[distinct] = block
         epoch_losses.append(loss_sum / len(dataset))
         log.debug("epoch %d mean loss %.6f", epoch + 1, epoch_losses[-1])
-    if zero_feature_seen:
-        log.info("training saw %d zero-feature examples", zero_feature_seen)
+    if zero_feature:
+        log.info("training saw %d zero-feature examples", zero_feature)
 
     return ClassifierModel(
         config=config,
@@ -410,7 +436,12 @@ def _matrix_bytes_iter(arr: np.ndarray):
         yield flat[start : start + _CHUNK_ELEMS].tobytes()
 
 
-def save_model(model: ClassifierModel, path: str) -> None:
+def save_model(model: ClassifierModel, path: str) -> str:
+    """Write the model file and return the hex SHA-256 of the whole file.
+
+    The digest comes from the hash already kept for the checksum trailer, so
+    callers need not read the file back to fingerprint it.
+    """
     cfg = asdict(model.config)
     cfg["labels"] = list(model.config.labels)
     cfg_bytes = canonical_json(cfg).encode("utf-8")
@@ -430,7 +461,8 @@ def save_model(model: ClassifierModel, path: str) -> None:
             w.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
             for chunk in _matrix_bytes_iter(arr):
                 w.write(chunk)
-        raw.write(w.h.digest()[:8])
+        w.write(w.h.digest()[:8])
+    return w.h.hexdigest()
 
 
 class _Reader:

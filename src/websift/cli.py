@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import classifier as clf
 from . import filtering, pipeline, seedpool, verify
 from .documents import expand_shards, parse_document
-from .ioutil import atomic_write_text, canonical_json, sha256_file
+from .ioutil import atomic_write_text, canonical_json
 from .errors import WebsiftError
 from .normalize import NormalizePolicy, normalize_text
 from .tokenizers import TokenizerSpec, load_tokenizer
@@ -124,10 +124,9 @@ def _cmd_classifier_train(args) -> int:
     tokenizer = _tokenizer_from_flag(args.tokenizer)
     examples = clf.load_labeled_examples(args.data)
     model = clf.train(examples, config, tokenizer)
-    clf.save_model(model, args.out)
     summary = {
         "model": args.out,
-        "sha256": sha256_file(args.out),
+        "sha256": clf.save_model(model, args.out),
         "examples": len(examples),
         "vocab": len(model.vocab),
         "epoch_losses": [round(x, 6) for x in model.epoch_losses],

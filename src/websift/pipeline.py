@@ -549,8 +549,10 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
         os.path.join(run_dir, state.current_round().training_set["training_set_path"])
     )
     model = train(examples, config.classifier, tokenizer)
+    for epoch, loss in enumerate(model.epoch_losses, start=1):
+        log.info("round %d epoch %d mean loss %.6f", state.round, epoch, loss)
     model_path, model_rel = _artifact(run_dir, state.round, "model.ufwc")
-    save_model(model, model_path)
+    model_sha256 = save_model(model, model_path)
 
     sample = _reservoir_sample(config, state.round)
     if not sample:
@@ -606,7 +608,7 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
         state.round,
         {
             "model_path": model_rel,
-            "model_sha256": sha256_file(model_path),
+            "model_sha256": model_sha256,
             "sample_scores_path": scores_rel,
             "sample_scores_sha256": sha256_file(scores_path),
             "anneal_plan_path": plan_rel,

@@ -1,3 +1,4 @@
+import logging
 import math
 import struct
 
@@ -31,6 +32,7 @@ from websift.classifier import (
     token_hash,
     train,
 )
+from websift.ioutil import sha256_file
 
 # -- reference implementations used as oracles ---------------------------------
 
@@ -292,6 +294,72 @@ def test_train_matches_python_reference(tokenizer):
     np.testing.assert_allclose(model.epoch_losses, losses, rtol=0, atol=1e-12)
 
 
+def numpy_loop_train(dataset, config, tokenizer):
+    """The per-epoch numpy loop train replaced, kept as a bit-exact oracle.
+
+    Every step tokenizes and featurizes its example again and applies the
+    row update with np.subtract.at.
+    """
+    vocab = build_vocab((tokenizer.tokenize(ex.text) for ex in dataset), config)
+    rng = np.random.default_rng(config.seed)
+    rows = len(vocab) + config.bucket
+    input_matrix = rng.uniform(-1.0 / config.dim, 1.0 / config.dim, size=(rows, config.dim))
+    output_matrix = np.zeros((2, config.dim))
+    label_index = {name: i for i, name in enumerate(config.labels)}
+    total = config.epochs * len(dataset)
+    t = 0
+    losses = []
+    for _ in range(config.epochs):
+        loss_sum = 0.0
+        for ex in dataset:
+            lr_t = config.lr * (1.0 - t / total)
+            t += 1
+            ids = featurize(tokenizer.tokenize(ex.text), vocab, config)
+            loss, grad_output, grad_row = example_grads(
+                input_matrix, output_matrix, ids, label_index[ex.label]
+            )
+            loss_sum += loss
+            output_matrix -= lr_t * grad_output
+            if ids.size:
+                np.subtract.at(input_matrix, ids, lr_t * grad_row)
+        losses.append(loss_sum / len(dataset))
+    return input_matrix, output_matrix, losses
+
+
+def test_train_is_bit_identical_to_per_occurrence_updates(tokenizer):
+    # Repeated words and repeated bigram/trigram windows make feature ids
+    # occur 3+ times within one example; "zzz" alone has no feature at all.
+    dataset = [
+        LabeledExample("positive", "good good good good day good day good day"),
+        LabeledExample("negative", "bad food bad food bad food bad food bad"),
+        LabeledExample("positive", "la la la la la la good"),
+        LabeledExample("negative", "zzz"),
+        LabeledExample("negative", "bad bad bad night bad bad bad night"),
+        LabeledExample("positive", "good night good night good night day"),
+    ]
+    config = ClassifierConfig(dim=5, bucket=7, word_ngrams=3, min_count=2, epochs=3, lr=0.3)
+    vocab = build_vocab((tokenizer.tokenize(ex.text) for ex in dataset), config)
+    assert "zzz" not in vocab.index
+    repeats = [np.unique(featurize(tokenizer.tokenize(ex.text), vocab, config),
+                         return_counts=True)[1].max(initial=0) for ex in dataset]
+    assert max(repeats) >= 3 and min(repeats) == 0
+
+    model = train(dataset, config, tokenizer)
+    input_matrix, output_matrix, losses = numpy_loop_train(dataset, config, tokenizer)
+    assert np.array_equal(model.input_matrix, input_matrix)
+    assert np.array_equal(model.output_matrix, output_matrix)
+    assert list(model.epoch_losses) == losses
+
+
+def test_train_counts_each_zero_feature_example_once(tokenizer, caplog):
+    dataset = make_dataset(n_per_class=5) + [LabeledExample("negative", "")]
+    config = ClassifierConfig(dim=4, bucket=31, word_ngrams=2, min_count=1, epochs=3)
+    with caplog.at_level(logging.INFO, logger="websift.classifier"):
+        train(dataset, config, tokenizer)
+    messages = [r.getMessage() for r in caplog.records if "zero-feature" in r.getMessage()]
+    assert messages == ["training saw 1 zero-feature examples"]
+
+
 def test_train_is_deterministic(tmp_path, tokenizer):
     dataset = make_dataset()
     config = ClassifierConfig(dim=8, bucket=64, min_count=1)
@@ -363,6 +431,11 @@ def test_model_round_trip(tmp_path, toy_model, tokenizer):
     assert np.array_equal(loaded.output_matrix, toy_model.output_matrix)
     for text in ["good1 good2", "bad1 bad2", "good1 bad2"]:
         assert predict(loaded, text, tokenizer) == predict(toy_model, text, tokenizer)
+
+
+def test_save_model_returns_file_sha256(tmp_path, toy_model):
+    path = str(tmp_path / "model.bin")
+    assert save_model(toy_model, path) == sha256_file(path)
 
 
 def test_model_file_starts_with_magic(tmp_path, toy_model):

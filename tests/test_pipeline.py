@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from websift import pipeline
-from websift.classifier import ClassifierConfig
+from websift.classifier import ClassifierConfig, load_labeled_examples, train
 from websift.documents import Document, write_documents
 from websift.errors import WebsiftError
 from websift.ioutil import canonical_json, sha256_file, sha256_text
@@ -44,6 +44,7 @@ from websift.pipeline import (
     run_status,
 )
 from websift.seedpool import InsufficientSeedData, SeedPoolStore
+from websift.tokenizers import load_tokenizer
 from websift.verify import (
     CHINESE_METRICS,
     ENGLISH_METRICS,
@@ -447,6 +448,23 @@ class TestVerdicts:
         run_round("run")
         with pytest.raises(NotReady, match="verification"):
             run_round("run")
+
+    def test_round_logs_epoch_losses(self, tmp_path, monkeypatch, caplog):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        init_run("run", config)
+        with caplog.at_level(logging.INFO, logger="websift.pipeline"):
+            run_round("run")
+        entries = read_journal("run")
+        examples = load_labeled_examples(
+            os.path.join("run", entries[1]["data"]["training_set_path"])
+        )
+        model = train(examples, config.classifier, load_tokenizer(config.tokenizer))
+        assert [r.getMessage() for r in caplog.records if "mean loss" in r.getMessage()] == [
+            f"round 1 epoch {i} mean loss {loss:.6f}"
+            for i, loss in enumerate(model.epoch_losses, start=1)
+        ]
+        assert "loss" not in journal_bytes("run").decode("utf-8")
 
 
 # ---------------------------------------------------------------------------
