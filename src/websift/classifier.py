@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import WebsiftError
-from .ioutil import canonical_json
+from .ioutil import atomic_open, canonical_json
 from .tokenizers import Tokenizer
 
 log = logging.getLogger(__name__)
@@ -445,7 +445,7 @@ def save_model(model: ClassifierModel, path: str) -> str:
     cfg = asdict(model.config)
     cfg["labels"] = list(model.config.labels)
     cfg_bytes = canonical_json(cfg).encode("utf-8")
-    with open(path, "wb") as raw:
+    with atomic_open(path, "wb") as raw:
         w = _HashingWriter(raw)
         w.write(MODEL_MAGIC)
         w.write(struct.pack("<I", MODEL_FORMAT_VERSION))

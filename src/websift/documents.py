@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import WebsiftError
-from .ioutil import open_maybe_gzip, sha256_file
+from .ioutil import atomic_open, open_maybe_gzip, sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -129,7 +129,7 @@ def decode_record(raw: bytes, shard: str, line_no: int) -> Document:
 
 def write_documents(path: str, docs: Iterable[Document]) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for doc in docs:
             f.write(json.dumps(doc.to_json_obj(), ensure_ascii=False, sort_keys=True))
             f.write("\n")

@@ -33,7 +33,14 @@ from .documents import (
     shard_name,
 )
 from .errors import WebsiftError
-from .ioutil import atomic_write_text, canonical_json
+from .ioutil import (
+    LogCorrupt,
+    append_line,
+    atomic_open,
+    atomic_write_text,
+    canonical_json,
+    read_log,
+)
 from .tokenizers import Tokenizer
 
 log = logging.getLogger(__name__)
@@ -248,9 +255,7 @@ def _score_shard(
     zero_feature = 0
     malformed: list[str] = []
     kept_path, rejected_path = _output_paths(out_dir, name)
-    kept_tmp, rejected_tmp = kept_path + ".tmp", rejected_path + ".tmp"
-    with open(kept_tmp, "w", encoding="utf-8") as kf, \
-            open(rejected_tmp, "w", encoding="utf-8") as rf:
+    with atomic_open(kept_path) as kf, atomic_open(rejected_path) as rf:
         for line_no, raw in iter_shard_lines(path):
             if not raw.strip():
                 continue
@@ -271,8 +276,6 @@ def _score_shard(
             obj["kept"] = kept
             line = _encode_line(obj) + "\n"
             (kf if kept else rf).write(line)
-    os.replace(kept_tmp, kept_path)
-    os.replace(rejected_tmp, rejected_path)
     return _ShardResult(name, digest, stats, zero_feature, malformed)
 
 
@@ -373,37 +376,29 @@ def _score_forked(
         raise WebsiftError(f"scoring workers returned {settled} of {n} shard results")
 
 
-def _heal_ledger_tail(path: str) -> None:
-    """Terminate a torn final line so later appends stay parseable."""
+def _ledger_entry(raw: bytes) -> dict:
+    obj = json.loads(raw)
+    if not isinstance(obj, dict) or not {"shard", "digest", "stats"} <= obj.keys():
+        raise ValueError("not a ledger entry")
+    return obj
+
+
+def _load_ledger(path: str) -> dict[str, dict]:
+    """Completed-shard records keyed by shard name; last entry wins.
+
+    A torn final entry is truncated away. A ledger damaged before its final
+    line is removed, so every shard is rescored; scoring is deterministic,
+    so the outputs come out the same.
+    """
     try:
-        with open(path, "rb+") as f:
-            f.seek(0, os.SEEK_END)
-            size = f.tell()
-            if size:
-                f.seek(size - 1)
-                if f.read(1) != b"\n":
-                    f.write(b"\n")
+        entries = read_log(path, _ledger_entry, heal=True)
     except FileNotFoundError:
-        pass
-
-
-def _load_ledger(out_dir: str) -> dict[str, dict]:
-    """Completed-shard records keyed by shard name; last entry wins."""
-    path = os.path.join(out_dir, "ledger.jsonl")
-    entries: dict[str, dict] = {}
-    if not os.path.exists(path):
-        return entries
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail from an interrupted run
-            entries[obj["shard"]] = obj
-    return entries
+        return {}
+    except LogCorrupt as e:
+        log.warning("%s; removing the ledger and rescoring every shard", e)
+        os.remove(path)
+        return {}
+    return {obj["shard"]: obj for obj in entries}
 
 
 def score_corpus(
@@ -440,9 +435,7 @@ def score_corpus(
     os.makedirs(os.path.join(out_dir, "kept"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "rejected"), exist_ok=True)
     ledger_path = os.path.join(out_dir, "ledger.jsonl")
-    if resume:
-        _heal_ledger_tail(ledger_path)
-    previous = _load_ledger(out_dir) if resume else {}
+    previous = _load_ledger(ledger_path) if resume else {}
     if not resume and os.path.exists(ledger_path):
         os.remove(ledger_path)
 
@@ -487,10 +480,7 @@ def score_corpus(
             "digest": outcome.digest,
             "stats": outcome.stats.to_json_obj(),
         }
-        with open(ledger_path, "a", encoding="utf-8") as f:
-            f.write(canonical_json(entry) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+        append_line(ledger_path, canonical_json(entry))
         per_shard[name] = outcome.stats
 
     def score_one(path: str) -> _ShardResult:
@@ -616,18 +606,14 @@ def _nearest_rank(sorted_values: list[int], q: float) -> int:
     return sorted_values[rank - 1]
 
 
-def token_length_histogram(
-    shards: Sequence[str],
-    tokenizer: Tokenizer,
-    bin_edges: Sequence[int] = DEFAULT_TOKEN_BIN_EDGES,
-) -> TokenLengthStats:
+def token_length_histogram(shards: Sequence[str], tokenizer: Tokenizer) -> TokenLengthStats:
     """Token count distribution across a corpus.
 
     The mean is exact (integer accumulation); quantiles are nearest-rank over
     the exact per-document counts. Every readable document is counted in
     exactly one bucket, out-of-range lengths in underflow/overflow.
     """
-    hist = BinCounts.empty(bin_edges)
+    hist = BinCounts.empty(DEFAULT_TOKEN_BIN_EDGES)
     counts: list[int] = []
     tokens_total = 0
     malformed = 0

@@ -40,7 +40,15 @@ from .classifier import (
 from .documents import Document, expand_shards, iter_documents
 from .errors import WebsiftError
 from .filtering import score_tokens
-from .ioutil import atomic_write_text, canonical_json, sha256_file, sha256_text
+from .ioutil import (
+    LogCorrupt,
+    append_line,
+    atomic_write_text,
+    canonical_json,
+    read_log,
+    sha256_file,
+    sha256_text,
+)
 from .seedpool import SeedPoolStore, assemble_training_set, write_training_set
 from .tokenizers import TokenizerSpec, load_tokenizer
 from .verify import (
@@ -187,65 +195,38 @@ def _entry_line(seq: int, kind: str, round_no: int, data: dict) -> str:
     return canonical_json({"entry": entry, "check": sha256_text(canonical_json(entry))})
 
 
-def read_journal(run_dir: str) -> list[dict]:
-    """Validated journal entries. A torn final line is dropped, anything
-    else malformed is StateCorrupt."""
-    path = _journal_path(run_dir)
+def _parse_entry(raw: bytes) -> dict:
+    obj = json.loads(raw)
+    entry = obj["entry"]
+    if sha256_text(canonical_json(entry)) != obj["check"]:
+        raise ValueError("checksum mismatch")
+    return entry
+
+
+def read_journal(run_dir: str, heal: bool = False) -> list[dict]:
+    """Validated journal entries.
+
+    A torn final line is dropped; with heal=True it is also truncated away.
+    Write paths heal before they append: an entry appended after an
+    unterminated fragment would merge with it into one unreadable line that
+    is no longer the tail. Any other malformed line is StateCorrupt.
+    """
     try:
-        with open(path, "rb") as f:
-            data = f.read()
+        entries = read_log(_journal_path(run_dir), _parse_entry, heal=heal)
+    except LogCorrupt as e:
+        raise StateCorrupt(f"journal damaged: {e}") from e
     except OSError as e:
         raise JournalUnreadable(f"cannot read journal: {e}") from e
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    entries: list[dict] = []
-    for i, raw in enumerate(lines):
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-            entry = obj["entry"]
-            if sha256_text(canonical_json(entry)) != obj["check"]:
-                raise ValueError("checksum mismatch")
-            if entry["seq"] != i:
-                raise ValueError(f"expected seq {i}, found {entry['seq']}")
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as e:
-            if i == len(lines) - 1:
-                log.warning("dropping torn journal tail at line %d", i + 1)
-                break
-            raise StateCorrupt(f"journal entry {i} invalid: {e}") from e
-        entries.append(entry)
+    for i, entry in enumerate(entries):
+        if entry["seq"] != i:
+            raise StateCorrupt(f"journal entry {i} has seq {entry['seq']}")
     if not entries:
         raise JournalUnreadable("journal holds no valid entries")
     return entries
 
 
 def _append_entry(run_dir: str, seq: int, kind: str, round_no: int, data: dict) -> None:
-    with open(_journal_path(run_dir), "a", encoding="utf-8") as f:
-        f.write(_entry_line(seq, kind, round_no, data) + "\n")
-        f.flush()
-        os.fsync(f.fileno())
-
-
-def _heal_journal_tail(run_dir: str) -> None:
-    """Rewrite the journal to its valid prefix, truncating a torn tail.
-
-    Must run before any append: writing after an unterminated fragment would
-    merge the fragment with the new entry into one unreadable line that is no
-    longer the tail, turning a recoverable crash into permanent corruption.
-    Only write paths heal; reads stay side-effect free.
-    """
-    try:
-        entries = read_journal(run_dir)
-    except (JournalUnreadable, StateCorrupt):
-        return  # nothing salvageable, or real damage the read paths report
-    text = "".join(
-        _entry_line(e["seq"], e["type"], e["round"], e["data"]) + "\n" for e in entries
-    )
-    with open(_journal_path(run_dir), "rb") as f:
-        if f.read() == text.encode("utf-8"):
-            return
-    log.warning("truncating torn journal tail in %s", run_dir)
-    atomic_write_text(_journal_path(run_dir), text)
+    append_line(_journal_path(run_dir), _entry_line(seq, kind, round_no, data))
 
 
 def _fold(entries: list[dict]) -> RunState:
@@ -431,7 +412,7 @@ def run_status(run_dir: str) -> dict:
 def run_round(run_dir: str) -> RunState:
     """Advance until the run waits on verification or reaches a terminal state."""
     with _RunLock(run_dir):
-        _heal_journal_tail(run_dir)
+        read_journal(run_dir, heal=True)
         state = resume(run_dir)
         if state.status == AWAITING_VERIFICATION:
             raise NotReady("awaiting verification results; ingest an eval report")
@@ -462,7 +443,7 @@ def ingest_report(
     margin: float = 0.1,
 ) -> RunState:
     with _RunLock(run_dir):
-        _heal_journal_tail(run_dir)
+        read_journal(run_dir, heal=True)
         state = resume(run_dir)
         if state.status != AWAITING_VERIFICATION:
             raise NotReady(f"cannot ingest a report in status {state.status!r}")

@@ -24,7 +24,7 @@ import numpy as np
 from .classifier import LabeledExample
 from .documents import Document, iter_documents
 from .errors import WebsiftError
-from .ioutil import canonical_json
+from .ioutil import atomic_open, atomic_write_text, canonical_json
 
 log = logging.getLogger(__name__)
 
@@ -211,8 +211,7 @@ class SeedPoolStore:
             raise VersionConflict(
                 f"version {manifest.version} already exists with different content"
             )
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(payload)
+        atomic_write_text(path, payload)
         return manifest
 
     # -- objects -----------------------------------------------------------
@@ -225,7 +224,7 @@ class SeedPoolStore:
         digest = hashlib.sha256(data).hexdigest()
         path = os.path.join(self.object_dir, f"{digest}.jsonl")
         if not os.path.exists(path):
-            with open(path, "wb") as f:
+            with atomic_open(path, "wb") as f:
                 f.write(data)
         return digest
 
@@ -363,9 +362,10 @@ def write_training_set(path: str, examples: list[LabeledExample], fmt: str = "js
     fmt="jsonl" writes {"label": ..., "text": ...} records and handles any
     text. fmt="labels" writes __label__<name> <text> lines, which is the
     interchange form other tooling expects, but refuses texts containing
-    newlines since the format has no escaping.
+    newlines since the format has no escaping. A refused write leaves path
+    as it was.
     """
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         if fmt == "jsonl":
             for ex in examples:
                 f.write(json.dumps({"label": ex.label, "text": ex.text},

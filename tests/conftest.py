@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -22,3 +23,52 @@ def make_texts(rng: random.Random, words, n: int, lo: int = 20, hi: int = 60) ->
     return [
         " ".join(rng.choice(words) for _ in range(rng.randint(lo, hi))) for _ in range(n)
     ]
+
+
+def _file_id(path_or_fd) -> tuple[int, int]:
+    st = os.stat(path_or_fd)
+    return st.st_dev, st.st_ino
+
+
+class DurabilityTrace:
+    """os.fsync and os.replace calls in the order they happened."""
+
+    def __init__(self):
+        self.events: list[tuple] = []
+
+    def assert_artifacts_durable_before_appends(self, log_path, named):
+        """named[k] lists the artifact paths the k-th append to log_path
+        names. Each must have been fsynced, renamed into place and had its
+        directory fsynced before that append was fsynced."""
+        log_id = ("fsync", _file_id(log_path))
+        appends = [i for i, event in enumerate(self.events) if event == log_id]
+        assert len(appends) == len(named)
+        for k, (at, paths) in enumerate(zip(appends, named)):
+            before = self.events[:at]
+            for path in paths:
+                path = os.path.abspath(path)
+                renames = [i for i, event in enumerate(before) if event == ("replace", path)]
+                assert renames, f"append {k}: {path} was not renamed into place first"
+                renamed = renames[-1]
+                assert ("fsync", _file_id(path)) in before[:renamed], \
+                    f"append {k}: {path} was not fsynced before its rename"
+                assert ("fsync", _file_id(os.path.dirname(path))) in before[renamed:], \
+                    f"append {k}: the directory of {path} was not fsynced after the rename"
+
+
+@pytest.fixture
+def durability_trace(monkeypatch):
+    trace = DurabilityTrace()
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        trace.events.append(("fsync", _file_id(fd)))
+        real_fsync(fd)
+
+    def replace(src, dst, **kwargs):
+        real_replace(src, dst, **kwargs)
+        trace.events.append(("replace", os.path.abspath(dst)))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return trace

@@ -308,6 +308,27 @@ class TestSeedpoolCommands:
         assert code == 1
         assert "usage" in err
 
+    def test_refused_labels_assembly_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_documents("pos.jsonl", [Document(id="a", text="ok")])
+        write_documents("neg.jsonl", [Document(id="b", text="two\nlines")])
+        run(capsys, "seedpool", "init", "--pool", "pool")
+        for name, polarity in (("pos", "positive"), ("neg", "negative")):
+            run(
+                capsys,
+                "seedpool", "add", "--pool", "pool", "--name", name,
+                "--polarity", polarity, "--source", "s", "--docs", f"{name}.jsonl",
+            )
+        code, _, err = run(
+            capsys,
+            "seedpool", "assemble", "--pool", "pool", "--size", "2", "--format", "labels",
+            "--out", "train.txt",
+        )
+        assert code == 1
+        assert "newline" in err
+        assert not os.path.exists("train.txt")
+        assert not os.path.exists("train.txt.tmp")
+
     def test_factor_out_of_range_is_fatal(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_documents("pos.jsonl", [Document(id="a", text="hello world")])

@@ -14,6 +14,7 @@ from websift.classifier import ClassifierConfig, LabeledExample, train
 from websift.documents import Document, write_documents
 from websift.errors import WebsiftError
 from websift.filtering import (
+    DEFAULT_TOKEN_BIN_EDGES,
     BinCounts,
     CorpusMismatch,
     FilterStats,
@@ -293,6 +294,9 @@ def test_forked_scoring_reports_truncated_gzip_shard(tmp_path, model, tokenizer,
     listed = shards[:2] + [truncated] + shards[2:]
     run = score_corpus(model, listed, 0.5, tokenizer, str(tmp_path / "out"), workers=2)
     assert [name for name, _ in run.failed_shards] == ["s002x.jsonl.gz"]
+    for stream in ("kept", "rejected"):  # the failed shard's partial outputs are removed
+        leftovers = os.listdir(os.path.join(run.out_dir, stream))
+        assert not any(n.startswith("s002x") for n in leftovers)
     names = [os.path.basename(p) for p in shards]
     assert run.completed_shards == names
     assert run.stats.documents_total == len(docs)
@@ -393,12 +397,58 @@ def test_score_corpus_resume_after_torn_ledger(tmp_path, model, tokenizer):
     second = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
     assert len(second.skipped_shards) == 1
     assert second.stats.to_json_obj() == first.stats.to_json_obj()
+    # the fragment is truncated away, not kept as a junk line
+    with open(ledger, encoding="utf-8") as f:
+        assert f.readlines() == lines
     with open(first.keep_manifest_path, "rb") as f:
         manifest_bytes = f.read()
     third = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
     assert len(third.skipped_shards) == 3
     with open(third.keep_manifest_path, "rb") as f:
         assert f.read() == manifest_bytes
+
+
+def _scored_bytes(out: str) -> dict[str, bytes]:
+    found = {}
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as f:
+                found[os.path.relpath(path, out)] = f.read()
+    return found
+
+
+def test_score_corpus_rescores_everything_after_midfile_ledger_damage(
+    tmp_path, model, tokenizer, caplog
+):
+    shards, _ = make_corpus(tmp_path / "corpus")
+    clean = str(tmp_path / "clean")
+    score_corpus(model, shards, 0.5, tokenizer, clean)
+    out = str(tmp_path / "out")
+    score_corpus(model, shards, 0.5, tokenizer, out)
+    ledger = os.path.join(out, "ledger.jsonl")
+    with open(ledger, encoding="utf-8") as f:
+        lines = f.readlines()
+    # a torn fragment terminated in place and then appended after, as an
+    # older resume left it
+    with open(ledger, "w", encoding="utf-8") as f:
+        f.write(lines[0] + lines[1][: len(lines[1]) // 2] + "\n" + lines[2])
+    with caplog.at_level(logging.WARNING, logger="websift.filtering"):
+        run = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert any("rescoring every shard" in r.message for r in caplog.records)
+    assert run.skipped_shards == []
+    assert _scored_bytes(out) == _scored_bytes(clean)
+
+
+def test_score_corpus_makes_outputs_durable_before_their_ledger_entry(
+    tmp_path, model, tokenizer, durability_trace
+):
+    shards, _ = make_corpus(tmp_path / "corpus")
+    run = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "out"))
+    durability_trace.assert_artifacts_durable_before_appends(
+        os.path.join(run.out_dir, "ledger.jsonl"),
+        [filtering._output_paths(run.out_dir, name) for name in run.completed_shards],
+    )
 
 
 def test_score_corpus_reports_failed_shards(tmp_path, model, tokenizer):
@@ -515,21 +565,25 @@ def test_intersect_needs_two_inputs(tmp_path):
 def test_token_length_stats_exact(tmp_path, tokenizer):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    lengths = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    # every default bucket edge (0, 16, 32, ..., 8192) and the overflow bucket
+    lengths = [9000, 0, 3, 15, 16, 31, 32, 40, 63, 64, 130, 300, 600, 1100, 2100, 5000]
     docs = [Document(id=f"s:{i}", text=" ".join(["w"] * n)) for i, n in enumerate(lengths)]
     path = str(corpus / "s.jsonl")
     write_documents(path, docs)
-    stats = token_length_histogram([path], tokenizer, bin_edges=(0, 4, 8, 16))
-    assert stats.documents == 10
+    stats = token_length_histogram([path], tokenizer)
+    assert stats.documents == 16
     assert stats.tokens_total == sum(lengths)
-    assert stats.mean == pytest.approx(sum(lengths) / 10)
+    assert stats.mean == pytest.approx(sum(lengths) / 16)
     # nearest-rank: smallest value covering the quantile
     ordered = sorted(lengths)
-    assert stats.p50 == ordered[math.ceil(0.5 * 10) - 1] == 5
-    assert stats.p90 == ordered[math.ceil(0.9 * 10) - 1] == 9
-    assert stats.p99 == ordered[math.ceil(0.99 * 10) - 1] == 10
-    assert stats.histogram.counts == [3, 4, 3]  # {1,2,3}, {4..7}, {8,9,10}
-    assert stats.histogram.total() == 10
+    assert stats.p50 == ordered[math.ceil(0.5 * 16) - 1] == 63
+    assert stats.p90 == ordered[math.ceil(0.9 * 16) - 1] == 5000
+    assert stats.p99 == ordered[math.ceil(0.99 * 16) - 1] == 9000
+    assert stats.histogram.edges == DEFAULT_TOKEN_BIN_EDGES
+    # {0,3,15}, {16,31}, {32,40,63}, then one length in each wider bucket
+    assert stats.histogram.counts == [3, 2, 3, 1, 1, 1, 1, 1, 1, 1]
+    assert (stats.histogram.underflow, stats.histogram.overflow) == (0, 1)
+    assert stats.histogram.total() == 16
     assert not stats.partial
 
 

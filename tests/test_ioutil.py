@@ -1,16 +1,21 @@
 import gzip
 import hashlib
 import json
+import logging
 import os
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from websift.ioutil import (
-    atomic_write_bytes,
+    LogCorrupt,
+    append_line,
+    atomic_open,
     atomic_write_text,
     canonical_json,
     open_maybe_gzip,
+    read_log,
     sha256_file,
     sha256_text,
 )
@@ -49,11 +54,101 @@ def test_sha256_text_matches_hashlib(tmp_path):
 
 def test_atomic_writes_leave_no_droppings(tmp_path):
     target = tmp_path / "out.bin"
-    atomic_write_bytes(str(target), b"abc")
+    with atomic_open(str(target), "wb") as f:
+        f.write(b"abc")
     assert target.read_bytes() == b"abc"
     atomic_write_text(str(target), "xyz")
     assert target.read_text() == "xyz"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_atomic_open_failure_keeps_old_file_and_removes_temp(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(target)) as f:
+            f.write("partial")
+            raise RuntimeError("crash mid-write")
+    assert os.listdir(tmp_path) == []
+
+    atomic_write_text(str(target), "old")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(target)) as f:
+            f.write("new")
+            raise RuntimeError("crash mid-write")
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert target.read_text() == "old"
+
+
+def test_atomic_open_overwrites_a_stale_temp_file(tmp_path):
+    target = tmp_path / "out.txt"
+    (tmp_path / "out.txt.tmp").write_text("left by a crashed writer, and longer")
+    atomic_write_text(str(target), "fresh")
+    assert target.read_text() == "fresh"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_open_fsyncs_file_before_rename_and_directory_after(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: (events.append(("fsync", os.fstat(fd).st_ino)),
+                                                  real_fsync(fd)))
+    monkeypatch.setattr(os, "replace", lambda a, b: (events.append(("replace", b)),
+                                                      real_replace(a, b)))
+    target = str(tmp_path / "out.txt")
+    atomic_write_text(target, "x")
+    assert events == [
+        ("fsync", os.stat(target).st_ino),
+        ("replace", target),
+        ("fsync", os.stat(tmp_path).st_ino),
+    ]
+
+
+def _parse(raw: bytes) -> dict:
+    return json.loads(raw)
+
+
+def test_append_line_then_read_log_round_trips(tmp_path):
+    path = str(tmp_path / "log.jsonl")
+    for i in range(3):
+        append_line(path, canonical_json({"i": i}))
+    with open(path, "rb") as f:
+        assert f.read() == b'{"i":0}\n{"i":1}\n{"i":2}\n'
+    assert read_log(path, _parse) == [{"i": 0}, {"i": 1}, {"i": 2}]
+
+
+@pytest.mark.parametrize("tail", [b'{"i":', b'{"i":2}', b"{not json\n"],
+                         ids=["torn", "unterminated", "unparseable"])
+def test_read_log_drops_a_bad_final_line_and_heal_truncates_it(tmp_path, caplog, tail):
+    path = tmp_path / "log.jsonl"
+    clean = b'{"i":0}\n{"i":1}\n'
+    path.write_bytes(clean + tail)
+    with caplog.at_level(logging.WARNING, logger="websift.ioutil"):
+        assert read_log(str(path), _parse) == [{"i": 0}, {"i": 1}]
+    assert any("torn" in r.message for r in caplog.records)
+    assert path.read_bytes() == clean + tail  # a plain read changes nothing
+
+    assert read_log(str(path), _parse, heal=True) == [{"i": 0}, {"i": 1}]
+    assert path.read_bytes() == clean
+    append_line(str(path), '{"i":2}')
+    assert read_log(str(path), _parse) == [{"i": 0}, {"i": 1}, {"i": 2}]
+
+
+@pytest.mark.parametrize("heal", [False, True])
+def test_read_log_raises_on_a_bad_line_before_the_last(tmp_path, heal):
+    path = tmp_path / "log.jsonl"
+    damaged = b'{"i":0}\n{"i"\n{"i":2}\n'
+    path.write_bytes(damaged)
+    with pytest.raises(LogCorrupt, match="line 2"):
+        read_log(str(path), _parse, heal=heal)
+    assert path.read_bytes() == damaged
+
+
+def test_read_log_of_an_empty_or_missing_log(tmp_path):
+    path = tmp_path / "log.jsonl"
+    with pytest.raises(FileNotFoundError):
+        read_log(str(path), _parse)
+    path.write_bytes(b"")
+    assert read_log(str(path), _parse) == []
 
 
 def test_open_maybe_gzip_detects_suffix(tmp_path):

@@ -7,6 +7,7 @@ directory trees with identical content produce identical run ids, journal
 lines, and pool manifests, making that comparison meaningful.
 """
 
+import builtins
 import dataclasses
 import json
 import logging
@@ -660,6 +661,43 @@ def install_crash(monkeypatch, at, torn):
     return hits
 
 
+class _TearingFile:
+    """A file whose first write stores half its bytes and then crashes."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        self._f.flush()
+        raise Boom("crash mid-write")
+
+    def __getattr__(self, attr):
+        return getattr(self._f, attr)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def install_torn_write(monkeypatch, name):
+    """Tear the first write to a file whose name starts with name."""
+    real_open = builtins.open
+    torn = {"path": None, "real_open": real_open}
+
+    def tearing_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if torn["path"] is None and "w" in mode and os.path.basename(str(file)).startswith(name):
+            torn["path"] = os.path.abspath(file)
+            return _TearingFile(f)
+        return f
+
+    monkeypatch.setattr(builtins, "open", tearing_open)
+    return torn
+
+
 class TestCrashRecovery:
     @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
     @pytest.mark.parametrize("at", range(len(NOMINAL_KINDS)))
@@ -683,6 +721,41 @@ class TestCrashRecovery:
         # idempotent once terminal
         assert drive("run", config) == PROMOTED
         assert journal_bytes("run") == control["journal"]
+
+    @pytest.mark.parametrize("name", ["v000003.json", "model.ufwc"], ids=["pool", "model"])
+    def test_crash_mid_write_leaves_no_partial_file(self, tmp_path, monkeypatch, control, name):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        torn = install_torn_write(monkeypatch, name)
+
+        with pytest.raises(Boom):
+            drive("run", config)
+        assert torn["path"]
+        final = torn["path"].removesuffix(".tmp")
+        assert not os.path.exists(final)
+        assert [n for n in os.listdir(os.path.dirname(final)) if n.endswith(".tmp")] == []
+
+        monkeypatch.setattr(builtins, "open", torn["real_open"])
+        assert drive("run", config) == PROMOTED
+        assert journal_bytes("run") == control["journal"]
+        with open(SeedPoolStore("pool")._manifest_path(3), "rb") as f:
+            assert f.read() == control["pool_v3"]
+
+    def test_artifacts_are_durable_before_their_entry(
+        self, tmp_path, monkeypatch, durability_trace
+    ):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        init_run("run", config)
+        run_round("run")
+        ingest_report("run", *improved_pair())
+        durability_trace.assert_artifacts_durable_before_appends(
+            pipeline._journal_path("run"),
+            [
+                [os.path.join("run", v) for k, v in e["data"].items() if k.endswith("_path")]
+                for e in read_journal("run")
+            ],
+        )
 
     def test_crash_free_worlds_agree(self, tmp_path, monkeypatch, control):
         # same content at a different path gives identical journal bytes

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from collections import Counter
 
 import pytest
@@ -290,11 +291,19 @@ def test_write_training_set_labels_round_trip(tmp_path, pool):
 def test_write_training_set_labels_rejects_newlines(tmp_path):
     from websift.classifier import LabeledExample
 
-    bad = [LabeledExample("positive", "two\nlines")]
+    bad = [LabeledExample("positive", "ok"), LabeledExample("positive", "two\nlines")]
+    path = tmp_path / "t.txt"
     with pytest.raises(ValueError):
-        write_training_set(str(tmp_path / "t.txt"), bad, fmt="labels")
+        write_training_set(str(path), bad, fmt="labels")
+    assert os.listdir(tmp_path) == []  # no truncated file, no temp file
+
+    path.write_text("earlier set\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        write_training_set(str(path), bad, fmt="labels")
+    assert path.read_text(encoding="utf-8") == "earlier set\n"
 
 
 def test_write_training_set_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_training_set(str(tmp_path / "t"), [], fmt="csv")
+    assert os.listdir(tmp_path) == []
