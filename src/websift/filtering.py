@@ -39,6 +39,7 @@ from .ioutil import (
     atomic_open,
     atomic_write_text,
     canonical_json,
+    make_dirs,
     read_log,
 )
 from .tokenizers import Tokenizer
@@ -432,8 +433,8 @@ def score_corpus(
     if len(set(names)) != len(names):
         raise ValueError("shard basenames must be unique within a corpus")
 
-    os.makedirs(os.path.join(out_dir, "kept"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "rejected"), exist_ok=True)
+    make_dirs(os.path.join(out_dir, "kept"))
+    make_dirs(os.path.join(out_dir, "rejected"))
     ledger_path = os.path.join(out_dir, "ledger.jsonl")
     previous = _load_ledger(ledger_path) if resume else {}
     if not resume and os.path.exists(ledger_path):

@@ -7,7 +7,8 @@ reader sees the old file or the complete new one, never a partial one, and
 the new one is durable once the call returns. Logs that record progress
 (the scoring ledger, the pipeline journal) go through append_line and are
 read back by read_log, which owns the rule for what a crash mid-append
-leaves behind.
+leaves behind. Directories are made with make_dirs, so a new directory's
+entry in its parent is durable before anything inside it is.
 """
 
 from __future__ import annotations
@@ -64,6 +65,22 @@ def _fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def make_dirs(path: str) -> None:
+    """os.makedirs(path, exist_ok=True) that fsyncs the parent of each
+    directory it creates, so the new entry survives a crash."""
+    path = os.path.normpath(path)
+    if os.path.isdir(path):
+        return
+    make_dirs(os.path.dirname(path))
+    try:
+        os.mkdir(path)
+    except FileExistsError:
+        if not os.path.isdir(path):
+            raise
+        return
+    _fsync_dir(path)
 
 
 @contextlib.contextmanager

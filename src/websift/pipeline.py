@@ -3,9 +3,17 @@
 A run lives in its own directory. Every state transition appends one
 checksummed JSON line to journal.jsonl, and artifacts are written (and
 fsynced) before the entry that references them, so the journal never points
-at bytes that are not on disk. Re-running a step after a crash regenerates
+at bytes that are not on disk; new run and round directories are fsynced
+into their parent too. Re-running a step after a crash regenerates
 identical artifacts because every stage is seeded and deterministic; resume
 therefore converges to the same run regardless of where execution stopped.
+
+The transition rules live in one place, _apply. _fold replays the journal
+through it, and a step records its result with _commit, which appends the
+entry and applies the same entry to the live state, so the state a write
+operation returns is the state a replay rebuilds. run_round and
+ingest_report each read the journal once (healing a torn tail), fold it and
+verify every journaled artifact before they act.
 
 Round flow: assemble a balanced training set from the seed pool, train a
 classifier, score a fixed-size sample of the raw pool, emit an annealing
@@ -45,6 +53,7 @@ from .ioutil import (
     append_line,
     atomic_write_text,
     canonical_json,
+    make_dirs,
     read_log,
     sha256_file,
     sha256_text,
@@ -178,6 +187,7 @@ class RunState:
     round: int
     pool_version: int
     rounds: dict[int, RoundState]
+    next_seq: int = 1  # seq of the next journal entry: the count folded so far
 
     def current_round(self) -> RoundState:
         return self.rounds[self.round]
@@ -243,42 +253,48 @@ def _fold(entries: list[dict]) -> RunState:
         rounds={1: RoundState(round=1, pool_version=first["data"]["pool_version"])},
     )
     for entry in entries[1:]:
-        kind, round_no, data = entry["type"], entry["round"], entry["data"]
-        rs = state.rounds.get(round_no)
-        if rs is None or round_no != state.round:
-            raise StateCorrupt(f"entry for round {round_no} while in round {state.round}")
-        if kind == "training_set":
-            _expect(state, AWAITING_TRAINING_SET, kind)
-            rs.training_set = data
-            state.status = AWAITING_CLASSIFIER
-        elif kind == "classifier":
-            _expect(state, AWAITING_CLASSIFIER, kind)
-            rs.classifier = data
-            state.status = AWAITING_VERIFICATION
-        elif kind == "report":
-            _expect(state, AWAITING_VERIFICATION, kind)
-            rs.report = data
-            state.status = VERDICT_READY
-        elif kind == "advance":
-            _expect(state, VERDICT_READY, kind)
-            rs.verdict = "improved"
-            state.pool_version = data["next_pool_version"]
-            state.round += 1
-            state.rounds[state.round] = RoundState(
-                round=state.round, pool_version=state.pool_version
-            )
-            state.status = AWAITING_TRAINING_SET
-        elif kind == "promoted":
-            _expect(state, VERDICT_READY, kind)
-            rs.verdict = "improved"
-            state.status = PROMOTED
-        elif kind == "rejected":
-            _expect(state, VERDICT_READY, kind)
-            rs.verdict = "not_improved"
-            state.status = REJECTED
-        else:
-            raise StateCorrupt(f"unknown journal entry type {kind!r}")
+        _apply(state, entry)
     return state
+
+
+def _apply(state: RunState, entry: dict) -> None:
+    """Fold one post-init entry into state: the run's only transition rules."""
+    kind, round_no, data = entry["type"], entry["round"], entry["data"]
+    rs = state.rounds.get(round_no)
+    if rs is None or round_no != state.round:
+        raise StateCorrupt(f"entry for round {round_no} while in round {state.round}")
+    if kind == "training_set":
+        _expect(state, AWAITING_TRAINING_SET, kind)
+        rs.training_set = data
+        state.status = AWAITING_CLASSIFIER
+    elif kind == "classifier":
+        _expect(state, AWAITING_CLASSIFIER, kind)
+        rs.classifier = data
+        state.status = AWAITING_VERIFICATION
+    elif kind == "report":
+        _expect(state, AWAITING_VERIFICATION, kind)
+        rs.report = data
+        state.status = VERDICT_READY
+    elif kind == "advance":
+        _expect(state, VERDICT_READY, kind)
+        rs.verdict = "improved"
+        state.pool_version = data["next_pool_version"]
+        state.round += 1
+        state.rounds[state.round] = RoundState(
+            round=state.round, pool_version=state.pool_version
+        )
+        state.status = AWAITING_TRAINING_SET
+    elif kind == "promoted":
+        _expect(state, VERDICT_READY, kind)
+        rs.verdict = "improved"
+        state.status = PROMOTED
+    elif kind == "rejected":
+        _expect(state, VERDICT_READY, kind)
+        rs.verdict = "not_improved"
+        state.status = REJECTED
+    else:
+        raise StateCorrupt(f"unknown journal entry type {kind!r}")
+    state.next_seq += 1
 
 
 def _expect(state: RunState, status: str, kind: str) -> None:
@@ -286,6 +302,13 @@ def _expect(state: RunState, status: str, kind: str) -> None:
         raise StateCorrupt(
             f"entry {kind!r} arrived in status {state.status!r}, expected {status!r}"
         )
+
+
+def _commit(run_dir: str, state: RunState, kind: str, data: dict) -> None:
+    """Append an entry for the current round, then fold it into state."""
+    entry = {"seq": state.next_seq, "type": kind, "round": state.round, "data": data}
+    _append_entry(run_dir, entry["seq"], kind, entry["round"], data)
+    _apply(state, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +338,12 @@ class _RunLock:
 # ---------------------------------------------------------------------------
 # artifact helpers
 
-def _round_dir(run_dir: str, round_no: int) -> str:
-    return os.path.join(run_dir, "rounds", str(round_no))
-
-
 def _artifact(run_dir: str, round_no: int, name: str) -> tuple[str, str]:
-    """(absolute path, journal-relative path)."""
+    """(absolute path, journal-relative path), making the round directory."""
     rel = os.path.join("rounds", str(round_no), name)
-    return os.path.join(run_dir, rel), rel
+    path = os.path.join(run_dir, rel)
+    make_dirs(os.path.dirname(path))
+    return path, rel
 
 
 def _verify_artifact(run_dir: str, rel_path: str, expected: str) -> None:
@@ -346,7 +367,7 @@ def _derived_seed(seed: int, round_no: int, purpose: str) -> int:
 # public operations
 
 def init_run(run_dir: str, config: PipelineConfig) -> RunState:
-    os.makedirs(run_dir, exist_ok=True)
+    make_dirs(run_dir)
     if os.path.exists(_journal_path(run_dir)):
         try:
             read_journal(run_dir)
@@ -378,9 +399,17 @@ def init_run(run_dir: str, config: PipelineConfig) -> RunState:
 
 
 def resume(run_dir: str) -> RunState:
-    """Rebuild state from the journal and verify every referenced artifact."""
-    entries = read_journal(run_dir)
-    state = _fold(entries)
+    """Rebuild state from the journal and verify every referenced artifact.
+
+    Read-only; `websift pipeline resume` runs this full check.
+    """
+    return _replay(run_dir)
+
+
+def _replay(run_dir: str, heal: bool = False) -> RunState:
+    """Fold the journal, truncating a torn tail when heal, and check every
+    journaled artifact against its fingerprint (StateCorrupt otherwise)."""
+    state = _fold(read_journal(run_dir, heal=heal))
     for rs in state.rounds.values():
         for block in (rs.training_set, rs.classifier, rs.report):
             if not block:
@@ -410,10 +439,13 @@ def run_status(run_dir: str) -> dict:
 
 
 def run_round(run_dir: str) -> RunState:
-    """Advance until the run waits on verification or reaches a terminal state."""
+    """Advance until the run waits on verification or reaches a terminal state.
+
+    Reads and verifies the run once, then commits each step through the fold;
+    the returned state equals what resume(run_dir) rebuilds.
+    """
     with _RunLock(run_dir):
-        read_journal(run_dir, heal=True)
-        state = resume(run_dir)
+        state = _replay(run_dir, heal=True)
         if state.status == AWAITING_VERIFICATION:
             raise NotReady("awaiting verification results; ingest an eval report")
         if state.status in TERMINAL:
@@ -432,7 +464,6 @@ def run_round(run_dir: str) -> RunState:
                 raise RoundFailed(state.round, e) from e
             if state.status in TERMINAL or state.status == AWAITING_VERIFICATION:
                 return state
-            state = _fold(read_journal(run_dir))
 
 
 def ingest_report(
@@ -442,30 +473,26 @@ def ingest_report(
     grouping: Optional[MetricGrouping] = None,
     margin: float = 0.1,
 ) -> RunState:
+    """Record the eval report of the round awaiting verification.
+
+    Reads and verifies the run once, writes eval_report.json and commits the
+    report entry; the returned state equals what resume(run_dir) rebuilds.
+    """
     with _RunLock(run_dir):
-        read_journal(run_dir, heal=True)
-        state = resume(run_dir)
+        state = _replay(run_dir, heal=True)
         if state.status != AWAITING_VERIFICATION:
             raise NotReady(f"cannot ingest a report in status {state.status!r}")
         report = eval_report(baseline, candidate, grouping=grouping, margin=margin)
-        obj = report_to_json_obj(report)
+        text = canonical_json(report_to_json_obj(report)) + "\n"
         path, rel = _artifact(run_dir, state.round, "eval_report.json")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        atomic_write_text(path, canonical_json(obj) + "\n")
-        entries = read_journal(run_dir)
-        _append_entry(
-            run_dir,
-            len(entries),
-            "report",
-            state.round,
-            {
-                "report_path": rel,
-                "report_sha256": sha256_file(path),
-                "verdicts": report.verdicts,
-                "improved": report.improved_everywhere,
-            },
-        )
-    return resume(run_dir)
+        atomic_write_text(path, text)
+        _commit(run_dir, state, "report", {
+            "report_path": rel,
+            "report_sha256": sha256_text(text),
+            "verdicts": report.verdicts,
+            "improved": report.improved_everywhere,
+        })
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +509,16 @@ def _do_training_set(run_dir: str, state: RunState) -> None:
         version=state.pool_version,
     )
     path, rel = _artifact(run_dir, state.round, "training_set")
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     write_training_set(path, examples, fmt="jsonl")
     positives = sum(1 for ex in examples if ex.label == seedpool.POSITIVE)
-    entries = read_journal(run_dir)
-    _append_entry(
-        run_dir,
-        len(entries),
-        "training_set",
-        state.round,
-        {
-            "training_set_path": rel,
-            "training_set_sha256": sha256_file(path),
-            "examples": len(examples),
-            "positives": positives,
-            "negatives": len(examples) - positives,
-            "pool_version": state.pool_version,
-        },
-    )
-    state.status = AWAITING_CLASSIFIER
+    _commit(run_dir, state, "training_set", {
+        "training_set_path": rel,
+        "training_set_sha256": sha256_file(path),
+        "examples": len(examples),
+        "positives": positives,
+        "negatives": len(examples) - positives,
+        "pool_version": state.pool_version,
+    })
 
 
 def _iter_raw_documents(config: PipelineConfig):
@@ -555,8 +573,9 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
                 {"id": doc.id, "text": doc.text, "score": score, "kept": is_kept}
             )
         )
+    scores_text = "\n".join(lines) + "\n"
     scores_path, scores_rel = _artifact(run_dir, state.round, "sample_scores")
-    atomic_write_text(scores_path, "\n".join(lines) + "\n")
+    atomic_write_text(scores_path, scores_text)
     if kept_tokens == 0:
         raise WebsiftError(
             "no sample document cleared the threshold; nothing to verify"
@@ -578,46 +597,31 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
         seed=_derived_seed(config.seed, state.round, "mixture"),
         strata=config.verify.strata,
     )
+    plan_text = canonical_json(plan.to_json_obj()) + "\n"
     plan_path, plan_rel = _artifact(run_dir, state.round, "anneal_plan.json")
-    atomic_write_text(plan_path, canonical_json(plan.to_json_obj()) + "\n")
+    atomic_write_text(plan_path, plan_text)
 
-    entries = read_journal(run_dir)
-    _append_entry(
-        run_dir,
-        len(entries),
-        "classifier",
-        state.round,
-        {
-            "model_path": model_rel,
-            "model_sha256": model_sha256,
-            "sample_scores_path": scores_rel,
-            "sample_scores_sha256": sha256_file(scores_path),
-            "anneal_plan_path": plan_rel,
-            "anneal_plan_sha256": sha256_file(plan_path),
-            "sample_total": len(sample),
-            "sample_kept": kept,
-            "sample_rejected": rejected,
-        },
-    )
-    state.status = AWAITING_VERIFICATION
+    _commit(run_dir, state, "classifier", {
+        "model_path": model_rel,
+        "model_sha256": model_sha256,
+        "sample_scores_path": scores_rel,
+        "sample_scores_sha256": sha256_text(scores_text),
+        "anneal_plan_path": plan_rel,
+        "anneal_plan_sha256": sha256_text(plan_text),
+        "sample_total": len(sample),
+        "sample_kept": kept,
+        "sample_rejected": rejected,
+    })
 
 
 def _do_verdict(run_dir: str, state: RunState) -> None:
     config = state.config
     rs = state.current_round()
-    improved = rs.report["improved"]
-    entries = read_journal(run_dir)
-    if not improved:
-        _append_entry(run_dir, len(entries), "rejected", state.round, {
-            "verdicts": rs.report["verdicts"],
-        })
-        state.status = REJECTED
+    if not rs.report["improved"]:
+        _commit(run_dir, state, "rejected", {"verdicts": rs.report["verdicts"]})
         return
     if state.round >= config.max_rounds:
-        _append_entry(run_dir, len(entries), "promoted", state.round, {
-            "classifier_round": state.round,
-        })
-        state.status = PROMOTED
+        _commit(run_dir, state, "promoted", {"classifier_round": state.round})
         return
 
     # Improved with rounds to spare: fold the scored sample back into the
@@ -657,11 +661,7 @@ def _do_verdict(run_dir: str, state: RunState) -> None:
         categories=manifest.categories + tuple(new_categories),
     )
     store.commit(next_manifest)
-    _append_entry(run_dir, len(entries), "advance", state.round, {
+    _commit(run_dir, state, "advance", {
         "next_pool_version": next_manifest.version,
         "added_categories": [c.name for c in new_categories],
     })
-    state.round += 1
-    state.rounds[state.round] = RoundState(round=state.round, pool_version=next_manifest.version)
-    state.pool_version = next_manifest.version
-    state.status = AWAITING_TRAINING_SET

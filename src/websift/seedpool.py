@@ -24,7 +24,7 @@ import numpy as np
 from .classifier import LabeledExample
 from .documents import Document, iter_documents
 from .errors import WebsiftError
-from .ioutil import atomic_open, atomic_write_text, canonical_json
+from .ioutil import atomic_open, atomic_write_text, canonical_json, make_dirs
 
 log = logging.getLogger(__name__)
 
@@ -162,8 +162,8 @@ class SeedPoolStore:
         self.object_dir = os.path.join(root, "objects")
 
     def init(self) -> "SeedPoolStore":
-        os.makedirs(self.manifest_dir, exist_ok=True)
-        os.makedirs(self.object_dir, exist_ok=True)
+        make_dirs(self.manifest_dir)
+        make_dirs(self.object_dir)
         return self
 
     # -- versions ----------------------------------------------------------

@@ -31,7 +31,7 @@ def _file_id(path_or_fd) -> tuple[int, int]:
 
 
 class DurabilityTrace:
-    """os.fsync and os.replace calls in the order they happened."""
+    """os.fsync, os.replace and os.mkdir calls in the order they happened."""
 
     def __init__(self):
         self.events: list[tuple] = []
@@ -39,7 +39,9 @@ class DurabilityTrace:
     def assert_artifacts_durable_before_appends(self, log_path, named):
         """named[k] lists the artifact paths the k-th append to log_path
         names. Each must have been fsynced, renamed into place and had its
-        directory fsynced before that append was fsynced."""
+        directory fsynced before that append was fsynced, and each directory
+        made on the way to it must have had its parent fsynced after it was
+        made and before that append."""
         log_id = ("fsync", _file_id(log_path))
         appends = [i for i, event in enumerate(self.events) if event == log_id]
         assert len(appends) == len(named)
@@ -54,12 +56,19 @@ class DurabilityTrace:
                     f"append {k}: {path} was not fsynced before its rename"
                 assert ("fsync", _file_id(os.path.dirname(path))) in before[renamed:], \
                     f"append {k}: the directory of {path} was not fsynced after the rename"
+                made_dir = os.path.dirname(path)
+                while ("mkdir", made_dir) in before:
+                    made = max(i for i, event in enumerate(before) if event == ("mkdir", made_dir))
+                    parent = os.path.dirname(made_dir)
+                    assert ("fsync", _file_id(parent)) in before[made:], \
+                        f"append {k}: {parent} was not fsynced after {made_dir} was made"
+                    made_dir = parent
 
 
 @pytest.fixture
 def durability_trace(monkeypatch):
     trace = DurabilityTrace()
-    real_fsync, real_replace = os.fsync, os.replace
+    real_fsync, real_replace, real_mkdir = os.fsync, os.replace, os.mkdir
 
     def fsync(fd):
         trace.events.append(("fsync", _file_id(fd)))
@@ -69,6 +78,11 @@ def durability_trace(monkeypatch):
         real_replace(src, dst, **kwargs)
         trace.events.append(("replace", os.path.abspath(dst)))
 
+    def mkdir(path, *args, **kwargs):
+        real_mkdir(path, *args, **kwargs)
+        trace.events.append(("mkdir", os.path.abspath(path)))
+
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "mkdir", mkdir)
     return trace

@@ -8,6 +8,7 @@ lines, and pool manifests, making that comparison meaningful.
 """
 
 import builtins
+import collections
 import dataclasses
 import json
 import logging
@@ -533,6 +534,31 @@ class TestCorruption:
         with pytest.raises(StateCorrupt, match="missing"):
             resume("run")
 
+    def test_tampered_artifact_stops_every_write(self, tmp_path, monkeypatch):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        init_run("run", config)
+        run_round("run")
+        model_path = os.path.join("run", read_journal("run")[2]["data"]["model_path"])
+        with open(model_path, "rb") as f:
+            original = f.read()
+
+        def tamper_then_expect_refusal(step):
+            with open(model_path, "wb") as f:
+                f.write(b"not a model")
+            before = journal_bytes("run")
+            with pytest.raises(StateCorrupt, match="model.ufwc"):
+                step()
+            assert journal_bytes("run") == before
+            with open(model_path, "wb") as f:
+                f.write(original)
+
+        base, cand = improved_pair()
+        tamper_then_expect_refusal(lambda: ingest_report("run", base, cand))
+        ingest_report("run", base, cand)
+        tamper_then_expect_refusal(lambda: run_round("run"))
+        assert SeedPoolStore("pool").latest_version() == 2
+
     def test_midfile_damage_is_fatal(self, tmp_path, control):
         run_dir = str(tmp_path / "copy")
         shutil.copytree(control["run_dir"], run_dir)
@@ -611,6 +637,59 @@ class TestCorruption:
         state = run_round("run")
         assert state.round == 2
         assert state.status == AWAITING_VERIFICATION
+
+
+# ---------------------------------------------------------------------------
+# live state and verification per operation
+
+def two_round_steps(config):
+    base, cand = improved_pair()
+    return [
+        lambda: init_run("run", config),
+        lambda: run_round("run"),
+        lambda: ingest_report("run", base, cand),
+        lambda: run_round("run"),
+        lambda: ingest_report("run", base, cand),
+        lambda: run_round("run"),
+    ]
+
+
+def journaled_paths(run_dir):
+    return {
+        os.path.normpath(os.path.join(run_dir, v))
+        for e in read_journal(run_dir)
+        for k, v in e["data"].items()
+        if k.endswith("_path")
+    }
+
+
+class TestLiveState:
+    def test_returned_state_equals_replayed_state(self, tmp_path, monkeypatch):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for step in two_round_steps(config):
+            live = step()
+            assert dataclasses.asdict(live) == dataclasses.asdict(resume("run"))
+        assert live.status == PROMOTED
+
+    def test_each_write_verifies_every_artifact_once(self, tmp_path, monkeypatch):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        real = pipeline.sha256_file
+        hashed = []
+
+        def counting(path):
+            hashed.append(os.path.normpath(path))
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "sha256_file", counting)
+        init_run("run", config)
+        for step in two_round_steps(config)[1:]:
+            journaled = journaled_paths("run")
+            hashed.clear()
+            step()
+            assert journaled <= set(hashed)
+            assert max(collections.Counter(hashed).values()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +828,7 @@ class TestCrashRecovery:
         init_run("run", config)
         run_round("run")
         ingest_report("run", *improved_pair())
+        run_round("run")  # advance into round 2, which makes run/rounds/2
         durability_trace.assert_artifacts_durable_before_appends(
             pipeline._journal_path("run"),
             [
