@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 fatal error, 2 partial success (some shards failed
 but the rest completed). Diagnostics go to stderr, data to files or stdout,
 so output streams stay byte-deterministic for a fixed input, config, and
-seed. The UFW_LOG environment variable sets the default log level; the
---log-level flag overrides it.
+seed. An --out file is written whole or not at all: a failed command leaves
+an existing one as it was, and --out may name the --in file. Document
+inputs may be gzipped (.gz). The UFW_LOG environment variable sets the
+default log level; the --log-level flag overrides it.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import json
 import logging
 import os
 import sys
-from typing import Optional, Sequence
+import zlib
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import classifier as clf
 from . import filtering, pipeline, seedpool, verify
-from .documents import expand_shards, parse_document
-from .ioutil import atomic_write_text, canonical_json
+from .documents import Document, decode_documents, encode_line, expand_shards, iter_documents
+from .ioutil import atomic_open, canonical_json
 from .errors import WebsiftError
 from .normalize import NormalizePolicy, normalize_text
 from .tokenizers import TokenizerSpec, load_tokenizer
@@ -41,33 +44,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _open_in(path: Optional[str]):
-    return open(path, "r", encoding="utf-8") if path else sys.stdin
-
-
-def _open_out(path: Optional[str]):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
-
-
-def _close(handle, path: Optional[str]) -> None:
-    if path:
-        handle.close()
-
-
 def _tokenizer_from_flag(path: Optional[str]):
     spec = TokenizerSpec.from_file(path) if path else TokenizerSpec()
     return load_tokenizer(spec)
 
 
-def _iter_jsonl_documents(handle, source: str):
-    for line_no, line in enumerate(handle, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise WebsiftError(f"{source}:{line_no}: invalid JSON: {e.msg}") from e
-        yield parse_document(obj, source, line_no)
+def _write_out(path: Optional[str], chunks: Iterable[str]) -> None:
+    """Write chunks to path whole or not at all, or to stdout without a path."""
+    if path:
+        with atomic_open(path) as f:
+            f.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
+
+
+def _map_documents(args, to_record: Callable[[Document], dict]) -> int:
+    """Read documents from --in or stdin, write to_record(doc) per line to --out."""
+    if args.infile:
+        docs = iter_documents(args.infile)
+    else:
+        docs = decode_documents(sys.stdin.buffer, "<stdin>", strict=True)
+    _write_out(args.out, (encode_line(to_record(doc)) + "\n" for doc in docs))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -75,36 +73,19 @@ def _iter_jsonl_documents(handle, source: str):
 
 def _cmd_normalize(args) -> int:
     policy = NormalizePolicy.from_file(args.policy) if args.policy else NormalizePolicy()
-    src = _open_in(args.infile)
-    dst = _open_out(args.out)
-    try:
-        for doc in _iter_jsonl_documents(src, args.infile or "<stdin>"):
-            cleaned = normalize_text(doc.text, policy)
-            record = doc.to_json_obj()
-            record["text"] = cleaned
-            dst.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-            dst.flush()
-    finally:
-        _close(src, args.infile)
-        _close(dst, args.out)
-    return EXIT_OK
+
+    def normalized(doc: Document) -> dict:
+        record = doc.to_json_obj()
+        record["text"] = normalize_text(doc.text, policy)
+        return record
+
+    return _map_documents(args, normalized)
 
 
 def _cmd_tokenize(args) -> int:
     tokenizer = _tokenizer_from_flag(args.spec)
-    src = _open_in(args.infile)
-    dst = _open_out(args.out)
-    try:
-        for doc in _iter_jsonl_documents(src, args.infile or "<stdin>"):
-            if args.stats:
-                obj = {"id": doc.id, "tokens": tokenizer.token_count(doc.text)}
-            else:
-                obj = {"id": doc.id, "tokens": tokenizer.tokenize(doc.text)}
-            dst.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    finally:
-        _close(src, args.infile)
-        _close(dst, args.out)
-    return EXIT_OK
+    tokens = tokenizer.token_count if args.stats else tokenizer.tokenize
+    return _map_documents(args, lambda doc: {"id": doc.id, "tokens": tokens(doc.text)})
 
 
 def _cmd_classifier_train(args) -> int:
@@ -138,18 +119,13 @@ def _cmd_classifier_train(args) -> int:
 def _cmd_classifier_predict(args) -> int:
     model = clf.load_model(args.model)
     tokenizer = _tokenizer_from_flag(args.tokenizer)
-    src = _open_in(args.infile)
-    dst = _open_out(args.out)
-    try:
-        for doc in _iter_jsonl_documents(src, args.infile or "<stdin>"):
-            pred = clf.predict(model, doc.text, tokenizer)
-            positive = pred.dist[model.config.positive_label]
-            obj = {"id": doc.id, "label": pred.label, "prob": pred.prob, "score": positive}
-            dst.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    finally:
-        _close(src, args.infile)
-        _close(dst, args.out)
-    return EXIT_OK
+
+    def labeled(doc: Document) -> dict:
+        pred = clf.predict(model, doc.text, tokenizer)
+        positive = pred.dist[model.config.positive_label]
+        return {"id": doc.id, "label": pred.label, "prob": pred.prob, "score": positive}
+
+    return _map_documents(args, labeled)
 
 
 def _cmd_seedpool_init(args) -> int:
@@ -160,8 +136,7 @@ def _cmd_seedpool_init(args) -> int:
 
 def _cmd_seedpool_add(args) -> int:
     store = seedpool.SeedPoolStore(args.pool).init()
-    with open(args.docs, "r", encoding="utf-8") as f:
-        docs = list(_iter_jsonl_documents(f, args.docs))
+    docs = list(iter_documents(args.docs))
     manifest = store.add_category(
         name=args.name,
         polarity=args.polarity,
@@ -232,13 +207,10 @@ def _cmd_filter_score(args) -> int:
 
 def _cmd_filter_intersect(args) -> int:
     fingerprint, ids = filtering.intersect(args.manifests)
+    header = filtering.MANIFEST_HEADER_PREFIX + fingerprint
+    _write_out(args.out, (line + "\n" for line in [header, *ids]))
     if args.out:
-        filtering.write_keep_manifest(args.out, fingerprint, ids)
         print(canonical_json({"out": args.out, "kept": len(ids)}))
-    else:
-        sys.stdout.write(filtering.MANIFEST_HEADER_PREFIX + fingerprint + "\n")
-        for doc_id in ids:
-            sys.stdout.write(doc_id + "\n")
     return EXIT_OK
 
 
@@ -246,11 +218,7 @@ def _cmd_filter_stats(args) -> int:
     tokenizer = _tokenizer_from_flag(args.tokenizer)
     shards = expand_shards(args.shards)
     stats = filtering.token_length_histogram(shards, tokenizer)
-    payload = canonical_json(stats.to_json_obj())
-    if args.out:
-        atomic_write_text(args.out, payload + "\n")
-    else:
-        print(payload)
+    _write_out(args.out, [canonical_json(stats.to_json_obj()) + "\n"])
     return EXIT_PARTIAL if stats.partial else EXIT_OK
 
 
@@ -284,11 +252,9 @@ def _cmd_verify_plan(args) -> int:
         payload = canonical_json(step_plan.to_json_obj())
     else:
         raise _UsageError("one of --candidate-manifest or --candidate-tokens is required")
+    _write_out(args.out, [payload + "\n"])
     if args.out:
-        atomic_write_text(args.out, payload + "\n")
         print(canonical_json({"out": args.out}))
-    else:
-        print(payload)
     return EXIT_OK
 
 
@@ -306,30 +272,31 @@ def _cmd_verify_report(args) -> int:
     return EXIT_OK
 
 
+def _print_status(state: pipeline.RunState) -> None:
+    print(canonical_json(pipeline.status_view(state)))
+
+
 def _cmd_pipeline_init(args) -> int:
     config = pipeline.PipelineConfig.from_file(args.config)
-    pipeline.init_run(args.run, config)
-    print(canonical_json(pipeline.run_status(args.run)))
+    _print_status(pipeline.init_run(args.run, config))
     return EXIT_OK
 
 
 def _cmd_pipeline_advance(args) -> int:
-    pipeline.run_round(args.run)
-    print(canonical_json(pipeline.run_status(args.run)))
+    _print_status(pipeline.run_round(args.run))
     return EXIT_OK
 
 
 def _cmd_pipeline_ingest_report(args) -> int:
     baseline = verify.EvalScores.from_file(args.baseline)
     candidate = verify.EvalScores.from_file(args.candidate)
-    pipeline.ingest_report(
+    _print_status(pipeline.ingest_report(
         args.run,
         baseline,
         candidate,
         grouping=_load_grouping(args.grouping),
         margin=args.margin,
-    )
-    print(canonical_json(pipeline.run_status(args.run)))
+    ))
     return EXIT_OK
 
 
@@ -339,8 +306,7 @@ def _cmd_pipeline_status(args) -> int:
 
 
 def _cmd_pipeline_resume(args) -> int:
-    pipeline.resume(args.run)  # verifies journal and artifact fingerprints
-    print(canonical_json(pipeline.run_status(args.run)))
+    _print_status(pipeline.resume(args.run))  # verifies journal and artifact fingerprints
     return EXIT_OK
 
 
@@ -528,7 +494,8 @@ def dispatch(argv: Sequence[str]) -> int:
         # config dataclasses signal bad values with ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FATAL
-    except OSError as e:
+    except (OSError, EOFError, zlib.error) as e:
+        # EOFError and zlib.error: a truncated or corrupt .gz input
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -97,14 +97,20 @@ def iter_shard_lines(path: str) -> Iterator[tuple[int, bytes]]:
 
 
 def iter_documents(path: str, strict: bool = True) -> Iterator[Document]:
-    """Stream documents from one shard.
+    """Stream documents from one shard (plain or .gz).
 
     With strict=True a malformed line raises MalformedRecord; with
     strict=False it is logged and skipped. Scoring code that needs to count
     skips iterates lines itself.
     """
-    name = shard_name(path)
-    for line_no, raw in iter_shard_lines(path):
+    with open_maybe_gzip(path, "rb") as f:
+        yield from decode_documents(f, shard_name(path), strict)
+
+
+def decode_documents(lines: Iterable[bytes], name: str, strict: bool) -> Iterator[Document]:
+    """The decode loop of iter_documents over any binary line stream (such
+    as stdin), naming records and id-less documents after name."""
+    for line_no, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         try:
@@ -127,12 +133,16 @@ def decode_record(raw: bytes, shard: str, line_no: int) -> Document:
     return parse_document(obj, shard, line_no)
 
 
+# The one JSONL line encoder: json.dumps(obj, ensure_ascii=False,
+# sort_keys=True) without a new encoder per call. No trailing newline.
+encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def write_documents(path: str, docs: Iterable[Document]) -> int:
     n = 0
     with atomic_open(path) as f:
         for doc in docs:
-            f.write(json.dumps(doc.to_json_obj(), ensure_ascii=False, sort_keys=True))
-            f.write("\n")
+            f.write(encode_line(doc.to_json_obj()) + "\n")
             n += 1
     return n
 

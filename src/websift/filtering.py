@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -28,6 +29,7 @@ from .documents import (
     MalformedRecord,
     corpus_fingerprint,
     decode_record,
+    encode_line,
     iter_shard_lines,
     shard_digest,
     shard_name,
@@ -49,8 +51,6 @@ log = logging.getLogger(__name__)
 SCORE_BINS = 100
 DEFAULT_TOKEN_BIN_EDGES = (0, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 MANIFEST_HEADER_PREFIX = "# corpus_fingerprint: "
-# json.dumps(obj, ensure_ascii=False, sort_keys=True) without a new encoder per call
-_encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 class ShardUnreadable(WebsiftError):
@@ -275,8 +275,7 @@ def _score_shard(
             obj = doc.to_json_obj()
             obj["score"] = score
             obj["kept"] = kept
-            line = _encode_line(obj) + "\n"
-            (kf if kept else rf).write(line)
+            (kf if kept else rf).write(encode_line(obj) + "\n")
     return _ShardResult(name, digest, stats, zero_feature, malformed)
 
 
@@ -599,23 +598,28 @@ class TokenLengthStats:
         }
 
 
-def _nearest_rank(sorted_values: list[int], q: float) -> int:
+def _nearest_rank(length_counts: Counter[int], q: float) -> int:
     """Classic nearest-rank quantile: smallest value covering fraction q."""
-    if not sorted_values:
-        return 0
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
+    rank = max(1, math.ceil(q * length_counts.total()))
+    covered = 0
+    for value in sorted(length_counts):
+        covered += length_counts[value]
+        if covered >= rank:
+            return value
+    return 0
 
 
 def token_length_histogram(shards: Sequence[str], tokenizer: Tokenizer) -> TokenLengthStats:
     """Token count distribution across a corpus.
 
     The mean is exact (integer accumulation); quantiles are nearest-rank over
-    the exact per-document counts. Every readable document is counted in
-    exactly one bucket, out-of-range lengths in underflow/overflow.
+    the exact per-document counts, kept as a count per distinct length so
+    memory grows with the longest document, not the corpus. Every readable
+    document is counted in exactly one bucket, out-of-range lengths in
+    underflow/overflow.
     """
     hist = BinCounts.empty(DEFAULT_TOKEN_BIN_EDGES)
-    counts: list[int] = []
+    length_counts: Counter[int] = Counter()
     tokens_total = 0
     malformed = 0
     failed: list[tuple[str, str]] = []
@@ -632,23 +636,22 @@ def token_length_histogram(shards: Sequence[str], tokenizer: Tokenizer) -> Token
                     log.warning("skipping malformed record %s", e)
                     continue
                 n = tokenizer.token_count(doc.text)
-                counts.append(n)
+                length_counts[n] += 1
                 tokens_total += n
                 hist.add(n)
         except (OSError, EOFError) as e:
             failed.append((name, str(e)))
             log.error("%s", ShardUnreadable(name, str(e)))
-    counts.sort()
-    n_docs = len(counts)
+    n_docs = length_counts.total()
     mean = tokens_total / n_docs if n_docs else 0.0
     return TokenLengthStats(
         histogram=hist,
         documents=n_docs,
         tokens_total=tokens_total,
         mean=mean,
-        p50=_nearest_rank(counts, 0.50),
-        p90=_nearest_rank(counts, 0.90),
-        p99=_nearest_rank(counts, 0.99),
+        p50=_nearest_rank(length_counts, 0.50),
+        p90=_nearest_rank(length_counts, 0.90),
+        p99=_nearest_rank(length_counts, 0.99),
         records_malformed=malformed,
         failed_shards=failed,
     )

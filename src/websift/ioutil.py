@@ -1,10 +1,10 @@
 """Small IO helpers shared across modules.
 
-Every file the library writes reaches disk one of two ways (the CLI's
-streamed --out files aside). Whole files (models, training sets, pool
-manifests and objects, scored shards, plans) go through atomic_open: a
-reader sees the old file or the complete new one, never a partial one, and
-the new one is durable once the call returns. Logs that record progress
+Every file the package writes reaches disk one of two ways. Whole files
+(models, training sets, pool manifests and objects, scored shards, plans,
+the CLI's --out files) go through atomic_open: a reader sees the old file
+or the complete new one, never a partial one, and the new one is durable
+once the call returns. Logs that record progress
 (the scoring ledger, the pipeline journal) go through append_line and are
 read back by read_log, which owns the rule for what a crash mid-append
 leaves behind. Directories are made with make_dirs, so a new directory's

@@ -422,7 +422,11 @@ def _replay(run_dir: str, heal: bool = False) -> RunState:
 
 def run_status(run_dir: str) -> dict:
     """Lightweight view for the status subcommand; no artifact checks."""
-    state = _fold(read_journal(run_dir))
+    return status_view(_fold(read_journal(run_dir)))
+
+
+def status_view(state: RunState) -> dict:
+    """The status the CLI prints for a run state."""
     rs = state.current_round()
     return {
         "run_id": state.run_id,
@@ -509,11 +513,11 @@ def _do_training_set(run_dir: str, state: RunState) -> None:
         version=state.pool_version,
     )
     path, rel = _artifact(run_dir, state.round, "training_set")
-    write_training_set(path, examples, fmt="jsonl")
+    digest = write_training_set(path, examples, fmt="jsonl")
     positives = sum(1 for ex in examples if ex.label == seedpool.POSITIVE)
     _commit(run_dir, state, "training_set", {
         "training_set_path": rel,
-        "training_set_sha256": sha256_file(path),
+        "training_set_sha256": digest,
         "examples": len(examples),
         "positives": positives,
         "negatives": len(examples) - positives,

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .classifier import LabeledExample
-from .documents import Document, iter_documents
+from .documents import Document, encode_line, iter_documents
 from .errors import WebsiftError
 from .ioutil import atomic_open, atomic_write_text, canonical_json, make_dirs
 
@@ -217,10 +217,7 @@ class SeedPoolStore:
     # -- objects -----------------------------------------------------------
 
     def put_object(self, docs: list[Document]) -> str:
-        lines = [
-            json.dumps(d.to_json_obj(), ensure_ascii=False, sort_keys=True) for d in docs
-        ]
-        data = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+        data = "".join(encode_line(d.to_json_obj()) + "\n" for d in docs).encode("utf-8")
         digest = hashlib.sha256(data).hexdigest()
         path = os.path.join(self.object_dir, f"{digest}.jsonl")
         if not os.path.exists(path):
@@ -356,8 +353,9 @@ def assemble_training_set(
     return [examples[int(i)] for i in order]
 
 
-def write_training_set(path: str, examples: list[LabeledExample], fmt: str = "jsonl") -> None:
-    """Write examples for the classifier trainer.
+def write_training_set(path: str, examples: list[LabeledExample], fmt: str = "jsonl") -> str:
+    """Write examples for the classifier trainer and return the hex SHA-256
+    of the bytes written, so callers need not read the file back.
 
     fmt="jsonl" writes {"label": ..., "text": ...} records and handles any
     text. fmt="labels" writes __label__<name> <text> lines, which is the
@@ -365,18 +363,18 @@ def write_training_set(path: str, examples: list[LabeledExample], fmt: str = "js
     newlines since the format has no escaping. A refused write leaves path
     as it was.
     """
-    with atomic_open(path) as f:
-        if fmt == "jsonl":
-            for ex in examples:
-                f.write(json.dumps({"label": ex.label, "text": ex.text},
-                                   ensure_ascii=False, sort_keys=True))
-                f.write("\n")
-        elif fmt == "labels":
-            for i, ex in enumerate(examples):
-                if "\n" in ex.text:
-                    raise ValueError(
-                        f"example {i} contains a newline; use fmt='jsonl'"
-                    )
-                f.write(f"__label__{ex.label} {ex.text}\n")
-        else:
-            raise ValueError(f"unknown training set format {fmt!r}")
+    if fmt not in ("jsonl", "labels"):
+        raise ValueError(f"unknown training set format {fmt!r}")
+    h = hashlib.sha256()
+    with atomic_open(path, "wb") as f:
+        for i, ex in enumerate(examples):
+            if fmt == "jsonl":
+                line = encode_line({"label": ex.label, "text": ex.text})
+            elif "\n" in ex.text:
+                raise ValueError(f"example {i} contains a newline; use fmt='jsonl'")
+            else:
+                line = f"__label__{ex.label} {ex.text}"
+            data = (line + "\n").encode("utf-8")
+            f.write(data)
+            h.update(data)
+    return h.hexdigest()

@@ -6,6 +6,7 @@ functions as oracles. Two subprocess tests check the installed entry point.
 """
 
 import contextlib
+import gzip
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import pytest
 from websift import cli
 from websift import classifier as clf
 from websift import filtering, pipeline, verify
-from websift.documents import Document, write_documents
+from websift.documents import Document, iter_documents, write_documents
 from websift.classifier import load_labeled_examples
 from websift.ioutil import sha256_file
 from websift.normalize import NormalizePolicy, normalize_text
@@ -234,6 +235,89 @@ class TestClassifierCommands:
         code, _, err = run(capsys, "classifier", "predict", "--model", str(tmp_path / "nope"))
         assert code == 1
         assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# document inputs and --out files, shared by normalize, tokenize and predict
+
+DOCS = [{"id": "a", "text": "Café  du monde"}, {"text": "no  id here"}]
+
+
+def write_jsonl(path, rows):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(json.dumps(r) + "\n" for r in rows))
+
+
+class TestDocumentStreams:
+    def test_normalize_in_place(self, capsys, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(path, DOCS)
+        code, _, _ = run(capsys, "normalize", "--in", str(path), "--out", str(tmp_path / "copy.jsonl"))
+        assert code == 0
+        code, _, _ = run(capsys, "normalize", "--in", str(path), "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == (tmp_path / "copy.jsonl").read_bytes()
+        assert len(path.read_bytes().splitlines()) == 2
+        assert sorted(os.listdir(tmp_path)) == ["copy.jsonl", "docs.jsonl"]
+
+    @pytest.mark.parametrize("command", ["normalize", "predict"])
+    def test_failed_command_keeps_existing_out(self, capsys, tmp_path, model_file, command):
+        infile = tmp_path / "in.jsonl"
+        infile.write_text(json.dumps(DOCS[0]) + "\nnot json\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"earlier output\n")
+        argv = {
+            "normalize": ["normalize"],
+            "predict": ["classifier", "predict", "--model", model_file["path"]],
+        }[command]
+        code, _, err = run(capsys, *argv, "--in", str(infile), "--out", str(out))
+        assert code == 1
+        assert "in.jsonl:2: invalid JSON" in err
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "out.jsonl"]
+
+    def test_gzipped_input(self, capsys, tmp_path):
+        write_jsonl(tmp_path / "docs.jsonl", DOCS)
+        with gzip.open(tmp_path / "docs.jsonl.gz", "wb") as f:
+            f.write((tmp_path / "docs.jsonl").read_bytes())
+        _, plain, _ = run(capsys, "tokenize", "--in", str(tmp_path / "docs.jsonl"))
+        code, zipped, _ = run(capsys, "tokenize", "--in", str(tmp_path / "docs.jsonl.gz"))
+        assert code == 0
+        assert [json.loads(line)["tokens"] for line in zipped.splitlines()] == [
+            json.loads(line)["tokens"] for line in plain.splitlines()
+        ]
+
+    def test_bad_utf8_names_file_and_line(self, capsys, tmp_path):
+        infile = tmp_path / "in.jsonl"
+        infile.write_bytes(b'{"id": "a", "text": "ok"}\n{"id": "b", "text": "\xff"}\n')
+        code, _, err = run(capsys, "tokenize", "--in", str(infile))
+        assert code == 1
+        assert "error: in.jsonl:2: invalid UTF-8" in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_is_an_error_not_a_traceback(self, capsys, tmp_path, damage):
+        rows = [{"id": f"d{i}", "text": f"word{i} " * 40} for i in range(200)]
+        data = bytearray(gzip.compress("".join(json.dumps(r) + "\n" for r in rows).encode("utf-8")))
+        if damage == "truncated":
+            del data[len(data) // 2:]
+        else:
+            data[200:260] = bytes(b ^ 0x55 for b in data[200:260])
+        infile = tmp_path / "in.jsonl.gz"
+        infile.write_bytes(bytes(data))
+        code, _, err = run(capsys, "normalize", "--in", str(infile), "--out", str(tmp_path / "out.jsonl"))
+        assert code == 1
+        assert err.startswith("error: ") and "utf-8" not in err
+        assert sorted(os.listdir(tmp_path)) == ["in.jsonl.gz"]
+
+    def test_idless_record_named_after_the_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("corpus")
+        write_jsonl(os.path.join("corpus", "x.jsonl"), DOCS)
+        for spelling in ("corpus/x.jsonl", "./corpus/x.jsonl", str(tmp_path / "corpus" / "x.jsonl")):
+            code, out, _ = run(capsys, "tokenize", "--stats", "--in", spelling)
+            assert code == 0
+            assert [json.loads(line)["id"] for line in out.splitlines()] == ["a", "x.jsonl:2"]
+        assert [d.id for d in iter_documents(os.path.join("corpus", "x.jsonl"))] == ["a", "x.jsonl:2"]
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +682,37 @@ class TestPipelineCommands:
         assert code == 1
         assert "terminal" in err
 
+    def test_each_command_reads_the_journal_once(self, capsys, tmp_path, monkeypatch):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with open("pipeline.json", "w", encoding="utf-8") as f:
+            json.dump(config.to_json_obj(), f)
+        for label, score in (("base", 50.0), ("cand", 51.0)):
+            with open(f"{label}.json", "w", encoding="utf-8") as f:
+                json.dump({"run_label": label, "scores": {m: score for m in ALL_METRICS}}, f)
+        reads = []
+        read_journal = pipeline.read_journal
+
+        def counting(*args, **kwargs):
+            reads.append(args[0])
+            return read_journal(*args, **kwargs)
+
+        commands = [
+            ["init", "--run", "run", "--config", "pipeline.json"],
+            ["advance", "--run", "run"],
+            ["ingest-report", "--run", "run", "--baseline", "base.json", "--candidate", "cand.json"],
+            ["resume", "--run", "run"],
+            ["status", "--run", "run"],
+        ]
+        for argv in commands:
+            monkeypatch.setattr(pipeline, "read_journal", counting)
+            reads.clear()
+            code, out, _ = run(capsys, "pipeline", *argv)
+            assert code == 0
+            assert reads == ["run"], argv[0]
+            monkeypatch.setattr(pipeline, "read_journal", read_journal)
+            assert json.loads(out) == pipeline.run_status("run")
+
     def test_init_twice_is_fatal(self, capsys, tmp_path, monkeypatch):
         config = build_world(tmp_path)
         monkeypatch.chdir(tmp_path)
@@ -627,6 +742,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "websift" in proc.stdout
+
+    def test_stdin_to_stdout(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "websift.cli", "tokenize", "--stats"],
+            input='{"id": "a", "text": "alpha beta"}\n\n{"text": "gamma"}\n',
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == '{"id": "a", "tokens": 2}\n{"id": "<stdin>:3", "tokens": 1}\n'
 
     def test_env_log_level_in_subprocess(self, tmp_path):
         env = dict(os.environ, UFW_LOG="noisy")

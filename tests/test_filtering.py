@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -585,6 +586,23 @@ def test_token_length_stats_exact(tmp_path, tokenizer):
     assert (stats.histogram.underflow, stats.histogram.overflow) == (0, 1)
     assert stats.histogram.total() == 16
     assert not stats.partial
+
+
+def test_token_length_stats_memory_does_not_grow_with_the_corpus(tmp_path, tokenizer):
+    # 20,000 documents of 0-4 tokens: one list entry per document would
+    # alone take 160 KB; a count per distinct length takes a few hundred bytes
+    path = str(tmp_path / "s.jsonl")
+    n = 20_000
+    write_documents(path, (Document(id=f"d{i}", text=" ".join(["w"] * (i % 5))) for i in range(n)))
+    tracemalloc.start()
+    try:
+        stats = token_length_histogram([path], tokenizer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.documents == n
+    assert (stats.p50, stats.p90, stats.p99) == (2, 4, 4)
+    assert peak < 64 * 1024
 
 
 def test_token_length_stats_malformed_and_failed(tmp_path, tokenizer):

@@ -1,3 +1,4 @@
+import ast
 import gzip
 import hashlib
 import json
@@ -161,3 +162,46 @@ def test_open_maybe_gzip_detects_suffix(tmp_path):
         assert f.read() == b"plain\n"
     with open_maybe_gzip(str(zipped), "rb") as f:
         assert f.read() == b"zipped\n"
+
+
+def _write_opens(source: str) -> list[tuple[int, str]]:
+    """(line, call) for each builtin open(...) or gzip.open(...) call whose
+    mode is not a read-only literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            call = "open"
+        elif (isinstance(func, ast.Attribute) and func.attr == "open"
+              and isinstance(func.value, ast.Name) and func.value.id == "gzip"):
+            call = "gzip.open"
+        else:
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")):
+            found.append((node.lineno, call))
+    return found
+
+
+def test_only_ioutil_opens_files_for_writing():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "websift")
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "ioutil.py":
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                offenders += [(name, *hit) for hit in _write_opens(f.read())]
+    assert offenders == []
+
+
+def test_write_open_guard_sees_every_spelling():
+    source = (
+        'open(p, "w")\nopen(p, mode="ab")\ngzip.open(p, "wb")\nopen(p, "r+")\n'
+        'open(p, m)\nopen(p)\nopen(p, "rb")\ngzip.open(p, mode="rt")\nos.open(p, flags)\n'
+    )
+    assert _write_opens(source) == [
+        (1, "open"), (2, "open"), (3, "gzip.open"), (4, "open"), (5, "open")
+    ]

@@ -688,8 +688,9 @@ class TestLiveState:
             journaled = journaled_paths("run")
             hashed.clear()
             step()
-            assert journaled <= set(hashed)
-            assert max(collections.Counter(hashed).values()) == 1
+            # each journaled artifact is verified once; nothing written in
+            # the step is read back to be hashed
+            assert collections.Counter(hashed) == collections.Counter(journaled)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from websift.classifier import load_labeled_examples
 from websift.documents import Document
 from websift.errors import WebsiftError
+from websift.ioutil import sha256_file
 from websift.seedpool import (
     FactorOutOfRange,
     InsufficientSeedData,
@@ -286,6 +287,13 @@ def test_write_training_set_labels_round_trip(tmp_path, pool):
     with open(path, encoding="utf-8") as f:
         assert all(line.startswith("__label__") for line in f)
     assert load_labeled_examples(path) == examples
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "labels"])
+def test_write_training_set_returns_digest_of_the_file(tmp_path, pool, fmt):
+    examples = assemble_training_set(pool, 20, 0.5, seed=2)
+    path = str(tmp_path / "train")
+    assert write_training_set(path, examples, fmt=fmt) == sha256_file(path)
 
 
 def test_write_training_set_labels_rejects_newlines(tmp_path):
