@@ -23,6 +23,7 @@ import logging
 import struct
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
+from itertools import chain, count, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,6 +130,18 @@ NGRAM_MULTIPLIER = 116049371
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _NGRAM_MULT_U64 = np.uint64(NGRAM_MULTIPLIER)
+_FNV_PRIME_U32 = np.uint32(FNV_PRIME)
+# token_hashes hashes tokens up to this many UTF-8 bytes in numpy, one byte
+# position per step; almost every word is shorter.
+HASH_BYTE_CAP = 32
+# _FNV_PADDED_START[k]: the state that k zero bytes take to FNV_OFFSET
+_FNV_PADDED_START = np.array(
+    [FNV_OFFSET * pow(FNV_PRIME, -k, 1 << 32) % (1 << 32) for k in range(HASH_BYTE_CAP + 1)],
+    dtype=np.uint32,
+)
+# Documents featurize_many featurizes together. Larger chunks share more of
+# the fixed numpy cost per chunk; memory grows with the chunk's token count.
+CHUNK_DOCS = 256
 
 
 @lru_cache(maxsize=1 << 20)
@@ -182,48 +195,100 @@ def build_vocab(token_seqs: Iterable[Sequence[str]], config: ClassifierConfig) -
     return Vocabulary.from_rows(tokens, kept_counts)
 
 
-def featurize(tokens: Sequence[str], vocab: Vocabulary, config: ClassifierConfig) -> np.ndarray:
-    """Map tokens to feature row ids (int64).
+def token_hashes(tokens: Sequence[str]) -> np.ndarray:
+    """token_hash of every token (uint64), computed together in numpy.
 
-    Emits in-vocabulary unigram rows in token order, then hashed n-gram rows
-    for each window length 2..word_ngrams, windows left to right. Unknown
-    unigrams contribute no row of their own but their token hash still feeds
-    the n-grams they sit in.
+    The tokens' UTF-8 bytes go right-aligned into a matrix with one row per
+    byte position and one column per token, zero-padded on the left. Each
+    byte position then costs two numpy calls however many tokens there are.
+    A zero byte multiplies the state by FNV_PRIME, so a token of length L in
+    a matrix of width W starts from FNV_OFFSET times the inverse prime to the
+    power W - L, and comes out of the padding at FNV_OFFSET. Tokens longer
+    than HASH_BYTE_CAP bytes go through token_hash, so one long token cannot
+    widen the matrix.
     """
-    index = vocab.index
-    v = len(vocab)
-    parts: list[np.ndarray] = []
-    uni = [i for i in map(index.get, tokens) if i is not None]
-    parts.append(np.asarray(uni, dtype=np.int64))
-    n_tokens = len(tokens)
-    if config.word_ngrams > 1 and n_tokens > 1:
-        hashes = np.fromiter(map(token_hash, tokens), dtype=np.uint64, count=n_tokens)
-        bucket = np.uint64(config.bucket)
-        for n in range(2, config.word_ngrams + 1):
-            if n_tokens < n:
-                break
-            width = n_tokens - n + 1
-            h = hashes[:width].copy()
-            for k in range(1, n):
-                h *= _NGRAM_MULT_U64
-                h += hashes[k : k + width]
-            parts.append((h % bucket).astype(np.int64) + v)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+    n = len(tokens)
+    encoded = [t.encode("utf-8") for t in tokens]
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=n)
+    longest = int(lengths.max(initial=0))
+    if longest > HASH_BYTE_CAP:
+        out = np.empty(n, dtype=np.uint64)
+        long = lengths > HASH_BYTE_CAP
+        out[~long] = token_hashes([t for t, x in zip(tokens, long.tolist()) if not x])
+        out[long] = [token_hash(t) for t, x in zip(tokens, long.tolist()) if x]
+        return out
+    h = _FNV_PADDED_START[longest - lengths]
+    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    by_position = np.zeros((longest, n), dtype=np.uint8)
+    row = np.arange(blob.size) + np.repeat(longest - np.cumsum(lengths), lengths)
+    by_position[row, np.repeat(np.arange(n), lengths)] = blob
+    for byte in by_position:
+        h ^= byte
+        h *= _FNV_PRIME_U32
+    return h.astype(np.uint64)
 
 
-def has_no_features(tokens: Sequence[str], vocab: Vocabulary, config: ClassifierConfig) -> bool:
-    """True exactly when featurize(tokens, vocab, config) is empty.
+def featurize_many(
+    token_lists: Sequence[Sequence[str]], vocab: Vocabulary, config: ClassifierConfig
+) -> list[np.ndarray]:
+    """Map each document's tokens to its feature row ids (int64).
 
-    That takes no in-vocabulary token and no n-gram window, so the tokens
-    are only scanned when they are too few to form a window. Such a document
+    A document's ids are its in-vocabulary unigram rows in token order, then
+    hashed n-gram rows for each window length 2..word_ngrams, windows left
+    to right. Unknown unigrams contribute no row of their own but their
+    token hash still feeds the n-grams they sit in. A document with no ids
     predicts the uniform distribution.
+
+    Documents are featurized CHUNK_DOCS at a time: each distinct token of a
+    chunk is looked up and hashed once, and the n-gram windows run over all
+    the chunk's tokens at once, dropping the windows that cross a document
+    boundary. A chunk's ids are views into one array. The ids do not depend
+    on how the documents are split into calls or chunks.
     """
-    if config.word_ngrams > 1 and len(tokens) > 1:
-        return False
-    index = vocab.index
-    return not any(t in index for t in tokens)
+    out: list[np.ndarray] = []
+    for start in range(0, len(token_lists), CHUNK_DOCS):
+        out += _featurize_chunk(token_lists[start : start + CHUNK_DOCS], vocab, config)
+    return out
+
+
+def _featurize_chunk(
+    token_lists: Sequence[Sequence[str]], vocab: Vocabulary, config: ClassifierConfig
+) -> list[np.ndarray]:
+    n_docs = len(token_lists)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n_docs)
+    flat = list(chain.from_iterable(token_lists))
+    distinct = dict(zip(dict.fromkeys(flat), count()))
+    inverse = np.fromiter(map(distinct.__getitem__, flat), dtype=np.intp, count=len(flat))
+    # grid[0, t]: the unigram row of token t; grid[n - 1, t]: the n-gram row
+    # of the window starting at token t. valid marks the ids that exist.
+    grid = np.zeros((config.word_ngrams, len(flat)), dtype=np.int64)
+    grid[0] = np.fromiter(map(vocab.index.get, distinct, repeat(-1)), dtype=np.int64,
+                          count=len(distinct))[inverse]
+    valid = np.empty(grid.shape, dtype=bool)
+    np.greater_equal(grid[0], 0, out=valid[0])
+    if config.word_ngrams > 1:
+        hashes = token_hashes(list(distinct))[inverse]
+        bucket = np.uint64(config.bucket)
+        h = hashes.copy()
+        for n in range(2, min(config.word_ngrams, len(flat)) + 1):
+            h *= _NGRAM_MULT_U64
+            h[: len(flat) - n + 1] += hashes[n - 1 :]
+            grid[n - 1] = h % bucket
+        grid[1:] += len(vocab)
+        # a window fits when its document has n tokens left from its start
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(flat))
+        np.greater_equal(left, np.arange(2, config.word_ngrams + 1)[:, None], out=valid[1:])
+    # grid[valid] runs part by part; a stable sort by document keeps that
+    # order within each document: unigrams, then n-grams by length.
+    owner = np.broadcast_to(np.repeat(np.arange(n_docs), lengths), grid.shape)[valid]
+    out = grid[valid][np.argsort(owner, kind="stable")]
+    bounds = np.cumsum(np.bincount(owner, minlength=n_docs)).tolist()
+    return [out[a:b] for a, b in zip([0] + bounds, bounds)]
+
+
+def featurize(tokens: Sequence[str], vocab: Vocabulary, config: ClassifierConfig) -> np.ndarray:
+    """featurize_many for one document."""
+    return featurize_many([tokens], vocab, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +397,10 @@ def train(
 
     token_seqs = [tokenizer.tokenize(ex.text) for ex in dataset]
     vocab = build_vocab(token_seqs, config)
-    steps = []
-    for ex, tokens in zip(dataset, token_seqs):
-        ids = featurize(tokens, vocab, config)
-        steps.append((ids, *_row_update_plan(ids), label_index[ex.label]))
+    steps = [
+        (ids, *_row_update_plan(ids), label_index[ex.label])
+        for ex, ids in zip(dataset, featurize_many(token_seqs, vocab, config))
+    ]
     del token_seqs
     zero_feature = sum(1 for ids, *_ in steps if not ids.size)
 
@@ -376,9 +441,8 @@ def train(
     )
 
 
-def predict_tokens(model: ClassifierModel, tokens: Sequence[str]) -> np.ndarray:
-    """Probability distribution over labels for pre-tokenized text."""
-    ids = featurize(tokens, model.vocab, model.config)
+def predict_ids(model: ClassifierModel, ids: np.ndarray) -> np.ndarray:
+    """Probability distribution over labels for a document's feature ids."""
     if ids.size:
         hidden = model.input_matrix.take(ids, axis=0).mean(axis=0)
         logits = model.output_matrix @ hidden
@@ -390,15 +454,29 @@ def predict_tokens(model: ClassifierModel, tokens: Sequence[str]) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def predict(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> Prediction:
-    p = predict_tokens(model, tokenizer.tokenize(text))
-    i = int(np.argmax(p))  # ties resolve to the earlier label
+def predict_tokens(model: ClassifierModel, tokens: Sequence[str]) -> np.ndarray:
+    """Probability distribution over labels for pre-tokenized text."""
+    return predict_ids(model, featurize(tokens, model.vocab, model.config))
+
+
+def predict_many(model: ClassifierModel, texts: Sequence[str], tokenizer: Tokenizer) -> list[Prediction]:
+    """predict for each text, featurized together by featurize_many."""
+    token_lists = [tokenizer.tokenize(text) for text in texts]
     labels = model.config.labels
-    return Prediction(
-        label=labels[i],
-        prob=float(p[i]),
-        dist={name: float(p[j]) for j, name in enumerate(labels)},
-    )
+    out = []
+    for ids in featurize_many(token_lists, model.vocab, model.config):
+        p = predict_ids(model, ids)
+        i = int(np.argmax(p))  # ties resolve to the earlier label
+        out.append(Prediction(
+            label=labels[i],
+            prob=float(p[i]),
+            dist={name: float(p[j]) for j, name in enumerate(labels)},
+        ))
+    return out
+
+
+def predict(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> Prediction:
+    return predict_many(model, [text], tokenizer)[0]
 
 
 # ---------------------------------------------------------------------------

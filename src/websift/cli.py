@@ -17,7 +17,8 @@ import logging
 import os
 import sys
 import zlib
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import classifier as clf
 from . import filtering, pipeline, seedpool, verify
@@ -58,13 +59,20 @@ def _write_out(path: Optional[str], chunks: Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _map_documents(args, to_record: Callable[[Document], dict]) -> int:
-    """Read documents from --in or stdin, write to_record(doc) per line to --out."""
+def _map_documents(args, to_records: Callable[[list[Document]], Iterable[dict]]) -> int:
+    """Read documents from --in or stdin, clf.CHUNK_DOCS at a time, and write
+    the records to_records(chunk) gives, one per line, to --out."""
     if args.infile:
         docs = iter_documents(args.infile)
     else:
         docs = decode_documents(sys.stdin.buffer, "<stdin>", strict=True)
-    _write_out(args.out, (encode_line(to_record(doc)) + "\n" for doc in docs))
+
+    def lines() -> Iterator[str]:
+        while chunk := list(islice(docs, clf.CHUNK_DOCS)):
+            for record in to_records(chunk):
+                yield encode_line(record) + "\n"
+
+    _write_out(args.out, lines())
     return EXIT_OK
 
 
@@ -79,13 +87,15 @@ def _cmd_normalize(args) -> int:
         record["text"] = normalize_text(doc.text, policy)
         return record
 
-    return _map_documents(args, normalized)
+    return _map_documents(args, lambda docs: map(normalized, docs))
 
 
 def _cmd_tokenize(args) -> int:
     tokenizer = _tokenizer_from_flag(args.spec)
     tokens = tokenizer.token_count if args.stats else tokenizer.tokenize
-    return _map_documents(args, lambda doc: {"id": doc.id, "tokens": tokens(doc.text)})
+    return _map_documents(
+        args, lambda docs: ({"id": doc.id, "tokens": tokens(doc.text)} for doc in docs)
+    )
 
 
 def _cmd_classifier_train(args) -> int:
@@ -120,10 +130,11 @@ def _cmd_classifier_predict(args) -> int:
     model = clf.load_model(args.model)
     tokenizer = _tokenizer_from_flag(args.tokenizer)
 
-    def labeled(doc: Document) -> dict:
-        pred = clf.predict(model, doc.text, tokenizer)
-        positive = pred.dist[model.config.positive_label]
-        return {"id": doc.id, "label": pred.label, "prob": pred.prob, "score": positive}
+    def labeled(docs: list[Document]) -> Iterator[dict]:
+        preds = clf.predict_many(model, [doc.text for doc in docs], tokenizer)
+        for doc, pred in zip(docs, preds):
+            positive = pred.dist[model.config.positive_label]
+            yield {"id": doc.id, "label": pred.label, "prob": pred.prob, "score": positive}
 
     return _map_documents(args, labeled)
 

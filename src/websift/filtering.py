@@ -2,11 +2,15 @@
 
 score_corpus streams sharded JSONL through a trained classifier and splits
 every document into a kept or rejected stream by thresholding the positive
-class probability (kept means score >= threshold). Shards are independent
-units of work: forked worker processes score them in parallel, and a
-completed-shard ledger makes interrupted runs restartable without rescoring
-finished shards. Unreadable shards are reported and skipped so one bad file
-cannot sink a long run; malformed records are skipped, counted and logged.
+class probability (kept means score >= threshold). A shard is decoded
+CHUNK_DOCS documents at a time; each chunk is featurized by one
+featurize_many call, then every document is scored on its own (row gather,
+mean, softmax), so no output byte depends on the chunk size. Shards are
+independent units of work: forked worker processes score them in parallel,
+and a completed-shard ledger makes interrupted runs restartable without
+rescoring finished shards. Unreadable shards (missing, truncated or corrupt
+.gz) are reported and skipped so one bad file cannot sink a long run;
+malformed records are skipped, counted and logged.
 
 Keep manifests record the sorted kept ids under a corpus fingerprint, which
 intersect() checks before combining runs, so manifests from different
@@ -20,12 +24,14 @@ import json
 import logging
 import math
 import os
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from .classifier import ClassifierModel, has_no_features, predict_tokens
+from .classifier import CHUNK_DOCS, ClassifierModel, featurize_many, predict_ids, predict_tokens
 from .documents import (
+    Document,
     MalformedRecord,
     corpus_fingerprint,
     decode_record,
@@ -201,6 +207,21 @@ def score_tokens(model: ClassifierModel, tokens: Sequence[str]) -> float:
     return float(predict_tokens(model, tokens)[1])
 
 
+def score_many(
+    model: ClassifierModel, token_lists: Sequence[Sequence[str]]
+) -> tuple[list[float], int]:
+    """score_tokens of each pre-tokenized document, featurized together by
+    featurize_many, and how many documents had no feature row (those score
+    exactly 0.5)."""
+    scores: list[float] = []
+    zero_feature = 0
+    for ids in featurize_many(token_lists, model.vocab, model.config):
+        if not ids.size:
+            zero_feature += 1
+        scores.append(float(predict_ids(model, ids)[1]))
+    return scores, zero_feature
+
+
 @dataclass
 class _ShardResult:
     name: str
@@ -249,33 +270,43 @@ def _score_shard(
     digest: str,
     out_dir: str,
 ) -> _ShardResult:
-    """Score one shard. Logs nothing: it may run in a worker process, so the
-    caller logs the result's malformed records and zero-feature count."""
+    """Score one shard, decoding CHUNK_DOCS documents at a time for
+    score_many. Logs nothing: it may run in a worker process, so the caller
+    logs the result's malformed records and zero-feature count."""
     name = shard_name(path)
     stats = FilterStats()
     zero_feature = 0
     malformed: list[str] = []
     kept_path, rejected_path = _output_paths(out_dir, name)
     with atomic_open(kept_path) as kf, atomic_open(rejected_path) as rf:
+
+        def score_chunk(docs: list[Document]) -> None:
+            nonlocal zero_feature
+            token_lists = [tokenizer.tokenize(doc.text) for doc in docs]
+            scores, chunk_zero_feature = score_many(model, token_lists)
+            zero_feature += chunk_zero_feature
+            for doc, tokens, score in zip(docs, token_lists, scores):
+                kept = score >= threshold
+                stats.observe(score, len(tokens), kept)
+                obj = doc.to_json_obj()
+                obj["score"] = score
+                obj["kept"] = kept
+                (kf if kept else rf).write(encode_line(obj) + "\n")
+
+        docs: list[Document] = []
         for line_no, raw in iter_shard_lines(path):
             if not raw.strip():
                 continue
             try:
-                doc = decode_record(raw, name, line_no)
+                docs.append(decode_record(raw, name, line_no))
             except MalformedRecord as e:
                 stats.observe_malformed()
                 malformed.append(str(e))
                 continue
-            tokens = tokenizer.tokenize(doc.text)
-            if has_no_features(tokens, model.vocab, model.config):
-                zero_feature += 1
-            score = score_tokens(model, tokens)
-            kept = score >= threshold
-            stats.observe(score, len(tokens), kept)
-            obj = doc.to_json_obj()
-            obj["score"] = score
-            obj["kept"] = kept
-            (kf if kept else rf).write(encode_line(obj) + "\n")
+            if len(docs) == CHUNK_DOCS:
+                score_chunk(docs)
+                docs = []
+        score_chunk(docs)
     return _ShardResult(name, digest, stats, zero_feature, malformed)
 
 
@@ -283,10 +314,14 @@ def _score_shard(
 _Outcome = Union[_ShardResult, str]
 
 
+# What reading a missing, truncated or corrupt plain or .gz shard raises.
+_UNREADABLE = (OSError, EOFError, zlib.error)
+
+
 def _attempt(score_one: Callable[[str], _ShardResult], path: str) -> _Outcome:
     try:
         return score_one(path)
-    except (OSError, EOFError) as e:
+    except _UNREADABLE as e:
         return str(e)
 
 
@@ -639,7 +674,7 @@ def token_length_histogram(shards: Sequence[str], tokenizer: Tokenizer) -> Token
                 length_counts[n] += 1
                 tokens_total += n
                 hist.add(n)
-        except (OSError, EOFError) as e:
+        except _UNREADABLE as e:
             failed.append((name, str(e)))
             log.error("%s", ShardUnreadable(name, str(e)))
     n_docs = length_counts.total()

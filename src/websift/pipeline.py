@@ -47,7 +47,9 @@ from .classifier import (
 )
 from .documents import Document, expand_shards, iter_documents
 from .errors import WebsiftError
-from .filtering import score_tokens
+# score_tokens is not called here; perfbench's tracer wraps
+# pipeline.score_tokens by name, so the name stays importable.
+from .filtering import score_many, score_tokens  # noqa: F401
 from .ioutil import (
     LogCorrupt,
     append_line,
@@ -563,9 +565,9 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
     kept_tokens = 0
     kept = rejected = 0
     lines = []
-    for doc in sample:
-        tokens = tokenizer.tokenize(doc.text)
-        score = score_tokens(model, tokens)
+    token_lists = [tokenizer.tokenize(doc.text) for doc in sample]
+    scores, _ = score_many(model, token_lists)
+    for doc, tokens, score in zip(sample, token_lists, scores):
         is_kept = score >= config.threshold
         if is_kept:
             kept += 1

@@ -20,8 +20,9 @@ from websift.classifier import (
     build_vocab,
     example_grads,
     example_loss,
+    HASH_BYTE_CAP,
     featurize,
-    has_no_features,
+    featurize_many,
     load_labeled_examples,
     load_model,
     ngram_hash,
@@ -30,8 +31,10 @@ from websift.classifier import (
     predict_tokens,
     save_model,
     token_hash,
+    token_hashes,
     train,
 )
+from websift import classifier
 from websift.ioutil import sha256_file
 
 # -- reference implementations used as oracles ---------------------------------
@@ -58,6 +61,31 @@ def reference_ids(tokens, vocab_tokens, config) -> list[int]:
     return ids
 
 
+def featurize_loop(tokens, vocab, config) -> np.ndarray:
+    """featurize as one numpy loop per document, before featurize_many."""
+    index = vocab.index
+    v = len(vocab)
+    parts = []
+    uni = [i for i in map(index.get, tokens) if i is not None]
+    parts.append(np.asarray(uni, dtype=np.int64))
+    n_tokens = len(tokens)
+    if config.word_ngrams > 1 and n_tokens > 1:
+        hashes = np.fromiter(map(token_hash, tokens), dtype=np.uint64, count=n_tokens)
+        bucket = np.uint64(config.bucket)
+        for n in range(2, config.word_ngrams + 1):
+            if n_tokens < n:
+                break
+            width = n_tokens - n + 1
+            h = hashes[:width].copy()
+            for k in range(1, n):
+                h *= np.uint64(NGRAM_MULTIPLIER)
+                h += hashes[k : k + width]
+            parts.append((h % bucket).astype(np.int64) + v)
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts)
+
+
 # -- hashing --------------------------------------------------------------------
 
 def test_token_hash_published_vectors():
@@ -71,6 +99,19 @@ def test_token_hash_published_vectors():
 @given(st.text(max_size=30))
 def test_token_hash_matches_reference(s):
     assert token_hash(s) == fnv1a32(s.encode("utf-8"))
+
+
+def test_token_hashes_published_vectors():
+    got = token_hashes(["", "a", "b", "foobar"])
+    assert got.dtype == np.uint64
+    assert got.tolist() == [0x811C9DC5, 0xE40C292C, 0xE70C2DE5, 0xBF9CF968]
+
+
+@given(st.lists(st.text(max_size=2 * HASH_BYTE_CAP), max_size=12))
+def test_token_hashes_match_reference(tokens):
+    got = token_hashes(tokens).tolist()
+    assert got == [fnv1a32(t.encode("utf-8")) for t in tokens]
+    assert got == [token_hash(t) for t in tokens]
 
 
 @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
@@ -132,15 +173,52 @@ def test_featurize_matches_reference(tokens, ngrams):
     assert got.tolist() == reference_ids(tokens, ["a", "b", "cc"], config)
 
 
+# Short and long, ASCII and multi-byte tokens; "x" * 33 and "é" * 17 are
+# longer than HASH_BYTE_CAP bytes, "y" * 32 is exactly at it.
+TOKENS = ["a", "b", "cc", "dd", "", "é", "日本語", "🙂", "x" * 33, "é" * 17, "y" * 32]
+
+
+def compositions(n):
+    """Every way to cut range(n) into consecutive non-empty runs."""
+    for cuts in range(1 << max(n - 1, 0)):
+        bounds = [0] + [i + 1 for i in range(n - 1) if cuts >> i & 1] + [n]
+        yield list(zip(bounds, bounds[1:]))
+
+
 @given(
-    tokens=st.lists(st.sampled_from(["a", "b", "x", "y"]), max_size=4),
-    vocab_tokens=st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=3),
-    ngrams=st.integers(1, 3),
+    docs=st.lists(st.lists(st.sampled_from(TOKENS), max_size=7), max_size=5),
+    vocab_tokens=st.lists(st.sampled_from(TOKENS), unique=True, max_size=6),
+    ngrams=st.integers(1, 4),
 )
-def test_has_no_features_matches_featurize(tokens, vocab_tokens, ngrams):
+def test_featurize_many_matches_per_document_loop(docs, vocab_tokens, ngrams):
     config = ClassifierConfig(dim=4, bucket=97, word_ngrams=ngrams, min_count=1)
     vocab = Vocabulary.from_rows(vocab_tokens, [1] * len(vocab_tokens))
-    assert has_no_features(tokens, vocab, config) == (featurize(tokens, vocab, config).size == 0)
+    expected = [featurize_loop(tokens, vocab, config).tolist() for tokens in docs]
+    for runs in compositions(len(docs)):
+        got = [ids for a, b in runs for ids in featurize_many(docs[a:b], vocab, config)]
+        assert [ids.tolist() for ids in got] == expected
+        assert all(ids.dtype == np.int64 for ids in got)
+    assert featurize_many([], vocab, config) == []
+
+
+def test_featurize_many_edge_documents():
+    config = ClassifierConfig(dim=4, bucket=97, word_ngrams=3, min_count=1)
+    vocab = Vocabulary.from_rows(["a", "b"], [1, 1])
+    docs = [[], ["a"], ["zz"], ["zz", "yy"], ["a", "zz", "b"], ["日本語"]]
+    got = featurize_many(docs, vocab, config)
+    assert [ids.tolist() for ids in got] == [reference_ids(d, ["a", "b"], config) for d in docs]
+    assert [ids.size for ids in got] == [0, 1, 0, 1, 2 + 2 + 1, 0]
+
+
+def test_featurize_many_chunks_internally(monkeypatch):
+    config = ClassifierConfig(dim=4, bucket=97, word_ngrams=3, min_count=1)
+    vocab = Vocabulary.from_rows(["a", "cc"], [1, 1])
+    docs = [["a", "b", "cc"], [], ["b"], ["cc", "a", "cc", "a"], ["é", "a"]]
+    whole = [ids.tolist() for ids in featurize_many(docs, vocab, config)]
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr(classifier, "CHUNK_DOCS", chunk)
+        assert [ids.tolist() for ids in featurize_many(docs, vocab, config)] == whole
+    assert whole == [reference_ids(d, ["a", "cc"], config) for d in docs]
 
 
 def test_build_vocab_first_occurrence_order(tokenizer):

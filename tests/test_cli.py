@@ -25,6 +25,7 @@ from websift.ioutil import sha256_file
 from websift.normalize import NormalizePolicy, normalize_text
 from websift.tokenizers import TokenizerSpec, load_tokenizer
 
+from test_filtering import write_corrupt_gzip
 from test_pipeline import ALL_METRICS, build_world
 
 POS_WORDS = tuple(f"fresh{i}" for i in range(12))
@@ -230,6 +231,25 @@ class TestClassifierCommands:
         )
         assert code == 1
         assert "error:" in err
+
+    def test_predict_matches_library_across_chunks(self, capsys, tmp_path, model_file, monkeypatch):
+        monkeypatch.setattr(clf, "CHUNK_DOCS", 2)
+        texts = [" ".join(POS_WORDS[:i]) + " " + " ".join(NEG_WORDS[i:]) for i in range(5)] + [""]
+        infile = tmp_path / "in.jsonl"
+        infile.write_text(
+            "".join(json.dumps({"id": f"d{i}", "text": t}) + "\n" for i, t in enumerate(texts)),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "classifier", "predict", "--model", model_file["path"], "--in", str(infile))
+        assert code == 0
+        model = clf.load_model(model_file["path"])
+        tokenizer = load_tokenizer(TokenizerSpec())
+        expected = []
+        for i, text in enumerate(texts):
+            pred = clf.predict(model, text, tokenizer)
+            expected.append({"id": f"d{i}", "label": pred.label, "prob": pred.prob,
+                             "score": pred.dist["positive"]})
+        assert [json.loads(line) for line in out.splitlines()] == expected
 
     def test_predict_missing_model(self, capsys, tmp_path):
         code, _, err = run(capsys, "classifier", "predict", "--model", str(tmp_path / "nope"))
@@ -480,6 +500,23 @@ class TestFilterCommands:
         assert code == 2
         summary = json.loads(out)
         assert len(summary["failed_shards"]) == 1
+
+    def test_score_reports_corrupt_gzip_shard(self, capsys, tmp_path, model_file):
+        corpus = tmp_path / "corpus"
+        write_corpus(str(corpus), n_shards=1)
+        write_corrupt_gzip(str(corpus / "shard001.jsonl.gz"))
+        code, out, err = run(
+            capsys,
+            "filter", "score",
+            "--model", model_file["path"],
+            "--shards", str(corpus / "shard000.jsonl"), str(corpus / "shard001.jsonl.gz"),
+            "--out", str(tmp_path / "scored"),
+        )
+        assert code == 2
+        assert "error:" not in err
+        summary = json.loads(out)
+        assert [f["shard"] for f in summary["failed_shards"]] == ["shard001.jsonl.gz"]
+        assert summary["completed_shards"] == 1
 
     def test_bad_workers_value(self, capsys, tmp_path, model_file):
         code, _, err = run(

@@ -3,8 +3,10 @@ import json
 import logging
 import math
 import os
+import random
 import time
 import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import given
@@ -303,6 +305,84 @@ def test_forked_scoring_reports_truncated_gzip_shard(tmp_path, model, tokenizer,
     assert run.stats.documents_total == len(docs)
     with open(os.path.join(run.out_dir, "ledger.jsonl"), encoding="utf-8") as f:
         assert [json.loads(line)["shard"] for line in f] == names
+
+
+def test_scoring_bytes_do_not_depend_on_chunks_or_workers(
+    tmp_path, model, tokenizer, monkeypatch, caplog
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=3, docs_per_shard=8)
+    for path in shards:   # a malformed line and a zero-feature document mid-shard
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+        name = os.path.basename(path)
+        lines[3:3] = ["{not json\n", json.dumps({"id": f"{name}:z", "text": "unseenword"}) + "\n"]
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(lines)
+    results = []
+    for chunk in (1, 3, 4, filtering.CHUNK_DOCS):
+        monkeypatch.setattr(filtering, "CHUNK_DOCS", chunk)
+        for workers in (1, 2):
+            caplog.clear()
+            out = str(tmp_path / f"c{chunk}w{workers}")
+            with caplog.at_level(logging.INFO, logger="websift.filtering"):
+                run = score_corpus(model, shards, 0.5, tokenizer, out, workers=workers)
+            messages = [r.getMessage() for r in caplog.records if r.name == "websift.filtering"]
+            results.append((run_bytes(run.out_dir), messages, run.zero_feature_docs))
+    assert all(r == results[0] for r in results)
+    _, messages, zero_feature = results[0]
+    assert zero_feature == len(shards)
+    assert messages == [
+        m
+        for name in (os.path.basename(p) for p in shards)
+        for m in (
+            f"skipping malformed record {name}:4: invalid JSON: Expecting property name "
+            "enclosed in double quotes",
+            f"shard {name}: 1 documents had no tokens in the vocabulary and no n-gram, "
+            "scored 0.5",
+        )
+    ]
+
+
+def write_corrupt_gzip(path):
+    """A .gz shard whose deflate data has 60 flipped bytes, so reading it
+    raises zlib.error rather than OSError or EOFError."""
+    rng = random.Random(0)
+    docs = [
+        Document(id=f"bad:{i}", text=" ".join(f"w{rng.randrange(10**6)}" for _ in range(30)))
+        for i in range(40)
+    ]
+    plain = "".join(json.dumps(d.to_json_obj()) + "\n" for d in docs).encode("utf-8")
+    data = bytearray(gzip.compress(plain))
+    data[200:260] = bytes(b ^ 0x55 for b in data[200:260])
+    with pytest.raises(zlib.error):
+        gzip.decompress(bytes(data))
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_corrupt_gzip_shard_is_reported_not_raised(tmp_path, model, tokenizer, monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=3)
+    corrupt = str(tmp_path / "corpus" / "s001x.jsonl.gz")
+    write_corrupt_gzip(corrupt)
+    clean = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "clean"), workers=workers)
+    listed = shards[:2] + [corrupt] + shards[2:]
+    run = score_corpus(model, listed, 0.5, tokenizer, str(tmp_path / "out"), workers=workers)
+    assert [name for name, _ in run.failed_shards] == ["s001x.jsonl.gz"]
+    assert run.completed_shards == clean.completed_shards
+    assert run_bytes(run.out_dir) == run_bytes(clean.out_dir)   # healthy outputs intact
+
+
+def test_token_length_stats_reports_corrupt_gzip_shard(tmp_path, tokenizer):
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
+    corrupt = str(tmp_path / "corpus" / "s000x.jsonl.gz")
+    write_corrupt_gzip(corrupt)
+    stats = token_length_histogram([shards[0], corrupt, shards[1]], tokenizer)
+    assert [name for name, _ in stats.failed_shards] == ["s000x.jsonl.gz"]
+    clean = token_length_histogram(shards, tokenizer)
+    assert (stats.documents, stats.tokens_total) == (clean.documents, clean.tokens_total)
 
 
 def test_score_corpus_raises_when_a_worker_dies(tmp_path, model, tokenizer, monkeypatch):

@@ -28,6 +28,27 @@ def test_tracer_patches_resolve(perfbench_path):
         tracer.unpatch()
 
 
+def test_classifier_calls_the_harness_makes(perfbench_path):
+    """child.py reads token_hash.cache_info() on every repetition, traced or
+    not, and the traced featurize observer reads the result's size."""
+    import numpy as np
+
+    import measure
+    from websift import classifier
+
+    info = classifier.token_hash.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+    vocab = classifier.Vocabulary.from_rows(["a"], [1])
+    config = classifier.ClassifierConfig(dim=2, bucket=7, min_count=1, word_ngrams=2)
+    tracer = measure.install_tracer(True)
+    try:
+        out = classifier.featurize(["a", "b"], vocab, config)
+    finally:
+        tracer.unpatch()
+    assert isinstance(out, np.ndarray)
+    assert out.size == 2
+
+
 def websift_imports(path):
     """(module, name) for every `from websift... import name` in a file."""
     with open(path, encoding="utf-8") as f:
