@@ -21,7 +21,7 @@ import hashlib
 import json
 import logging
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, count, repeat
 from typing import Iterable, Sequence
@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import WebsiftError
-from .ioutil import atomic_open, canonical_json
+from .ioutil import JsonRecord, atomic_open, canonical_json
 from .tokenizers import Tokenizer
 
 log = logging.getLogger(__name__)
@@ -61,7 +61,7 @@ class CorruptPayload(WebsiftError):
 # config
 
 @dataclass(frozen=True)
-class ClassifierConfig:
+class ClassifierConfig(JsonRecord):
     """Training setup. Defaults match the production filtering runs.
 
     minn/maxn are reserved for character n-grams and must stay 0; they are
@@ -106,13 +106,6 @@ class ClassifierConfig:
     def positive_label(self) -> str:
         """Second label is the kept class by convention."""
         return self.labels[1]
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "ClassifierConfig":
-        obj = dict(obj)
-        if "labels" in obj:
-            obj["labels"] = tuple(obj["labels"])
-        return ClassifierConfig(**obj)
 
 
 @dataclass(frozen=True)
@@ -520,9 +513,7 @@ def save_model(model: ClassifierModel, path: str) -> str:
     The digest comes from the hash already kept for the checksum trailer, so
     callers need not read the file back to fingerprint it.
     """
-    cfg = asdict(model.config)
-    cfg["labels"] = list(model.config.labels)
-    cfg_bytes = canonical_json(cfg).encode("utf-8")
+    cfg_bytes = canonical_json(model.config.to_json_obj()).encode("utf-8")
     with atomic_open(path, "wb") as raw:
         w = _HashingWriter(raw)
         w.write(MODEL_MAGIC)

@@ -12,7 +12,6 @@ default log level; the --log-level flag overrides it.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -99,11 +98,7 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_classifier_train(args) -> int:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            config = clf.ClassifierConfig.from_json_obj(json.load(f))
-    else:
-        config = clf.ClassifierConfig()
+    config = clf.ClassifierConfig.from_file(args.config) if args.config else clf.ClassifierConfig()
     overrides = {
         name: getattr(args, name)
         for name in ("dim", "lr", "epochs", "min_count", "word_ngrams", "bucket", "seed")

@@ -42,6 +42,7 @@ from .documents import (
 )
 from .errors import WebsiftError
 from .ioutil import (
+    JsonRecord,
     LogCorrupt,
     append_line,
     atomic_open,
@@ -604,7 +605,7 @@ def intersect(manifest_paths: Sequence[str]) -> tuple[str, list[str]]:
 # token length statistics
 
 @dataclass
-class TokenLengthStats:
+class TokenLengthStats(JsonRecord):
     histogram: BinCounts
     documents: int
     tokens_total: int
@@ -618,19 +619,6 @@ class TokenLengthStats:
     @property
     def partial(self) -> bool:
         return bool(self.failed_shards)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "histogram": self.histogram.to_json_obj(),
-            "documents": self.documents,
-            "tokens_total": self.tokens_total,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-            "records_malformed": self.records_malformed,
-            "failed_shards": [list(t) for t in self.failed_shards],
-        }
 
 
 def _nearest_rank(length_counts: Counter[int], q: float) -> int:
@@ -649,17 +637,20 @@ def token_length_histogram(shards: Sequence[str], tokenizer: Tokenizer) -> Token
 
     The mean is exact (integer accumulation); quantiles are nearest-rank over
     the exact per-document counts, kept as a count per distinct length so
-    memory grows with the longest document, not the corpus. Every readable
-    document is counted in exactly one bucket, out-of-range lengths in
-    underflow/overflow.
+    memory grows with the longest document, not the corpus. Every document
+    of a readable shard is counted in exactly one bucket, out-of-range
+    lengths in underflow/overflow. A shard that fails part way counts
+    nothing and is listed in failed_shards, as score_corpus drops it.
     """
     hist = BinCounts.empty(DEFAULT_TOKEN_BIN_EDGES)
     length_counts: Counter[int] = Counter()
-    tokens_total = 0
     malformed = 0
     failed: list[tuple[str, str]] = []
     for path in shards:
         name = shard_name(path)
+        shard_hist = BinCounts.empty(DEFAULT_TOKEN_BIN_EDGES)
+        shard_lengths: Counter[int] = Counter()
+        shard_malformed = 0
         try:
             for line_no, raw in iter_shard_lines(path):
                 if not raw.strip():
@@ -667,17 +658,21 @@ def token_length_histogram(shards: Sequence[str], tokenizer: Tokenizer) -> Token
                 try:
                     doc = decode_record(raw, name, line_no)
                 except MalformedRecord as e:
-                    malformed += 1
+                    shard_malformed += 1
                     log.warning("skipping malformed record %s", e)
                     continue
                 n = tokenizer.token_count(doc.text)
-                length_counts[n] += 1
-                tokens_total += n
-                hist.add(n)
+                shard_lengths[n] += 1
+                shard_hist.add(n)
         except _UNREADABLE as e:
             failed.append((name, str(e)))
             log.error("%s", ShardUnreadable(name, str(e)))
+            continue
+        hist.merge(shard_hist)
+        length_counts.update(shard_lengths)
+        malformed += shard_malformed
     n_docs = length_counts.total()
+    tokens_total = sum(n * c for n, c in length_counts.items())
     mean = tokens_total / n_docs if n_docs else 0.0
     return TokenLengthStats(
         histogram=hist,

@@ -9,16 +9,22 @@ once the call returns. Logs that record progress
 read back by read_log, which owns the rule for what a crash mid-append
 leaves behind. Directories are made with make_dirs, so a new directory's
 entry in its parent is durable before anything inside it is.
+
+Settings and pool manifests are dataclasses that inherit JsonRecord, the one
+codec between such a record and its JSON form.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import gzip
 import hashlib
 import json
 import logging
 import os
+import typing
 from typing import IO, Any, BinaryIO, Callable, Iterator
 
 from .errors import WebsiftError
@@ -37,6 +43,90 @@ def canonical_json(obj: Any) -> str:
     fingerprinted artifacts.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+_JSON_TYPES = {
+    bool: "boolean", int: "integer", float: "number", str: "string",
+    list: "array", tuple: "array", dict: "object", type(None): "null",
+}
+
+
+class JsonRecord:
+    """Mixin giving a dataclass one JSON codec, driven by its fields' type hints.
+
+    Anything but an object holding exactly the fields is a ValueError naming
+    the class and the key: a non-object, an unknown key, a missing key with
+    no default, or a wrong JSON type. A bool is never an int; an int is a
+    valid float and is kept as written, so the bytes re-encode unchanged.
+    Arrays become the declared tuple or list; nested records decode in turn.
+    """
+
+    @classmethod
+    def from_json_obj(cls, obj: Any):
+        name = cls.__name__
+        if not isinstance(obj, dict):
+            raise ValueError(f"{name}: expected a JSON object, got {_json_type(obj)}")
+        hints, required = _record_fields(cls)
+        unknown = obj.keys() - hints.keys()
+        if unknown:
+            raise ValueError(f"{name}: unknown key {', '.join(map(repr, sorted(unknown)))}")
+        missing = required - obj.keys()
+        if missing:
+            raise ValueError(f"{name}: missing key {', '.join(map(repr, sorted(missing)))}")
+        return cls(**{key: _decode(value, hints[key], name, key) for key, value in obj.items()})
+
+    @classmethod
+    def from_file(cls, path: str):
+        with open(path, "r", encoding="utf-8") as f:
+            return cls.from_json_obj(json.load(f))
+
+    def to_json_obj(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
+@functools.cache
+def _record_fields(cls: type) -> tuple[dict[str, Any], set[str]]:
+    """A dataclass's resolved type hints by field, and its fields without a default."""
+    fields = dataclasses.fields(cls)
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields}, {
+        f.name for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+
+
+def _json_type(value: Any) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _decode(value: Any, hint: Any, name: str, key: str) -> Any:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union and value is None and type(None) in args:
+        return None
+    if origin is typing.Union:  # Optional[X]
+        hint, origin = args[0], typing.get_origin(args[0])
+    if hasattr(hint, "from_json_obj"):
+        try:
+            return hint.from_json_obj(value)
+        except ValueError as e:
+            raise ValueError(f"{name}.{key}: {e}") from None
+    if origin in (tuple, list) and isinstance(value, list):
+        # tuple[X, ...] and tuple[X, X] alike; a class checks its own lengths
+        return origin(_decode(v, args[0], name, key) for v in value)
+    expected = origin or hint
+    if type(value) is not expected and not (expected is float and type(value) is int):
+        raise ValueError(
+            f"{name}: {key!r} must be a JSON {_JSON_TYPES[expected]}, got {_json_type(value)}"
+        )
+    return value
+
+
+def _encode(value: Any) -> Any:
+    if hasattr(value, "to_json_obj"):
+        return value.to_json_obj()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
 
 
 def sha256_file(path: str) -> str:

@@ -11,14 +11,13 @@ once.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import json
 import re
 import unicodedata
 from dataclasses import dataclass
 
 from .errors import WebsiftError
+from .ioutil import JsonRecord
 
 
 class InvalidUtf8(WebsiftError):
@@ -28,7 +27,7 @@ class InvalidUtf8(WebsiftError):
 
 
 @dataclass(frozen=True)
-class NormalizePolicy:
+class NormalizePolicy(JsonRecord):
     lowercase: bool = True
     strip_diacritics: bool = True
     collapse_spaces: bool = True
@@ -37,22 +36,6 @@ class NormalizePolicy:
     def __post_init__(self):
         if self.max_consecutive_newlines < 1:
             raise ValueError("max_consecutive_newlines must be >= 1")
-
-    def to_json_obj(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "NormalizePolicy":
-        known = {"lowercase", "strip_diacritics", "collapse_spaces", "max_consecutive_newlines"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown policy keys: {sorted(unknown)}")
-        return NormalizePolicy(**obj)
-
-    @staticmethod
-    def from_file(path: str) -> "NormalizePolicy":
-        with open(path, "r", encoding="utf-8") as f:
-            return NormalizePolicy.from_json_obj(json.load(f))
 
 
 _SPACE_RUN = re.compile(" {2,}")

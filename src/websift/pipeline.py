@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -51,6 +51,7 @@ from .errors import WebsiftError
 # pipeline.score_tokens by name, so the name stays importable.
 from .filtering import score_many, score_tokens  # noqa: F401
 from .ioutil import (
+    JsonRecord,
     LogCorrupt,
     append_line,
     atomic_write_text,
@@ -115,7 +116,7 @@ class RoundFailed(WebsiftError):
 # configuration
 
 @dataclass(frozen=True)
-class VerifySettings:
+class VerifySettings(JsonRecord):
     default_manifest: str
     n_epoch: int = 3
     global_batch_size: int = 512
@@ -126,7 +127,7 @@ class VerifySettings:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(JsonRecord):
     pool_dir: str
     raw_shards: tuple[str, ...]      # paths or globs
     sample_size: int
@@ -146,26 +147,6 @@ class PipelineConfig:
             raise ValueError("sample_size must be >= 1")
         if not (0.0 <= self.threshold <= 1.0):
             raise ValueError("threshold must be in [0, 1]")
-
-    def to_json_obj(self) -> dict:
-        obj = asdict(self)
-        obj["raw_shards"] = list(self.raw_shards)
-        obj["classifier"]["labels"] = list(self.classifier.labels)
-        return obj
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "PipelineConfig":
-        obj = dict(obj)
-        obj["raw_shards"] = tuple(obj["raw_shards"])
-        obj["classifier"] = ClassifierConfig.from_json_obj(obj["classifier"])
-        obj["tokenizer"] = TokenizerSpec.from_json_obj(obj["tokenizer"])
-        obj["verify"] = VerifySettings(**obj["verify"])
-        return PipelineConfig(**obj)
-
-    @staticmethod
-    def from_file(path: str) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return PipelineConfig.from_json_obj(json.load(f))
 
 
 # ---------------------------------------------------------------------------

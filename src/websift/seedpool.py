@@ -12,7 +12,6 @@ set with a seeded RNG so downstream training sees a reproducible order.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
@@ -24,7 +23,7 @@ import numpy as np
 from .classifier import LabeledExample
 from .documents import Document, encode_line, iter_documents
 from .errors import WebsiftError
-from .ioutil import atomic_open, atomic_write_text, canonical_json, make_dirs
+from .ioutil import JsonRecord, atomic_open, atomic_write_text, canonical_json, make_dirs
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +75,7 @@ class VersionConflict(WebsiftError):
 
 
 @dataclass(frozen=True)
-class SeedCategory:
+class SeedCategory(JsonRecord):
     name: str
     polarity: str
     source: str
@@ -99,7 +98,7 @@ class SeedCategory:
 
 
 @dataclass(frozen=True)
-class SeedPoolManifest:
+class SeedPoolManifest(JsonRecord):
     version: int
     parent_version: Optional[int]
     categories: tuple[SeedCategory, ...]
@@ -112,40 +111,6 @@ class SeedPoolManifest:
 
     def by_polarity(self, polarity: str) -> list[SeedCategory]:
         return [c for c in self.categories if c.polarity == polarity]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "version": self.version,
-            "parent_version": self.parent_version,
-            "categories": [
-                {
-                    "name": c.name,
-                    "polarity": c.polarity,
-                    "source": c.source,
-                    "resample_factor": c.resample_factor,
-                    "doc_count": c.doc_count,
-                    "objects": list(c.objects),
-                }
-                for c in self.categories
-            ],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "SeedPoolManifest":
-        cats = tuple(
-            SeedCategory(
-                name=c["name"],
-                polarity=c["polarity"],
-                source=c["source"],
-                objects=tuple(c["objects"]),
-                doc_count=c["doc_count"],
-                resample_factor=c["resample_factor"],
-            )
-            for c in obj["categories"]
-        )
-        return SeedPoolManifest(
-            version=obj["version"], parent_version=obj["parent_version"], categories=cats
-        )
 
 
 class SeedPoolStore:
@@ -190,8 +155,7 @@ class SeedPoolStore:
             version = self.latest_version()
             if version is None:
                 raise FileNotFoundError(f"pool {self.root} has no manifests")
-        with open(self._manifest_path(version), "r", encoding="utf-8") as f:
-            return SeedPoolManifest.from_json_obj(json.load(f))
+        return SeedPoolManifest.from_file(self._manifest_path(version))
 
     def commit(self, manifest: SeedPoolManifest) -> SeedPoolManifest:
         """Write a manifest version, idempotently.

@@ -15,12 +15,12 @@ the tokens reproduces the input byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import WebsiftError
+from .ioutil import JsonRecord
 
 KINDS = ("unicode_words", "vocab_greedy")
 
@@ -42,7 +42,7 @@ class VocabMalformed(WebsiftError):
 
 
 @dataclass(frozen=True)
-class TokenizerSpec:
+class TokenizerSpec(JsonRecord):
     kind: str = "unicode_words"
     vocab_path: Optional[str] = None
     preserve_structural: bool = True
@@ -54,26 +54,6 @@ class TokenizerSpec:
             raise ValueError("vocab_greedy requires vocab_path")
         if self.kind == "unicode_words" and self.vocab_path:
             raise ValueError("unicode_words does not take a vocab_path")
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TokenizerSpec":
-        known = {"kind", "vocab_path", "preserve_structural"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown tokenizer spec keys: {sorted(unknown)}")
-        return TokenizerSpec(**obj)
-
-    @staticmethod
-    def from_file(path: str) -> "TokenizerSpec":
-        with open(path, "r", encoding="utf-8") as f:
-            return TokenizerSpec.from_json_obj(json.load(f))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "vocab_path": self.vocab_path,
-            "preserve_structural": self.preserve_structural,
-        }
 
 
 class Tokenizer:

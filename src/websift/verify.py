@@ -35,9 +35,12 @@ N_EPOCH_RANGE = (3, 5)
 DEFAULT_CANDIDATE_WEIGHT = 0.3
 DEFAULT_GLOBAL_BATCH_SIZE = 512
 DEFAULT_SEQUENCE_LENGTH = 4096
-DEFAULT_WARMUP_FRACTION = 0.1
-DEFAULT_LR_MAX = 1e-3
-DEFAULT_LR_MIN = 5e-5
+# Fixed annealing-schedule hyperparameters written into every plan.
+WARMUP_FRACTION = 0.1
+LR_MAX = 1e-3
+LR_MIN = 5e-5
+# How far below candidate_weight a mixture's achieved candidate fraction may fall.
+WEIGHT_TOLERANCE = 0.005
 
 
 class NonPositiveTokens(WebsiftError):
@@ -195,10 +198,15 @@ class TokenManifest:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "TokenManifest":
-        return TokenManifest(
-            name=obj["name"],
-            shards=tuple(ManifestShard(id=s["id"], tokens=s["tokens"]) for s in obj["shards"]),
-        )
+        """Other tools write these files, so keys beyond the ones read are ignored."""
+        try:
+            name = obj["name"]
+            shards = tuple(ManifestShard(id=s["id"], tokens=s["tokens"]) for s in obj["shards"])
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"TokenManifest: missing key or wrong JSON type: {e}") from None
+        if any(type(s.tokens) is not int for s in shards):
+            raise ValueError("TokenManifest: 'tokens' must be a JSON integer")
+        return TokenManifest(name=name, shards=shards)
 
     @staticmethod
     def from_file(path: str) -> "TokenManifest":
@@ -265,7 +273,6 @@ def compose_mixture(
     candidate_weight: float = DEFAULT_CANDIDATE_WEIGHT,
     seed: int = 0,
     strata: int = 100,
-    weight_tolerance: float = 0.005,
 ) -> list[ScheduleSlice]:
     """Ordered shard schedule mixing candidate and default data.
 
@@ -286,7 +293,7 @@ def compose_mixture(
     # passes supply; clamp and accept as long as the achieved fraction stays
     # inside the weight tolerance. Only a real shortfall is an error.
     candidate_budget = min(target_budget, available)
-    if candidate_budget / plan_tokens < candidate_weight - weight_tolerance:
+    if candidate_budget / plan_tokens < candidate_weight - WEIGHT_TOLERANCE:
         raise CandidateEpochOverflow(target_budget, available, n_epoch)
     default_budget = plan_tokens - candidate_budget
     if default_budget > default.total_tokens:
@@ -401,9 +408,6 @@ def build_anneal_plan(
     sequence_length: int = DEFAULT_SEQUENCE_LENGTH,
     rounding_mode: str = "as_written_max",
     candidate_weight: float = DEFAULT_CANDIDATE_WEIGHT,
-    warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-    lr_max: float = DEFAULT_LR_MAX,
-    lr_min: float = DEFAULT_LR_MIN,
     seed: int = 0,
     strata: int = 100,
 ) -> AnnealPlan:
@@ -430,9 +434,9 @@ def build_anneal_plan(
         step_plan=step_plan,
         candidate_weight=candidate_weight,
         default_weight=1.0 - candidate_weight,
-        warmup_fraction=warmup_fraction,
-        lr_max=lr_max,
-        lr_min=lr_min,
+        warmup_fraction=WARMUP_FRACTION,
+        lr_max=LR_MAX,
+        lr_min=LR_MIN,
         lr_decay="exponential",
         seed=seed,
         candidate_manifest=candidate,

@@ -768,6 +768,97 @@ class TestPipelineCommands:
 
 
 # ---------------------------------------------------------------------------
+# settings files
+
+# Each settings file the CLI reads, as (block within the file or None, the
+# class it decodes to, its fields for the type cases). A pipeline config
+# holds the verify, classifier and tokenizer blocks.
+SETTINGS_TARGETS = {
+    "pipeline": (None, "PipelineConfig",
+                 {"missing": "sample_size", "int": "max_rounds", "float": "threshold"}),
+    "pipeline.verify": ("verify", "VerifySettings",
+                        {"missing": "default_manifest", "int": "n_epoch", "float": "candidate_weight"}),
+    "pipeline.classifier": ("classifier", "ClassifierConfig", {"int": "dim", "float": "lr"}),
+    "pipeline.tokenizer": ("tokenizer", "TokenizerSpec", {"bool": "preserve_structural"}),
+    "classifier": (None, "ClassifierConfig", {"int": "dim", "float": "lr"}),
+    "tokenize": (None, "TokenizerSpec", {"bool": "preserve_structural"}),
+    "normalize": (None, "NormalizePolicy", {"int": "max_consecutive_newlines"}),
+}
+BAD_VALUES = {"int": True, "float": "0.5", "bool": "yes"}
+
+
+def settings_cases():
+    for target, (_, _, fields) in SETTINGS_TARGETS.items():
+        yield target, "unknown", "shout"
+        yield target, "non_object", None
+        for case, key in fields.items():
+            yield target, case, key
+
+
+def settings_argv(target, path, tmp_path):
+    absent = str(tmp_path / "absent")
+    if target.startswith("pipeline"):
+        return ["pipeline", "init", "--run", str(tmp_path / "run"), "--config", path]
+    if target == "classifier":
+        return ["classifier", "train", "--data", absent, "--out", absent, "--config", path]
+    if target == "tokenize":
+        return ["tokenize", "--in", absent, "--spec", path]
+    return ["normalize", "--in", absent, "--policy", path]
+
+
+@pytest.mark.parametrize("target,case,key", list(settings_cases()))
+def test_malformed_settings_file_is_one_error_line(capsys, tmp_path, target, case, key):
+    block, cls_name, _ = SETTINGS_TARGETS[target]
+    settings = {}
+    if target.startswith("pipeline"):
+        settings = {
+            "pool_dir": "pool", "raw_shards": ["raw/*.jsonl"], "sample_size": 10,
+            "verify": {"default_manifest": "default.json"}, "classifier": {}, "tokenizer": {},
+        }
+    obj = settings[block] if block else settings
+    if case == "unknown":
+        obj[key] = 1
+    elif case == "missing":
+        del obj[key]
+    elif case != "non_object":
+        obj[key] = BAD_VALUES[case]
+    if case == "non_object":
+        if block:
+            settings[block] = []
+        else:
+            settings = []
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(settings), encoding="utf-8")
+    code, _, err = run(capsys, *settings_argv(target, str(path), tmp_path))
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert cls_name in lines[0]
+    for name in (block, key):
+        if name:
+            assert repr(name) in lines[0] or f".{name}:" in lines[0], lines[0]
+
+
+def test_token_manifest_missing_key_is_one_error_line(capsys, tmp_path):
+    cpath = tmp_path / "candidate.json"
+    cpath.write_text(json.dumps({"shards": [{"id": "a", "tokens": 10}]}), encoding="utf-8")
+    dpath = tmp_path / "default.json"
+    dpath.write_text(
+        json.dumps({"name": "d", "shards": [{"id": "b", "tokens": "many"}], "source": "x"}),
+        encoding="utf-8",
+    )
+    for candidate, default, named in ((cpath, dpath, "'name'"), (dpath, dpath, "integer")):
+        code, _, err = run(
+            capsys, "verify", "plan",
+            "--candidate-manifest", str(candidate), "--default-manifest", str(default),
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], err
+
+
+# ---------------------------------------------------------------------------
 # installed entry point
 
 class TestEntryPoint:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from websift import filtering
 from websift.classifier import ClassifierConfig, LabeledExample, train
-from websift.documents import Document, write_documents
+from websift.documents import Document, encode_line, write_documents
 from websift.errors import WebsiftError
 from websift.filtering import (
     DEFAULT_TOKEN_BIN_EDGES,
@@ -383,6 +383,24 @@ def test_token_length_stats_reports_corrupt_gzip_shard(tmp_path, tokenizer):
     assert [name for name, _ in stats.failed_shards] == ["s000x.jsonl.gz"]
     clean = token_length_histogram(shards, tokenizer)
     assert (stats.documents, stats.tokens_total) == (clean.documents, clean.tokens_total)
+
+
+def test_token_length_stats_count_nothing_from_a_shard_that_fails_part_way(tmp_path, tokenizer):
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
+    lines = [b"{not json\n"] + [
+        encode_line({"id": f"t:{i}", "text": " ".join(["w"] * (i % 70))}).encode() + b"\n"
+        for i in range(3000)
+    ]
+    packed = gzip.compress(b"".join(lines))
+    truncated = str(tmp_path / "corpus" / "s000x.jsonl.gz")
+    with open(truncated, "wb") as f:
+        f.write(packed[: len(packed) // 2])
+    stats = token_length_histogram([shards[0], truncated, shards[1]], tokenizer)
+    assert [name for name, _ in stats.failed_shards] == ["s000x.jsonl.gz"]
+    clean = token_length_histogram(shards, tokenizer)
+    clean_obj, stats_obj = clean.to_json_obj(), stats.to_json_obj()
+    for key in ("documents", "tokens_total", "records_malformed", "histogram", "p50", "p99"):
+        assert stats_obj[key] == clean_obj[key], key
 
 
 def test_score_corpus_raises_when_a_worker_dies(tmp_path, model, tokenizer, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from websift.classifier import ClassifierConfig
 from websift.ioutil import (
     LogCorrupt,
     append_line,
@@ -20,6 +21,7 @@ from websift.ioutil import (
     sha256_file,
     sha256_text,
 )
+from websift.seedpool import SeedPoolManifest
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-(10**9), 10**9) | st.text(max_size=20),
@@ -162,6 +164,23 @@ def test_open_maybe_gzip_detects_suffix(tmp_path):
         assert f.read() == b"plain\n"
     with open_maybe_gzip(str(zipped), "rb") as f:
         assert f.read() == b"zipped\n"
+
+
+def test_json_record_keeps_ints_as_written_and_names_nested_records():
+    config = ClassifierConfig.from_json_obj({"lr": 1, "labels": ["drop", "keep"]})
+    assert (config.lr, config.labels) == (1, ("drop", "keep"))
+    assert '"lr":1,' in canonical_json(config.to_json_obj())
+    manifest = {"version": 2, "parent_version": None, "categories": [
+        {"name": "x", "polarity": "positive", "source": "s", "objects": []},
+    ]}
+    with pytest.raises(ValueError, match=r"^SeedPoolManifest\.categories: SeedCategory: "
+                                         r"missing key 'doc_count'$"):
+        SeedPoolManifest.from_json_obj(manifest)
+    manifest["categories"][0]["doc_count"] = 3
+    assert SeedPoolManifest.from_json_obj(manifest).categories[0].objects == ()
+    with pytest.raises(ValueError, match=r"^SeedPoolManifest: 'parent_version' must be a "
+                                         r"JSON integer, got string$"):
+        SeedPoolManifest.from_json_obj({**manifest, "parent_version": "1"})
 
 
 def _write_opens(source: str) -> list[tuple[int, str]]:

@@ -45,7 +45,7 @@ from websift.pipeline import (
     run_round,
     run_status,
 )
-from websift.seedpool import InsufficientSeedData, SeedPoolStore
+from websift.seedpool import InsufficientSeedData, SeedCategory, SeedPoolManifest, SeedPoolStore
 from websift.tokenizers import load_tokenizer
 from websift.verify import (
     CHINESE_METRICS,
@@ -200,6 +200,36 @@ class TestPipelineConfig:
         path = tmp_path / "pipeline.json"
         path.write_text(json.dumps(config.to_json_obj()), encoding="utf-8")
         assert PipelineConfig.from_file(str(path)) == config
+
+    def test_encoded_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # Literals captured before settings moved to ioutil.JsonRecord: the
+        # model file's config block, the journal init entry and run id, and
+        # a pool manifest without a parent must keep these exact bytes.
+        assert canonical_json(ClassifierConfig().to_json_obj()) == (
+            '{"bucket":2000000,"dim":256,"epochs":3,"labels":["negative","positive"],'
+            '"lr":0.1,"maxn":0,"min_count":5,"minn":0,"seed":17,"word_ngrams":3}'
+        )
+        config = build_world(tmp_path)
+        assert canonical_json(config.to_json_obj()) == (
+            '{"balance":0.5,"classifier":{"bucket":4096,"dim":16,"epochs":3,'
+            '"labels":["negative","positive"],"lr":0.1,"maxn":0,"min_count":1,"minn":0,'
+            '"seed":3,"word_ngrams":2},"max_rounds":2,"pool_dir":"pool",'
+            '"raw_shards":["raw/*.jsonl"],"sample_size":180,"seed":29,'
+            '"target_training_set":120,"threshold":0.5,"tokenizer":{"kind":"unicode_words",'
+            '"preserve_structural":true,"vocab_path":null},"verify":{"candidate_weight":0.3,'
+            '"default_manifest":"default.json","global_batch_size":1,"n_epoch":3,'
+            '"rounding_mode":"as_written_max","sequence_length":2,"strata":100}}'
+        )
+        monkeypatch.chdir(tmp_path)
+        assert init_run("run", config).run_id == "63efc1c68300"
+        manifest = SeedPoolManifest(version=1, parent_version=None, categories=(
+            SeedCategory("curated", "positive", "editorial", ("ab" * 32,), doc_count=3),
+        ))
+        assert canonical_json(manifest.to_json_obj()) == (
+            '{"categories":[{"doc_count":3,"name":"curated","objects":["' + "ab" * 32 + '"],'
+            '"polarity":"positive","resample_factor":1,"source":"editorial"}],'
+            '"parent_version":null,"version":1}'
+        )
 
     def test_rejects_bad_values(self, tmp_path):
         config = build_world(tmp_path)
