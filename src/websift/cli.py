@@ -15,13 +15,19 @@ import argparse
 import logging
 import os
 import sys
-import zlib
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import classifier as clf
 from . import filtering, pipeline, seedpool, verify
-from .documents import Document, decode_documents, encode_line, expand_shards, iter_documents
+from .documents import (
+    SHARD_READ_ERRORS,
+    Document,
+    decode_documents,
+    encode_line,
+    expand_shards,
+    iter_documents,
+)
 from .ioutil import atomic_open, canonical_json
 from .errors import WebsiftError
 from .normalize import NormalizePolicy, normalize_text
@@ -500,8 +506,8 @@ def dispatch(argv: Sequence[str]) -> int:
         # config dataclasses signal bad values with ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FATAL
-    except (OSError, EOFError, zlib.error) as e:
-        # EOFError and zlib.error: a truncated or corrupt .gz input
+    except SHARD_READ_ERRORS as e:
+        # beyond OSError: a truncated or corrupt .gz input
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -89,6 +90,11 @@ def parse_document(obj: object, shard: str, line_no: int) -> Document:
     return Document(id=doc_id, text=text, source=source, meta=dict(meta))
 
 
+# What opening or reading a missing, truncated or corrupt plain or .gz shard
+# raises.
+SHARD_READ_ERRORS = (OSError, EOFError, zlib.error)
+
+
 def iter_shard_lines(path: str) -> Iterator[tuple[int, bytes]]:
     """Yield (line_no, raw line) pairs, line numbers 1-based."""
     with open_maybe_gzip(path, "rb") as f:
@@ -100,8 +106,11 @@ def iter_documents(path: str, strict: bool = True) -> Iterator[Document]:
     """Stream documents from one shard (plain or .gz).
 
     With strict=True a malformed line raises MalformedRecord; with
-    strict=False it is logged and skipped. Scoring code that needs to count
-    skips iterates lines itself.
+    strict=False it is logged and skipped. score_corpus and
+    token_length_histogram, which count skips, read through
+    filtering._read_shard instead: perfbench traces the iter_shard_lines and
+    decode_record names that the filtering module binds, so those two passes
+    cannot move onto decode_documents until the benchmark traces this module.
     """
     with open_maybe_gzip(path, "rb") as f:
         yield from decode_documents(f, shard_name(path), strict)

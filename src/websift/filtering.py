@@ -24,13 +24,14 @@ import json
 import logging
 import math
 import os
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .classifier import CHUNK_DOCS, ClassifierModel, featurize_many, predict_ids, predict_tokens
 from .documents import (
+    SHARD_READ_ERRORS,
     Document,
     MalformedRecord,
     corpus_fingerprint,
@@ -92,13 +93,13 @@ class BinCounts:
             raise ValueError("bin edges must be strictly increasing, length >= 2")
         return BinCounts(edges=edges, counts=[0] * (len(edges) - 1))
 
-    def add(self, value: int) -> None:
+    def add(self, value: int, count: int = 1) -> None:
         if value < self.edges[0]:
-            self.underflow += 1
+            self.underflow += count
         elif value >= self.edges[-1]:
-            self.overflow += 1
+            self.overflow += count
         else:
-            self.counts[bisect.bisect_right(self.edges, value) - 1] += 1
+            self.counts[bisect.bisect_right(self.edges, value) - 1] += count
 
     def total(self) -> int:
         return sum(self.counts) + self.underflow + self.overflow
@@ -225,8 +226,6 @@ def score_many(
 
 @dataclass
 class _ShardResult:
-    name: str
-    digest: str
     stats: FilterStats
     zero_feature: int
     malformed: list[str]     # MalformedRecord messages, in line order
@@ -263,67 +262,73 @@ def _output_paths(out_dir: str, name: str) -> tuple[str, str]:
     )
 
 
+def _read_shard(path: str, on_malformed: Callable[[str], None]) -> Iterator[Document]:
+    """A shard's documents in line order, blank lines skipped. Each malformed
+    record's message goes to on_malformed instead, as it is read. Reads
+    through this module's iter_shard_lines and decode_record names, which
+    perfbench traces."""
+    name = shard_name(path)
+    for line_no, raw in iter_shard_lines(path):
+        if not raw.strip():
+            continue
+        try:
+            doc = decode_record(raw, name, line_no)
+        except MalformedRecord as e:
+            on_malformed(str(e))
+            continue
+        yield doc
+
+
 def _score_shard(
     model: ClassifierModel,
     tokenizer: Tokenizer,
     threshold: float,
     path: str,
-    digest: str,
     out_dir: str,
 ) -> _ShardResult:
-    """Score one shard, decoding CHUNK_DOCS documents at a time for
-    score_many. Logs nothing: it may run in a worker process, so the caller
-    logs the result's malformed records and zero-feature count."""
-    name = shard_name(path)
+    """Score one shard, CHUNK_DOCS documents per score_many call. Logs
+    nothing: it may run in a worker process, so the caller logs the result's
+    malformed records and zero-feature count."""
     stats = FilterStats()
     zero_feature = 0
     malformed: list[str] = []
-    kept_path, rejected_path = _output_paths(out_dir, name)
+    docs = _read_shard(path, malformed.append)
+    kept_path, rejected_path = _output_paths(out_dir, shard_name(path))
     with atomic_open(kept_path) as kf, atomic_open(rejected_path) as rf:
-
-        def score_chunk(docs: list[Document]) -> None:
-            nonlocal zero_feature
-            token_lists = [tokenizer.tokenize(doc.text) for doc in docs]
+        while chunk := list(islice(docs, CHUNK_DOCS)):
+            token_lists = [tokenizer.tokenize(doc.text) for doc in chunk]
             scores, chunk_zero_feature = score_many(model, token_lists)
             zero_feature += chunk_zero_feature
-            for doc, tokens, score in zip(docs, token_lists, scores):
+            for doc, tokens, score in zip(chunk, token_lists, scores):
                 kept = score >= threshold
                 stats.observe(score, len(tokens), kept)
                 obj = doc.to_json_obj()
                 obj["score"] = score
                 obj["kept"] = kept
                 (kf if kept else rf).write(encode_line(obj) + "\n")
-
-        docs: list[Document] = []
-        for line_no, raw in iter_shard_lines(path):
-            if not raw.strip():
-                continue
-            try:
-                docs.append(decode_record(raw, name, line_no))
-            except MalformedRecord as e:
-                stats.observe_malformed()
-                malformed.append(str(e))
-                continue
-            if len(docs) == CHUNK_DOCS:
-                score_chunk(docs)
-                docs = []
-        score_chunk(docs)
-    return _ShardResult(name, digest, stats, zero_feature, malformed)
+    for _ in malformed:
+        stats.observe_malformed()
+    return _ShardResult(stats, zero_feature, malformed)
 
 
 # A shard's outcome: its result, or why it could not be read.
 _Outcome = Union[_ShardResult, str]
 
 
-# What reading a missing, truncated or corrupt plain or .gz shard raises.
-_UNREADABLE = (OSError, EOFError, zlib.error)
+_T = TypeVar("_T")
 
 
-def _attempt(score_one: Callable[[str], _ShardResult], path: str) -> _Outcome:
+def _attempt(read_one: Callable[[str], _T], path: str) -> Union[_T, str]:
+    """read_one(path), or why the shard could not be read."""
     try:
-        return score_one(path)
-    except _UNREADABLE as e:
+        return read_one(path)
+    except SHARD_READ_ERRORS as e:
         return str(e)
+
+
+def _record_unreadable(failed: list[tuple[str, str]], name: str, reason: str) -> None:
+    failed.append((name, reason))
+    log.error("%s", ShardUnreadable(name, reason))
 
 
 def _score_forked(
@@ -486,11 +491,14 @@ def score_corpus(
         try:
             digests[name] = shard_digest(path)
         except OSError as e:
-            failed.append((name, str(e)))
-            log.error("%s", ShardUnreadable(name, str(e)))
+            _record_unreadable(failed, name, str(e))
             continue
         prior = previous.get(name)
-        if prior is not None and prior.get("digest") == digests[name]:
+        if (
+            prior is not None
+            and prior.get("digest") == digests[name]
+            and all(map(os.path.exists, _output_paths(out_dir, name)))
+        ):
             per_shard[name] = FilterStats.from_json_obj(prior["stats"])
             skipped.append(name)
         else:
@@ -502,8 +510,7 @@ def score_corpus(
         nonlocal zero_feature
         name = shard_name(pending[index])
         if isinstance(outcome, str):
-            failed.append((name, outcome))
-            log.error("%s", ShardUnreadable(name, outcome))
+            _record_unreadable(failed, name, outcome)
             return
         for message in outcome.malformed:
             log.warning("skipping malformed record %s", message)
@@ -511,17 +518,12 @@ def score_corpus(
             log.info("shard %s: %d documents had no tokens in the vocabulary and no "
                      "n-gram, scored 0.5", name, outcome.zero_feature)
         zero_feature += outcome.zero_feature
-        entry = {
-            "shard": outcome.name,
-            "digest": outcome.digest,
-            "stats": outcome.stats.to_json_obj(),
-        }
+        entry = {"shard": name, "digest": digests[name], "stats": outcome.stats.to_json_obj()}
         append_line(ledger_path, canonical_json(entry))
         per_shard[name] = outcome.stats
 
     def score_one(path: str) -> _ShardResult:
-        digest = digests[shard_name(path)]
-        return _score_shard(model, tokenizer, threshold, path, digest, out_dir)
+        return _score_shard(model, tokenizer, threshold, path, out_dir)
 
     processes = min(workers, len(pending), os.cpu_count() or 1)
     if processes > 1:
@@ -642,35 +644,29 @@ def token_length_histogram(shards: Sequence[str], tokenizer: Tokenizer) -> Token
     lengths in underflow/overflow. A shard that fails part way counts
     nothing and is listed in failed_shards, as score_corpus drops it.
     """
-    hist = BinCounts.empty(DEFAULT_TOKEN_BIN_EDGES)
     length_counts: Counter[int] = Counter()
-    malformed = 0
+    malformed = shard_malformed = 0
     failed: list[tuple[str, str]] = []
+
+    def skip(message: str) -> None:
+        nonlocal shard_malformed
+        shard_malformed += 1
+        log.warning("skipping malformed record %s", message)
+
+    def lengths(path: str) -> Counter[int]:
+        return Counter(tokenizer.token_count(doc.text) for doc in _read_shard(path, skip))
+
     for path in shards:
-        name = shard_name(path)
-        shard_hist = BinCounts.empty(DEFAULT_TOKEN_BIN_EDGES)
-        shard_lengths: Counter[int] = Counter()
         shard_malformed = 0
-        try:
-            for line_no, raw in iter_shard_lines(path):
-                if not raw.strip():
-                    continue
-                try:
-                    doc = decode_record(raw, name, line_no)
-                except MalformedRecord as e:
-                    shard_malformed += 1
-                    log.warning("skipping malformed record %s", e)
-                    continue
-                n = tokenizer.token_count(doc.text)
-                shard_lengths[n] += 1
-                shard_hist.add(n)
-        except _UNREADABLE as e:
-            failed.append((name, str(e)))
-            log.error("%s", ShardUnreadable(name, str(e)))
+        outcome = _attempt(lengths, path)
+        if isinstance(outcome, str):
+            _record_unreadable(failed, shard_name(path), outcome)
             continue
-        hist.merge(shard_hist)
-        length_counts.update(shard_lengths)
+        length_counts.update(outcome)
         malformed += shard_malformed
+    hist = BinCounts.empty(DEFAULT_TOKEN_BIN_EDGES)
+    for n, count in length_counts.items():
+        hist.add(n, count)
     n_docs = length_counts.total()
     tokens_total = sum(n * c for n, c in length_counts.items())
     mean = tokens_total / n_docs if n_docs else 0.0

@@ -488,6 +488,13 @@ class MetricGrouping:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "MetricGrouping":
+        """Other tools write these files: an object of group name to an array
+        of metric names."""
+        if not isinstance(obj, dict):
+            raise ValueError("MetricGrouping: expected a JSON object")
+        for name, metrics in obj.items():
+            if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
+                raise ValueError(f"MetricGrouping: group {name!r} is not an array of strings")
         return MetricGrouping(
             groups=tuple((name, tuple(metrics)) for name, metrics in obj.items())
         )
@@ -517,6 +524,9 @@ class EvalScores:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "EvalScores":
+        """Other tools write these files, so keys beyond the ones read are ignored."""
+        if not isinstance(obj, dict):
+            raise ValueError("EvalScores: expected a JSON object")
         if not isinstance(obj.get("run_label"), str):
             raise ValueError("eval scores need a string run_label")
         if not isinstance(obj.get("scores"), dict):

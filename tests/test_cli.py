@@ -858,6 +858,43 @@ def test_token_manifest_missing_key_is_one_error_line(capsys, tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], err
 
 
+@pytest.mark.parametrize("command", [["verify", "report"], ["pipeline", "ingest-report", "--run", "run"]])
+@pytest.mark.parametrize("flag,content,cls_name", [
+    ("--baseline", ["x"], "EvalScores"),
+    ("--baseline", "scores", "EvalScores"),
+    ("--grouping", ["English"], "MetricGrouping"),
+    ("--grouping", {"English": 5}, "MetricGrouping"),
+    ("--grouping", {"English": "ARC"}, "MetricGrouping"),
+    ("--grouping", {"English": ["ARC", 1]}, "MetricGrouping"),
+])
+def test_malformed_eval_file_is_one_error_line(capsys, tmp_path, command, flag, content, cls_name):
+    files = {
+        "--baseline": {"run_label": "base", "scores": {"ARC": 50.0}},
+        "--candidate": {"run_label": "cand", "scores": {"ARC": 51.0}},
+        "--grouping": {"English": ["ARC"]},
+    }
+    files[flag] = content
+    argv = list(command)
+    for name, obj in files.items():
+        path = tmp_path / (name[2:] + ".json")
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        argv += [name, str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and cls_name in lines[0], err
+
+
+def test_eval_files_keep_accepting_extra_keys(tmp_path):
+    scores = verify.EvalScores.from_json_obj(
+        {"run_label": "r", "scores": {"ARC": 50.0}, "harness": "x"}
+    )
+    assert scores.scores == {"ARC": 50.0}
+    grouping = verify.MetricGrouping.from_json_obj({"English": ["ARC", "MMLU"], "Chinese": ["C-Eval"]})
+    assert grouping.groups == (("English", ("ARC", "MMLU")), ("Chinese", ("C-Eval",)))
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 

@@ -507,6 +507,27 @@ def test_score_corpus_resume_after_torn_ledger(tmp_path, model, tokenizer):
         assert f.read() == manifest_bytes
 
 
+@pytest.mark.parametrize("stream", ["kept", "rejected"])
+def test_score_corpus_resume_rescores_a_shard_whose_output_is_gone(
+    tmp_path, model, tokenizer, stream
+):
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
+    clean = str(tmp_path / "clean")
+    score_corpus(model, shards, 0.5, tokenizer, clean)
+    out = str(tmp_path / "out")
+    score_corpus(model, shards, 0.5, tokenizer, out)
+    gone = os.path.basename(shards[0])
+    os.remove(os.path.join(out, stream, gone + ".scored.jsonl"))
+    run = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert run.completed_shards == [os.path.basename(p) for p in shards]
+    assert run.skipped_shards == [os.path.basename(shards[1])]
+    found, expected = _scored_bytes(out), _scored_bytes(clean)
+    ledger, clean_ledger = found.pop("ledger.jsonl"), expected.pop("ledger.jsonl")
+    assert found == expected     # kept, rejected and the keep manifest
+    # the rescored shard's entry is appended; the last entry of a shard wins
+    assert ledger.splitlines()[-1] == clean_ledger.splitlines()[0]
+
+
 def _scored_bytes(out: str) -> dict[str, bytes]:
     found = {}
     for root, _, files in os.walk(out):
@@ -703,6 +724,24 @@ def test_token_length_stats_memory_does_not_grow_with_the_corpus(tmp_path, token
     assert peak < 64 * 1024
 
 
+def test_token_length_stats_memory_does_not_grow_with_malformed_records(
+    tmp_path, tokenizer, monkeypatch
+):
+    # each skipped record is logged as it is read, not held until its shard ends
+    monkeypatch.setattr(filtering.log, "disabled", True)
+    path = tmp_path / "s.jsonl"
+    n = 20_000
+    path.write_text("{not json\n" * n, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        stats = token_length_histogram([str(path)], tokenizer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.records_malformed == n
+    assert peak < 64 * 1024
+
+
 def test_token_length_stats_malformed_and_failed(tmp_path, tokenizer):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -726,3 +765,40 @@ def test_token_length_stats_empty_corpus(tmp_path, tokenizer):
     assert stats.documents == 0
     assert stats.mean == 0.0
     assert stats.p50 == stats.p90 == stats.p99 == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_token_length_stats_agree_with_score_corpus(
+    tmp_path, model, tokenizer, monkeypatch, caplog, workers
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=3, docs_per_shard=8)
+    for k, path in enumerate(shards):   # blank lines, malformed lines, an empty text
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+        lines[2:2] = ["\n", "{not json\n", json.dumps({"text": ""}) + "\n", "  \n"]
+        lines.append(json.dumps({"id": k}) + "\n")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(lines)
+    with open(shards[1], "rb") as f:
+        packed = gzip.compress(f.read())
+    os.remove(shards[1])
+    shards[1] += ".gz"
+    with open(shards[1], "wb") as f:
+        f.write(packed)
+
+    def warnings() -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+    with caplog.at_level(logging.WARNING, logger="websift.filtering"):
+        stats = token_length_histogram(shards, tokenizer)
+        stats_warnings = warnings()
+        caplog.clear()
+        run = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "out"), workers=workers)
+        score_warnings = warnings()
+    assert stats.records_malformed == run.stats.records_malformed == 2 * len(shards)
+    assert stats.documents + stats.records_malformed == run.stats.documents_total
+    assert stats.tokens_total == run.stats.tokens_total
+    assert stats.histogram == run.stats.token_length_histogram
+    assert stats_warnings == score_warnings
+    assert len(stats_warnings) == 2 * len(shards)

@@ -49,6 +49,36 @@ def test_classifier_calls_the_harness_makes(perfbench_path):
     assert out.size == 2
 
 
+def test_traced_scoring_records_the_document_layer_spans(perfbench_path, tmp_path, tokenizer):
+    """score_corpus must keep reading shards through the filtering names the
+    tracer patches; otherwise documents.decode_us, documents.read_us and the
+    digest metrics of a traced run silently read 0."""
+    import measure
+    from websift import classifier
+    from websift.filtering import score_corpus
+
+    model = classifier.train(
+        [classifier.LabeledExample("positive", "good text"),
+         classifier.LabeledExample("negative", "bad text")],
+        classifier.ClassifierConfig(dim=4, bucket=16, min_count=1, epochs=1),
+        tokenizer,
+    )
+    shards = []
+    for k in range(2):
+        path = tmp_path / f"s{k}.jsonl"
+        path.write_text('{"text": "good"}\n\n{not json\n{"text": "bad text"}\n', encoding="utf-8")
+        shards.append(str(path))
+    tracer = measure.install_tracer(True)
+    try:
+        score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "out"), workers=1)
+    finally:
+        tracer.unpatch()
+    names = [span[1] for span in tracer.spans]
+    assert names.count("documents.decode_record") == 3 * len(shards)   # non-blank lines
+    assert names.count("documents.iter_shard_lines") >= 1
+    assert names.count("documents.shard_digest") == len(shards)
+
+
 def websift_imports(path):
     """(module, name) for every `from websift... import name` in a file."""
     with open(path, encoding="utf-8") as f:
