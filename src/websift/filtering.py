@@ -205,7 +205,11 @@ class FilterStats:
 # scoring
 
 def score_tokens(model: ClassifierModel, tokens: Sequence[str]) -> float:
-    """Positive class probability for pre-tokenized text."""
+    """Positive class probability for pre-tokenized text.
+
+    Each call pays a whole chunk's fixed numpy cost (about 240 us against
+    about 50 us per document batched); batch through score_many.
+    """
     return float(predict_tokens(model, tokens)[1])
 
 
@@ -454,8 +458,10 @@ def score_corpus(
     """Score a sharded corpus into kept/ and rejected/ under out_dir.
 
     With resume=True, shards recorded in the ledger with an unchanged content
-    digest are reused instead of rescored. Every input document lands in
-    exactly one output stream, in its shard's input order.
+    digest are reused instead of rescored; when a resume rescores a shard
+    that the ledger named, the ledger is rewritten to one entry per completed
+    shard, as a clean run leaves it. Every input document lands in exactly
+    one output stream, in its shard's input order.
 
     Pending shards are scored by min(workers, pending shards, CPUs)
     processes: this one and forked workers, which share the model
@@ -476,7 +482,7 @@ def score_corpus(
     make_dirs(os.path.join(out_dir, "kept"))
     make_dirs(os.path.join(out_dir, "rejected"))
     ledger_path = os.path.join(out_dir, "ledger.jsonl")
-    previous = _load_ledger(ledger_path) if resume else {}
+    ledger = _load_ledger(ledger_path) if resume else {}
     if not resume and os.path.exists(ledger_path):
         os.remove(ledger_path)
 
@@ -493,7 +499,7 @@ def score_corpus(
         except OSError as e:
             _record_unreadable(failed, name, str(e))
             continue
-        prior = previous.get(name)
+        prior = ledger.get(name)
         if (
             prior is not None
             and prior.get("digest") == digests[name]
@@ -505,9 +511,10 @@ def score_corpus(
             pending.append(path)
 
     zero_feature = 0
+    superseded = False      # this run rescored a shard the ledger already named
 
     def settle(index: int, outcome: _Outcome) -> None:
-        nonlocal zero_feature
+        nonlocal zero_feature, superseded
         name = shard_name(pending[index])
         if isinstance(outcome, str):
             _record_unreadable(failed, name, outcome)
@@ -520,6 +527,8 @@ def score_corpus(
         zero_feature += outcome.zero_feature
         entry = {"shard": name, "digest": digests[name], "stats": outcome.stats.to_json_obj()}
         append_line(ledger_path, canonical_json(entry))
+        superseded |= name in ledger
+        ledger[name] = entry
         per_shard[name] = outcome.stats
 
     def score_one(path: str) -> _ShardResult:
@@ -536,6 +545,9 @@ def score_corpus(
     completed = [n for n in names if n in per_shard]
     for name in completed:
         stats.merge(per_shard[name])
+    if superseded:      # compact to one entry per shard, as a clean run writes
+        with atomic_open(ledger_path) as f:
+            f.writelines(canonical_json(ledger[name]) + "\n" for name in completed)
 
     fingerprint = corpus_fingerprint(digests[n] for n in completed)
     manifest_path = os.path.join(out_dir, "keep_manifest.txt")

@@ -19,6 +19,21 @@ def tokenizer():
     return load_tokenizer(TokenizerSpec())
 
 
+@pytest.fixture
+def zero_model_file(tmp_path) -> str:
+    """A model file of about 8.4 MB, nearly all matrix, made without training."""
+    import numpy as np
+
+    from websift.classifier import ClassifierConfig, ClassifierModel, Vocabulary, save_model
+
+    config = ClassifierConfig(dim=64, bucket=16_384, min_count=1)
+    vocab = Vocabulary.from_rows(["a", "b"], [3, 2])
+    path = str(tmp_path / "zero.bin")
+    save_model(ClassifierModel(config, vocab, np.zeros((len(vocab) + config.bucket, config.dim)),
+                               np.zeros((2, config.dim))), path)
+    return path
+
+
 def make_texts(rng: random.Random, words, n: int, lo: int = 20, hi: int = 60) -> list[str]:
     return [
         " ".join(rng.choice(words) for _ in range(rng.randint(lo, hi))) for _ in range(n)

@@ -1,6 +1,9 @@
+import hashlib
 import logging
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -574,6 +577,77 @@ def test_load_rejects_trailing_garbage(tmp_path, toy_model):
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(CorruptPayload):
         load_model(str(path))
+
+
+def test_load_rejects_every_byte_flip(tmp_path, toy_model):
+    path = tmp_path / "model.bin"
+    save_model(toy_model, str(path))
+    data = path.read_bytes()
+    with open(path, "r+b", buffering=0) as f:
+        for pos, byte in enumerate(data):
+            os.pwrite(f.fileno(), bytes([byte ^ 0xFF]), pos)
+            with pytest.raises((BadMagic, UnsupportedVersion, CorruptPayload)):
+                load_model(str(path))
+            os.pwrite(f.fileno(), bytes([byte]), pos)
+
+
+def _length_fields(data: bytes) -> dict[str, tuple[int, str]]:
+    """Offset and struct format of each length field of a model file."""
+    cfg_len = struct.unpack_from("<I", data, 8)[0]
+    vocab_at = 12 + cfg_len
+    pos = vocab_at + 8
+    first_token_at = pos
+    for _ in range(struct.unpack_from("<Q", data, vocab_at)[0]):
+        pos += 4 + struct.unpack_from("<I", data, pos)[0] + 8
+    rows, cols = struct.unpack_from("<QQ", data, pos)
+    output_at = pos + 16 + rows * cols * 8
+    return {
+        "config length": (8, "<I"),
+        "vocab size": (vocab_at, "<Q"),
+        "token length": (first_token_at, "<I"),
+        "input rows": (pos, "<Q"),
+        "input cols": (pos + 8, "<Q"),
+        "output rows": (output_at, "<Q"),
+        "output cols": (output_at + 8, "<Q"),
+    }
+
+
+def test_load_checks_each_length_before_allocating(tmp_path, toy_model):
+    path = tmp_path / "model.bin"
+    save_model(toy_model, str(path))
+    data = path.read_bytes()
+    for field, (offset, fmt) in _length_fields(data).items():
+        for value in (2**32 - 1, 2**63):
+            if value >= 1 << (8 * struct.calcsize(fmt)):
+                continue
+            body = bytearray(data[:-8])
+            struct.pack_into(fmt, body, offset, value)
+            # a valid checksum, so only the length field can stop the load
+            path.write_bytes(bytes(body) + hashlib.sha256(body).digest()[:8])
+            tracemalloc.start()
+            try:
+                with pytest.raises(CorruptPayload):
+                    load_model(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (field, value, peak)
+
+
+def test_load_peaks_near_the_file_size_and_resaves_its_bytes(tmp_path, zero_model_file):
+    size = os.path.getsize(zero_model_file)
+    assert size >= 8_000_000
+    tracemalloc.start()
+    try:
+        model = load_model(zero_model_file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * size
+    again = str(tmp_path / "again.bin")
+    save_model(model, again)
+    with open(zero_model_file, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
 
 
 # -- config ----------------------------------------------------------------------

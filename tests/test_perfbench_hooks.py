@@ -49,6 +49,15 @@ def test_classifier_calls_the_harness_makes(perfbench_path):
     assert out.size == 2
 
 
+def test_traced_load_reports_a_peak_near_the_file_size(perfbench_path, zero_model_file):
+    """classifier.load_peak_ratio is measure.traced_load's ratio."""
+    import measure
+
+    _, seconds, ratio = measure.traced_load(zero_model_file)
+    assert seconds > 0
+    assert ratio <= 1.1
+
+
 def test_traced_scoring_records_the_document_layer_spans(perfbench_path, tmp_path, tokenizer):
     """score_corpus must keep reading shards through the filtering names the
     tracer patches; otherwise documents.decode_us, documents.read_us and the
