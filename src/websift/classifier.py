@@ -10,6 +10,13 @@ thousands of seed documents stays cheap on CPUs:
   * a softmax over the two labels is trained with plain sequential SGD,
     learning rate decaying linearly to zero.
 
+With two labels the positive probability is the logistic of the difference
+of the two logits, which is linear in the hidden state. So training folds
+its two weight matrices into a logit table with one float per feature row
+(row @ (out[1] - out[0])), and scoring reads only that table: the logistic
+of the mean of the document's table entries. The model file holds the
+table, not the matrices.
+
 Training is single threaded and bit-for-bit deterministic for a fixed
 (config, dataset order) pair, which lets callers fingerprint model files and
 reproduce any published artifact exactly.
@@ -20,18 +27,19 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, count, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import WebsiftError
 from .ioutil import JsonRecord, atomic_open, canonical_json
-from .tokenizers import Tokenizer
+from .tokenizers import Tokenizer, TokenizerSpec, load_tokenizer
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +63,10 @@ class UnsupportedVersion(WebsiftError):
 
 
 class CorruptPayload(WebsiftError):
+    pass
+
+
+class TokenizerMismatch(WebsiftError):
     pass
 
 
@@ -293,12 +305,25 @@ def featurize(tokens: Sequence[str], vocab: Vocabulary, config: ClassifierConfig
 # ---------------------------------------------------------------------------
 # model
 
+@dataclass(frozen=True)
+class TokenizerStamp(JsonRecord):
+    """The tokenizer a model was trained with: its spec and, for
+    vocab_greedy, the SHA-256 of its vocabulary file."""
+
+    spec: TokenizerSpec = field(default_factory=TokenizerSpec)
+    vocab_sha256: Optional[str] = None
+
+    @staticmethod
+    def of(tokenizer: Tokenizer) -> "TokenizerStamp":
+        return TokenizerStamp(tokenizer.spec, tokenizer.vocab_sha256)
+
+
 @dataclass
 class ClassifierModel:
     config: ClassifierConfig
     vocab: Vocabulary
-    input_matrix: np.ndarray    # (len(vocab) + bucket, dim) float64
-    output_matrix: np.ndarray   # (2, dim) float64
+    table: np.ndarray           # (len(vocab) + bucket,) float64: each row's logit difference
+    tokenizer: TokenizerStamp = field(default_factory=TokenizerStamp)
     epoch_losses: tuple[float, ...] = ()  # training metadata, not serialized
 
 
@@ -370,20 +395,37 @@ def _row_update_plan(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return uniq[order], [int((counts > r).sum()) for r in range(counts.max(initial=0))]
 
 
-def train(
-    dataset: Sequence[LabeledExample], config: ClassifierConfig, tokenizer: Tokenizer
-) -> ClassifierModel:
-    """Sequential SGD over the dataset in its given order.
+# _logit_table multiplies at most this many weights per numpy call.
+_TABLE_BLOCK_ELEMS = 1 << 18
 
-    The caller owns example order (training sets come pre-shuffled from the
-    seed pool assembler); train never reorders, so identical inputs produce
-    an identical model.
 
-    Each example is tokenized and featurized once, before the first epoch.
-    A step updates each distinct feature row once per occurrence of that row
-    in the example, in sequence, so a repeated row receives exactly the
-    updates a per-occurrence loop would give it.
+def _logit_table(input_matrix: np.ndarray, output_matrix: np.ndarray) -> np.ndarray:
+    """table[r] = sum over k of input_matrix[r, k] * w[k], w = out[1] - out[0],
+    added in column order k = 0, 1, ... for every row.
+
+    Not a matrix product: BLAS may split and reorder that sum depending on
+    its threads, and the table's bits must not depend on the machine.
     """
+    rows, dim = input_matrix.shape
+    w = output_matrix[1] - output_matrix[0]
+    table = np.zeros(rows)
+    step = max(1, _TABLE_BLOCK_ELEMS // dim)
+    terms = np.empty((dim, min(step, rows)))
+    for start in range(0, rows, step):
+        block = input_matrix[start : start + step]
+        block_terms = terms[:, : len(block)]
+        np.multiply(block.T, w[:, None], out=block_terms)
+        sums = table[start : start + len(block)]
+        for column in block_terms:
+            sums += column
+    return table
+
+
+def _sgd(
+    dataset: Sequence[LabeledExample], config: ClassifierConfig, tokenizer: Tokenizer
+) -> tuple[Vocabulary, np.ndarray, np.ndarray, tuple[float, ...]]:
+    """The training loop of train: (vocab, input_matrix, output_matrix,
+    epoch_losses)."""
     if not dataset:
         raise ValueError("empty training dataset")
     label_index = {name: i for i, name in enumerate(config.labels)}
@@ -427,27 +469,69 @@ def train(
         log.debug("epoch %d mean loss %.6f", epoch + 1, epoch_losses[-1])
     if zero_feature:
         log.info("training saw %d zero-feature examples", zero_feature)
-
-    return ClassifierModel(
-        config=config,
-        vocab=vocab,
-        input_matrix=input_matrix,
-        output_matrix=output_matrix,
-        epoch_losses=tuple(epoch_losses),
-    )
+    return vocab, input_matrix, output_matrix, tuple(epoch_losses)
 
 
-def predict_ids(model: ClassifierModel, ids: np.ndarray) -> np.ndarray:
-    """Probability distribution over labels for a document's feature ids."""
-    if ids.size:
-        hidden = model.input_matrix.take(ids, axis=0).mean(axis=0)
-        logits = model.output_matrix @ hidden
-        m = logits.max()
-        e = np.exp(logits - m)
-        return e / e.sum()
-    # No recognizable content: exactly uniform, caller may want to log it.
-    n = len(model.config.labels)
-    return np.full(n, 1.0 / n)
+def train(
+    dataset: Sequence[LabeledExample], config: ClassifierConfig, tokenizer: Tokenizer
+) -> ClassifierModel:
+    """Sequential SGD over the dataset in its given order, folded into the
+    logit table. The model records the tokenizer it was trained with.
+
+    The caller owns example order (training sets come pre-shuffled from the
+    seed pool assembler); train never reorders, so identical inputs produce
+    an identical model.
+
+    Each example is tokenized and featurized once, before the first epoch.
+    A step updates each distinct feature row once per occurrence of that row
+    in the example, in sequence, so a repeated row receives exactly the
+    updates a per-occurrence loop would give it.
+    """
+    vocab, input_matrix, output_matrix, epoch_losses = _sgd(dataset, config, tokenizer)
+    table = _logit_table(input_matrix, output_matrix)
+    return ClassifierModel(config, vocab, table, TokenizerStamp.of(tokenizer), epoch_losses)
+
+
+def check_tokenizer(model: ClassifierModel, tokenizer: Tokenizer) -> None:
+    """Raise TokenizerMismatch unless tokenizer is the one model was trained
+    with: the same spec and the same vocabulary file bytes."""
+    want, got = model.tokenizer, TokenizerStamp.of(tokenizer)
+    if got.spec != want.spec:
+        raise TokenizerMismatch(
+            f"tokenizer {canonical_json(got.spec.to_json_obj())} is not the model's "
+            f"{canonical_json(want.spec.to_json_obj())}"
+        )
+    if got.vocab_sha256 != want.vocab_sha256:
+        raise TokenizerMismatch(
+            f"tokenizer vocabulary {got.spec.vocab_path} has sha256 {got.vocab_sha256}, "
+            f"the model was trained on sha256 {want.vocab_sha256}"
+        )
+
+
+def model_tokenizer(model: ClassifierModel) -> Tokenizer:
+    """Load the tokenizer model was trained with, checked by check_tokenizer."""
+    tokenizer = load_tokenizer(model.tokenizer.spec)
+    check_tokenizer(model, tokenizer)
+    return tokenizer
+
+
+def positive_probs(model: ClassifierModel, id_lists: Sequence[np.ndarray]) -> np.ndarray:
+    """The positive-label probability of each document from its feature ids:
+    the logistic of the mean of its logit-table entries. A document without
+    ids scores exactly 0.5.
+
+    Each document's entries are summed as their own np.add.reduceat segment,
+    so a score does not depend on the other documents in the call.
+    """
+    lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(id_lists))
+    logits = np.zeros(len(id_lists))
+    filled = lengths > 0
+    if filled.any():
+        entries = model.table[np.concatenate(id_lists)]
+        starts = np.cumsum(lengths) - lengths
+        logits[filled] = np.add.reduceat(entries, starts[filled]) / lengths[filled]
+    with np.errstate(over="ignore"):    # exp overflows to inf: the probability is 0
+        return 1.0 / (1.0 + np.exp(-logits))
 
 
 def predict_tokens(model: ClassifierModel, tokens: Sequence[str]) -> np.ndarray:
@@ -457,22 +541,22 @@ def predict_tokens(model: ClassifierModel, tokens: Sequence[str]) -> np.ndarray:
     cost (about 240 us against about 50 us per document batched); batch
     through featurize_many or predict_many.
     """
-    return predict_ids(model, featurize(tokens, model.vocab, model.config))
+    p = positive_probs(model, [featurize(tokens, model.vocab, model.config)])[0]
+    return np.array([1.0 - p, p])
 
 
 def predict_many(model: ClassifierModel, texts: Sequence[str], tokenizer: Tokenizer) -> list[Prediction]:
-    """predict for each text, featurized together by featurize_many."""
+    """predict for each text, featurized together by featurize_many. Raises
+    TokenizerMismatch unless tokenizer is the model's."""
+    check_tokenizer(model, tokenizer)
     token_lists = [tokenizer.tokenize(text) for text in texts]
-    labels = model.config.labels
+    ids = featurize_many(token_lists, model.vocab, model.config)
+    negative, positive = model.config.labels
     out = []
-    for ids in featurize_many(token_lists, model.vocab, model.config):
-        p = predict_ids(model, ids)
-        i = int(np.argmax(p))  # ties resolve to the earlier label
-        out.append(Prediction(
-            label=labels[i],
-            prob=float(p[i]),
-            dist={name: float(p[j]) for j, name in enumerate(labels)},
-        ))
+    for p in positive_probs(model, ids).tolist():
+        dist = {negative: 1.0 - p, positive: p}
+        label = positive if p > dist[negative] else negative  # a tie goes to the first label
+        out.append(Prediction(label=label, prob=dist[label], dist=dist))
     return out
 
 
@@ -487,18 +571,25 @@ def predict(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> Predicti
 # model file format
 #
 #   magic   b"UFWC"
-#   u32     format version (currently 1)
+#   u32     format version (currently 2)
 #   u32     config JSON length, then that many bytes (canonical JSON)
+#   u32     tokenizer JSON length, then that many bytes (canonical JSON of
+#           the TokenizerStamp: {"spec": {...}, "vocab_sha256": ...})
 #   u64     vocabulary size V, then V entries of (u32 len, token bytes, u64 count)
-#   u64 x2  input matrix shape, then rows*cols little-endian float64
-#   u64 x2  output matrix shape, then rows*cols little-endian float64
+#   u64     logit table length (V + bucket), then that many little-endian float64
 #   u64     checksum: first 8 bytes of SHA-256 over all preceding bytes
 #
 # All integers little-endian. The checksum makes truncation and bit rot a
 # load-time error instead of silently wrong scores.
+#
+# Version 1 files still load. They hold no tokenizer block, and in place of
+# the table the two weight matrices, each as u64 x2 shape then rows*cols
+# little-endian float64: input (V + bucket, dim), then output (2, dim). A
+# load folds them into the table as train does, and the model takes the
+# default tokenizer.
 
 MODEL_MAGIC = b"UFWC"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class _ModelFile:
@@ -534,11 +625,11 @@ class _ModelFile:
     def u64(self) -> int:
         return struct.unpack("<Q", self.read(8))[0]
 
-    def read_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """A rows x cols little-endian float64 matrix, read straight into its
-        array and hashed in place."""
-        self._claim(rows * cols * 8)
-        arr = np.empty((rows, cols), dtype="<f8")
+    def read_floats(self, *shape: int) -> np.ndarray:
+        """A little-endian float64 array of the given shape, read straight
+        into its array and hashed in place."""
+        self._claim(math.prod(shape) * 8)
+        arr = np.empty(shape, dtype="<f8")
         if self.f.readinto(arr) != arr.nbytes:
             raise CorruptPayload("model file truncated")
         self.h.update(arr)
@@ -551,42 +642,49 @@ def save_model(model: ClassifierModel, path: str) -> str:
     The digest comes from the hash already kept for the checksum trailer, so
     callers need not read the file back to fingerprint it.
     """
-    cfg_bytes = canonical_json(model.config.to_json_obj()).encode("utf-8")
+    blocks = (model.config.to_json_obj(), model.tokenizer.to_json_obj())
     with atomic_open(path, "wb") as f:
         w = _ModelFile(f)
         w.write(MODEL_MAGIC)
         w.write(struct.pack("<I", MODEL_FORMAT_VERSION))
-        w.write(struct.pack("<I", len(cfg_bytes)))
-        w.write(cfg_bytes)
+        for block in blocks:
+            data = canonical_json(block).encode("utf-8")
+            w.write(struct.pack("<I", len(data)))
+            w.write(data)
         w.write(struct.pack("<Q", len(model.vocab)))
         for token, count in zip(model.vocab.tokens, model.vocab.counts):
             tb = token.encode("utf-8")
-            w.write(struct.pack("<I", len(tb)))
-            w.write(tb)
-            w.write(struct.pack("<Q", count))
-        for arr in (model.input_matrix, model.output_matrix):
-            w.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-            w.write(np.ascontiguousarray(arr, dtype="<f8"))
+            w.write(struct.pack("<I", len(tb)) + tb + struct.pack("<Q", count))
+        w.write(struct.pack("<Q", len(model.table)))
+        w.write(np.ascontiguousarray(model.table, dtype="<f8"))
         w.write(w.h.digest()[:8])
     return w.h.hexdigest()
 
 
+def _read_json_block(r: _ModelFile, record: type, name: str):
+    try:
+        return record.from_json_obj(json.loads(r.read(r.u32()).decode("utf-8")))
+    except (ValueError, TypeError) as e:
+        raise CorruptPayload(f"bad {name} block: {e}") from e
+
+
 def load_model(path: str) -> ClassifierModel:
-    """Read a model file in one pass, hashing it as it streams. A model is
-    returned only if the checksum trailer matches and ends the file."""
+    """Read a model file of either version in one pass, hashing it as it
+    streams. A model is returned only if the checksum trailer matches and
+    ends the file."""
     with open(path, "rb") as f:
         r = _ModelFile(f)
         magic = r.read(min(4, r.left))
         if magic != MODEL_MAGIC:
             raise BadMagic(magic)
         version = r.u32()
-        if version != MODEL_FORMAT_VERSION:
+        if version not in (1, MODEL_FORMAT_VERSION):
             raise UnsupportedVersion(version)
-        try:
-            cfg_obj = json.loads(r.read(r.u32()).decode("utf-8"))
-            config = ClassifierConfig.from_json_obj(cfg_obj)
-        except (ValueError, TypeError) as e:
-            raise CorruptPayload(f"bad config block: {e}") from e
+        config = _read_json_block(r, ClassifierConfig, "config")
+        if version == 1:
+            stamp = TokenizerStamp()
+        else:
+            stamp = _read_json_block(r, TokenizerStamp, "tokenizer")
         v = r.u64()
         if v * 12 > r.left:  # each entry holds at least its two integers
             raise CorruptPayload("model file truncated")
@@ -598,12 +696,18 @@ def load_model(path: str) -> ClassifierModel:
             except UnicodeDecodeError as e:
                 raise CorruptPayload("bad vocab token encoding") from e
             counts.append(r.u64())
-        matrices = []
-        for name, shape in (("input", (v + config.bucket, config.dim)),
-                            ("output", (len(config.labels), config.dim))):
-            if (r.u64(), r.u64()) != shape:
-                raise CorruptPayload(f"{name} matrix shape does not match config")
-            matrices.append(r.read_matrix(*shape))
+        rows = v + config.bucket
+        if version == 1:
+            matrices = []
+            for name, shape in (("input", (rows, config.dim)),
+                                ("output", (len(config.labels), config.dim))):
+                if (r.u64(), r.u64()) != shape:
+                    raise CorruptPayload(f"{name} matrix shape does not match config")
+                matrices.append(r.read_floats(*shape))
+        else:
+            if r.u64() != rows:
+                raise CorruptPayload("logit table length does not match config")
+            table = r.read_floats(rows)
         digest = r.h.digest()[:8]
         if r.read(8) != digest:
             raise CorruptPayload("checksum mismatch")
@@ -611,7 +715,12 @@ def load_model(path: str) -> ClassifierModel:
             raise CorruptPayload("trailing bytes after the checksum")
     if len(set(tokens)) != len(tokens):
         raise CorruptPayload("duplicate vocab tokens")
-    return ClassifierModel(config, Vocabulary.from_rows(tokens, counts), *matrices)
+    if version == 1:
+        table = _logit_table(*matrices)
+        log.warning("%s is a version 1 model file, which names no tokenizer; it scores "
+                    "with the default tokenizer %s", path,
+                    canonical_json(stamp.spec.to_json_obj()))
+    return ClassifierModel(config, Vocabulary.from_rows(tokens, counts), table, stamp)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def _cmd_classifier_train(args) -> int:
 
 def _cmd_classifier_predict(args) -> int:
     model = clf.load_model(args.model)
-    tokenizer = _tokenizer_from_flag(args.tokenizer)
+    tokenizer = clf.model_tokenizer(model)
 
     def labeled(docs: list[Document]) -> Iterator[dict]:
         preds = clf.predict_many(model, [doc.text for doc in docs], tokenizer)
@@ -192,7 +192,7 @@ def _cmd_seedpool_show(args) -> int:
 
 def _cmd_filter_score(args) -> int:
     model = clf.load_model(args.model)
-    tokenizer = _tokenizer_from_flag(args.tokenizer)
+    tokenizer = clf.model_tokenizer(model)
     shards = expand_shards(args.shards)
     run = filtering.score_corpus(
         model,
@@ -360,7 +360,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_classifier_train)
     p = gsub.add_parser("predict", help="label documents")
     p.add_argument("--model", required=True)
-    p.add_argument("--tokenizer", help="tokenizer spec JSON")
     p.add_argument("--in", dest="infile", help="input JSONL (default stdin)")
     p.add_argument("--out", help="output JSONL (default stdout)")
     p.set_defaults(func=_cmd_classifier_predict)
@@ -403,7 +402,6 @@ def _build_parser() -> _Parser:
     gsub = group.add_subparsers(dest="subcommand", metavar="subcommand")
     p = gsub.add_parser("score", help="score shards into kept/rejected")
     p.add_argument("--model", required=True)
-    p.add_argument("--tokenizer", help="tokenizer spec JSON")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--shards", required=True, nargs="+", help="shard paths or globs")
     p.add_argument("--out", required=True, help="output directory")

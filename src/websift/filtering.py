@@ -4,8 +4,9 @@ score_corpus streams sharded JSONL through a trained classifier and splits
 every document into a kept or rejected stream by thresholding the positive
 class probability (kept means score >= threshold). A shard is decoded
 CHUNK_DOCS documents at a time; each chunk is featurized by one
-featurize_many call, then every document is scored on its own (row gather,
-mean, softmax), so no output byte depends on the chunk size. Shards are
+featurize_many call and scored by one positive_probs call over the model's
+logit table, which sums each document's entries as a segment of its own,
+so no output byte depends on the chunk size. Shards are
 independent units of work: forked worker processes score them in parallel,
 and a completed-shard ledger makes interrupted runs restartable without
 rescoring finished shards. Unreadable shards (missing, truncated or corrupt
@@ -29,7 +30,14 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
-from .classifier import CHUNK_DOCS, ClassifierModel, featurize_many, predict_ids, predict_tokens
+from .classifier import (
+    CHUNK_DOCS,
+    ClassifierModel,
+    check_tokenizer,
+    featurize_many,
+    positive_probs,
+    predict_tokens,
+)
 from .documents import (
     SHARD_READ_ERRORS,
     Document,
@@ -217,15 +225,11 @@ def score_many(
     model: ClassifierModel, token_lists: Sequence[Sequence[str]]
 ) -> tuple[list[float], int]:
     """score_tokens of each pre-tokenized document, featurized together by
-    featurize_many, and how many documents had no feature row (those score
-    exactly 0.5)."""
-    scores: list[float] = []
-    zero_feature = 0
-    for ids in featurize_many(token_lists, model.vocab, model.config):
-        if not ids.size:
-            zero_feature += 1
-        scores.append(float(predict_ids(model, ids)[1]))
-    return scores, zero_feature
+    featurize_many and scored together by positive_probs, and how many
+    documents had no feature row (those score exactly 0.5)."""
+    ids = featurize_many(token_lists, model.vocab, model.config)
+    zero_feature = sum(1 for doc_ids in ids if not doc_ids.size)
+    return positive_probs(model, ids).tolist(), zero_feature
 
 
 @dataclass
@@ -468,7 +472,11 @@ def score_corpus(
     copy-on-write. Forking is only safe while no other thread of the caller
     holds a lock. One process scores inline. The ledger, the logs and every
     output byte do not depend on the count.
+
+    Raises TokenizerMismatch unless tokenizer is the one the model was
+    trained with.
     """
+    check_tokenizer(model, tokenizer)
     if not shards:
         raise ValueError("no shards to score")
     if not (0.0 <= threshold <= 1.0):

@@ -21,16 +21,15 @@ def tokenizer():
 
 @pytest.fixture
 def zero_model_file(tmp_path) -> str:
-    """A model file of about 8.4 MB, nearly all matrix, made without training."""
+    """A model file of about 8.4 MB, nearly all logit table, made without training."""
     import numpy as np
 
     from websift.classifier import ClassifierConfig, ClassifierModel, Vocabulary, save_model
 
-    config = ClassifierConfig(dim=64, bucket=16_384, min_count=1)
+    config = ClassifierConfig(dim=64, bucket=1 << 20, min_count=1)
     vocab = Vocabulary.from_rows(["a", "b"], [3, 2])
     path = str(tmp_path / "zero.bin")
-    save_model(ClassifierModel(config, vocab, np.zeros((len(vocab) + config.bucket, config.dim)),
-                               np.zeros((2, config.dim))), path)
+    save_model(ClassifierModel(config, vocab, np.zeros(len(vocab) + config.bucket)), path)
     return path
 
 

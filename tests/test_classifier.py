@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import logging
 import math
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +15,15 @@ from hypothesis import strategies as st
 from websift.classifier import (
     BadMagic,
     ClassifierConfig,
+    ClassifierModel,
     CorruptPayload,
     EmptyVocabulary,
     LabeledExample,
+    MODEL_FORMAT_VERSION,
     MODEL_MAGIC,
     NGRAM_MULTIPLIER,
+    TokenizerMismatch,
+    TokenizerStamp,
     UnsupportedVersion,
     Vocabulary,
     build_vocab,
@@ -30,6 +36,7 @@ from websift.classifier import (
     load_model,
     ngram_hash,
     parse_labeled_line,
+    positive_probs,
     predict,
     predict_tokens,
     save_model,
@@ -38,7 +45,9 @@ from websift.classifier import (
     train,
 )
 from websift import classifier
-from websift.ioutil import sha256_file
+from websift.filtering import score_many, score_tokens
+from websift.ioutil import canonical_json, sha256_file
+from websift.tokenizers import TokenizerSpec, load_tokenizer
 
 # -- reference implementations used as oracles ---------------------------------
 
@@ -367,12 +376,12 @@ def test_train_matches_python_reference(tokenizer):
         LabeledExample("negative", "bad night bad"),
     ]
     config = ClassifierConfig(dim=3, bucket=5, word_ngrams=2, min_count=1, epochs=2, lr=0.5)
-    model = train(dataset, config, tokenizer)
+    vocab, input_matrix, output_matrix, epoch_losses = classifier._sgd(dataset, config, tokenizer)
     vocab_tokens, A, B, losses = python_train(dataset, config, tokenizer)
-    assert model.vocab.tokens == vocab_tokens
-    np.testing.assert_allclose(model.input_matrix, np.array(A), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(model.output_matrix, np.array(B), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(model.epoch_losses, losses, rtol=0, atol=1e-12)
+    assert vocab.tokens == vocab_tokens
+    np.testing.assert_allclose(input_matrix, np.array(A), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(output_matrix, np.array(B), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(epoch_losses, losses, rtol=0, atol=1e-12)
 
 
 def numpy_loop_train(dataset, config, tokenizer):
@@ -425,11 +434,11 @@ def test_train_is_bit_identical_to_per_occurrence_updates(tokenizer):
                          return_counts=True)[1].max(initial=0) for ex in dataset]
     assert max(repeats) >= 3 and min(repeats) == 0
 
-    model = train(dataset, config, tokenizer)
+    _, trained_input, trained_output, epoch_losses = classifier._sgd(dataset, config, tokenizer)
     input_matrix, output_matrix, losses = numpy_loop_train(dataset, config, tokenizer)
-    assert np.array_equal(model.input_matrix, input_matrix)
-    assert np.array_equal(model.output_matrix, output_matrix)
-    assert list(model.epoch_losses) == losses
+    assert np.array_equal(trained_input, input_matrix)
+    assert np.array_equal(trained_output, output_matrix)
+    assert list(epoch_losses) == losses
 
 
 def test_train_counts_each_zero_feature_example_once(tokenizer, caplog):
@@ -499,6 +508,86 @@ def test_predict_no_content_is_uniform(toy_model, tokenizer):
     assert predict(toy_model, "", tokenizer).label == "negative"
 
 
+@pytest.fixture(scope="module")
+def toy_matrices(tokenizer):
+    """The toy model's training run before its weights are folded into the table."""
+    config = ClassifierConfig(dim=8, bucket=64, min_count=1)
+    return classifier._sgd(make_dataset(), config, tokenizer)
+
+
+def softmax_positive(input_matrix, output_matrix, ids) -> float:
+    """The scoring formula before the logit table: softmax(out @ mean(A[ids]))[1]."""
+    if not ids.size:
+        return 0.5
+    logits = output_matrix @ input_matrix[ids].mean(axis=0)
+    e = np.exp(logits - logits.max())
+    return float(e[1] / e.sum())
+
+
+# in-vocabulary words, out-of-vocabulary words and repeats of both
+SCORE_WORDS = ["good1", "good2", "bad1", "bad2", "unseen", "zz"]
+
+
+@pytest.fixture(scope="module")
+def wide_model(toy_model):
+    """The toy model with a table of wide, mixed-sign entries: a different
+    summation order changes a document's logit in its last bits, and with
+    logits near 1 that shows in the probability."""
+    table = np.random.default_rng(7).normal(1.0, 4.0, size=toy_model.table.shape)
+    return dataclasses.replace(toy_model, table=table)
+
+
+@given(docs=st.lists(st.lists(st.sampled_from(SCORE_WORDS), max_size=6), max_size=3))
+def test_table_scores_do_not_depend_on_chunking(docs, toy_model, wide_model, toy_matrices,
+                                                tokenizer):
+    docs += [[], ["unseen"], ["good1"] * 4]
+    single = [score_tokens(toy_model, d) for d in docs]
+    with pytest.MonkeyPatch.context() as mp:
+        for model in (toy_model, wide_model):
+            expected = [score_tokens(model, d) for d in docs]
+            for chunk in (1, 7, 256):
+                mp.setattr(classifier, "CHUNK_DOCS", chunk)
+                for runs in compositions(len(docs)):
+                    got = [s for a, b in runs for s in score_many(model, docs[a:b])[0]]
+                    assert got == expected
+    vocab, input_matrix, output_matrix, _ = toy_matrices
+    assert vocab.tokens == toy_model.vocab.tokens
+    for tokens, score in zip(docs, single):
+        ids = featurize(tokens, toy_model.vocab, toy_model.config)
+        pred = predict(toy_model, " ".join(tokens), tokenizer)
+        assert pred.dist["positive"] == score
+        assert abs(score - softmax_positive(input_matrix, output_matrix, ids)) <= 1e-12
+        if not ids.size:
+            assert predict_tokens(toy_model, tokens).tolist() == [0.5, 0.5]
+            assert pred.label == "negative"
+
+
+def test_logit_table_adds_columns_in_order(monkeypatch, toy_model, toy_matrices):
+    _, input_matrix, output_matrix, _ = toy_matrices
+    assert np.array_equal(toy_model.table, classifier._logit_table(input_matrix, output_matrix))
+    rng = np.random.default_rng(4)
+    a, out = rng.normal(size=(23, 6)), rng.normal(size=(2, 6))
+    w = [float(x) for x in out[1] - out[0]]
+    expected = []
+    for row in a.tolist():
+        s = 0.0
+        for x, wk in zip(row, w):
+            s += x * wk
+        expected.append(s)
+    for block_elems in (6, 30, 1 << 18):  # one row, five rows with a remainder, all rows
+        monkeypatch.setattr(classifier, "_TABLE_BLOCK_ELEMS", block_elems)
+        assert classifier._logit_table(a, out).tolist() == expected
+
+
+def test_positive_probs_saturates_without_warnings():
+    config = ClassifierConfig(dim=1, bucket=1, min_count=1)
+    model = ClassifierModel(config, Vocabulary.from_rows(["a"], [1]), np.array([-1e4, 1e4]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = positive_probs(model, [np.array([0]), np.array([1]), np.array([], dtype=np.int64)])
+    assert got.tolist() == [0.0, 1.0, 0.5]
+
+
 # -- model file format -----------------------------------------------------------
 
 def test_model_round_trip(tmp_path, toy_model, tokenizer):
@@ -508,10 +597,13 @@ def test_model_round_trip(tmp_path, toy_model, tokenizer):
     assert loaded.config == toy_model.config
     assert loaded.vocab.tokens == toy_model.vocab.tokens
     assert loaded.vocab.counts == toy_model.vocab.counts
-    assert np.array_equal(loaded.input_matrix, toy_model.input_matrix)
-    assert np.array_equal(loaded.output_matrix, toy_model.output_matrix)
+    assert loaded.tokenizer == toy_model.tokenizer
+    assert np.array_equal(loaded.table, toy_model.table)
     for text in ["good1 good2", "bad1 bad2", "good1 bad2"]:
         assert predict(loaded, text, tokenizer) == predict(toy_model, text, tokenizer)
+    again = str(tmp_path / "again.bin")
+    save_model(loaded, again)
+    assert sha256_file(again) == sha256_file(path)
 
 
 def test_save_model_returns_file_sha256(tmp_path, toy_model):
@@ -543,12 +635,12 @@ def test_load_rejects_unsupported_version(tmp_path, toy_model):
     path = tmp_path / "model.bin"
     save_model(toy_model, str(path))
     body = bytearray(path.read_bytes()[:-8])
-    body[4:8] = struct.pack("<I", 2)
+    body[4:8] = struct.pack("<I", 3)
     # keep the checksum valid so only the version trips
     path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest()[:8])
     with pytest.raises(UnsupportedVersion) as err:
         load_model(str(path))
-    assert err.value.version == 2
+    assert err.value.version == 3
 
 
 def test_load_rejects_bit_flip(tmp_path, toy_model):
@@ -592,23 +684,19 @@ def test_load_rejects_every_byte_flip(tmp_path, toy_model):
 
 
 def _length_fields(data: bytes) -> dict[str, tuple[int, str]]:
-    """Offset and struct format of each length field of a model file."""
-    cfg_len = struct.unpack_from("<I", data, 8)[0]
-    vocab_at = 12 + cfg_len
+    """Offset and struct format of each length field of a version 2 model file."""
+    tokenizer_at = 12 + struct.unpack_from("<I", data, 8)[0]
+    vocab_at = tokenizer_at + 4 + struct.unpack_from("<I", data, tokenizer_at)[0]
     pos = vocab_at + 8
     first_token_at = pos
     for _ in range(struct.unpack_from("<Q", data, vocab_at)[0]):
         pos += 4 + struct.unpack_from("<I", data, pos)[0] + 8
-    rows, cols = struct.unpack_from("<QQ", data, pos)
-    output_at = pos + 16 + rows * cols * 8
     return {
         "config length": (8, "<I"),
+        "tokenizer length": (tokenizer_at, "<I"),
         "vocab size": (vocab_at, "<Q"),
         "token length": (first_token_at, "<I"),
-        "input rows": (pos, "<Q"),
-        "input cols": (pos + 8, "<Q"),
-        "output rows": (output_at, "<Q"),
-        "output cols": (output_at + 8, "<Q"),
+        "table length": (pos, "<Q"),
     }
 
 
@@ -648,6 +736,76 @@ def test_load_peaks_near_the_file_size_and_resaves_its_bytes(tmp_path, zero_mode
     save_model(model, again)
     with open(zero_model_file, "rb") as a, open(again, "rb") as b:
         assert a.read() == b.read()
+
+
+def write_v1_model(path, config, vocab, input_matrix, output_matrix) -> None:
+    """A version 1 model file, written field by field as that format lays it out."""
+    body = bytearray(MODEL_MAGIC + struct.pack("<I", 1))
+    cfg = canonical_json(config.to_json_obj()).encode("utf-8")
+    body += struct.pack("<I", len(cfg)) + cfg + struct.pack("<Q", len(vocab))
+    for token, count in zip(vocab.tokens, vocab.counts):
+        tb = token.encode("utf-8")
+        body += struct.pack("<I", len(tb)) + tb + struct.pack("<Q", count)
+    for arr in (input_matrix, output_matrix):
+        body += struct.pack("<QQ", *arr.shape) + arr.astype("<f8").tobytes()
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest()[:8])
+
+
+def test_load_folds_a_version_1_file_into_the_table(tmp_path, caplog):
+    config = ClassifierConfig(dim=5, bucket=11, min_count=1)
+    vocab = Vocabulary.from_rows(["a", "b", "日本"], [3, 2, 1])
+    rng = np.random.default_rng(3)
+    input_matrix = rng.normal(size=(len(vocab) + config.bucket, config.dim))
+    output_matrix = rng.normal(size=(2, config.dim))
+    v1 = tmp_path / "v1.bin"
+    write_v1_model(v1, config, vocab, input_matrix, output_matrix)
+    with caplog.at_level(logging.WARNING, logger="websift.classifier"):
+        model = load_model(str(v1))
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and "version 1" in warnings[0] and "unicode_words" in warnings[0]
+    assert model.config == config and model.vocab.tokens == vocab.tokens
+    assert model.vocab.counts == vocab.counts
+    assert np.array_equal(model.table, classifier._logit_table(input_matrix, output_matrix))
+    assert model.tokenizer == TokenizerStamp()
+    v2 = tmp_path / "v2.bin"
+    save_model(model, str(v2))
+    assert struct.unpack_from("<I", v2.read_bytes(), 4)[0] == MODEL_FORMAT_VERSION == 2
+    again = load_model(str(v2))
+    assert np.array_equal(again.table, model.table) and again.tokenizer == model.tokenizer
+    save_model(again, str(tmp_path / "v2-again.bin"))
+    assert (tmp_path / "v2-again.bin").read_bytes() == v2.read_bytes()
+
+
+def test_version_1_shapes_must_match_the_config(tmp_path):
+    config = ClassifierConfig(dim=3, bucket=4, min_count=1)
+    vocab = Vocabulary.from_rows(["a"], [1])
+    path = tmp_path / "v1.bin"
+    write_v1_model(path, config, vocab, np.zeros((5, 2)), np.zeros((2, 2)))
+    with pytest.raises(CorruptPayload, match="input matrix shape"):
+        load_model(str(path))
+
+
+def test_model_records_its_tokenizer(tmp_path, tokenizer):
+    vocab_file = tmp_path / "vocab.txt"
+    vocab_file.write_text("good\nbad\n", encoding="utf-8")
+    spec = TokenizerSpec(kind="vocab_greedy", vocab_path=str(vocab_file))
+    greedy = load_tokenizer(spec)
+    model = train(make_dataset(n_per_class=4), ClassifierConfig(dim=4, bucket=32, min_count=1),
+                  greedy)
+    assert model.tokenizer == TokenizerStamp(spec, greedy.vocab_sha256)
+    path = str(tmp_path / "model.bin")
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.tokenizer == model.tokenizer
+    assert classifier.model_tokenizer(loaded).vocab == greedy.vocab
+    with pytest.raises(TokenizerMismatch, match="unicode_words"):
+        predict(loaded, "good bad", tokenizer)
+    old_digest = greedy.vocab_sha256
+    vocab_file.write_text("good\nbad\nugly\n", encoding="utf-8")
+    with pytest.raises(TokenizerMismatch) as err:
+        classifier.model_tokenizer(loaded)
+    assert old_digest in str(err.value)
+    assert load_tokenizer(spec).vocab_sha256 in str(err.value)
 
 
 # -- config ----------------------------------------------------------------------

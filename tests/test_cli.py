@@ -928,3 +928,73 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert "unknown log level" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the model names its tokenizer
+
+def train_with_greedy_tokenizer(capsys, tmp_path):
+    """Train through the CLI with a vocab_greedy tokenizer; returns (model
+    path, vocab path, spec, the same model trained in memory)."""
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("fresh\nstale\n1\n2\n", encoding="utf-8")
+    spec = TokenizerSpec(kind="vocab_greedy", vocab_path=str(vocab))
+    spec_file = tmp_path / "tokenizer.json"
+    spec_file.write_text(json.dumps(spec.to_json_obj()), encoding="utf-8")
+    labels = tmp_path / "train.txt"
+    write_labels(str(labels))
+    out = tmp_path / "model.ufwc"
+    code, _, _ = run(capsys, "classifier", "train", "--data", str(labels), "--out", str(out),
+                     "--tokenizer", str(spec_file), "--dim", "8", "--bucket", "512",
+                     "--min-count", "1", "--word-ngrams", "2")
+    assert code == 0
+    config = clf.ClassifierConfig(dim=8, bucket=512, min_count=1, word_ngrams=2)
+    in_memory = clf.train(load_labeled_examples(str(labels)), config, load_tokenizer(spec))
+    return str(out), vocab, spec, in_memory
+
+
+def test_scoring_commands_use_the_model_tokenizer(capsys, tmp_path):
+    model_path, _, spec, in_memory = train_with_greedy_tokenizer(capsys, tmp_path)
+    tokenizer = load_tokenizer(spec)
+    assert clf.load_model(model_path).tokenizer == clf.TokenizerStamp.of(tokenizer)
+    corpus = tmp_path / "corpus"
+    write_corpus(str(corpus), n_shards=1)
+    docs = list(iter_documents(str(corpus / "shard000.jsonl")))
+
+    code, out, _ = run(capsys, "classifier", "predict", "--model", model_path,
+                       "--in", str(corpus / "shard000.jsonl"))
+    assert code == 0
+    preds = clf.predict_many(in_memory, [d.text for d in docs], tokenizer)
+    assert [json.loads(line)["score"] for line in out.splitlines()] == \
+        [p.dist["positive"] for p in preds]
+
+    code, out, _ = run(capsys, "filter", "score", "--model", model_path,
+                       "--shards", str(corpus / "shard000.jsonl"), "--out", str(tmp_path / "scored"))
+    assert code == 0
+    scores = {}
+    for stream in ("kept", "rejected"):
+        with open(tmp_path / "scored" / stream / "shard000.jsonl.scored.jsonl", encoding="utf-8") as f:
+            scores.update((obj["id"], obj["score"]) for obj in map(json.loads, f))
+    expected, _ = filtering.score_many(in_memory, [tokenizer.tokenize(d.text) for d in docs])
+    assert [scores[d.id] for d in docs] == expected
+
+
+@pytest.mark.parametrize("command", ["predict", "score"])
+def test_edited_tokenizer_vocabulary_is_one_error_line(capsys, tmp_path, command):
+    model_path, vocab, spec, _ = train_with_greedy_tokenizer(capsys, tmp_path)
+    trained_digest = load_tokenizer(spec).vocab_sha256
+    vocab.write_text("fresh\nstale\n1\n2\n3\n", encoding="utf-8")
+    edited_digest = load_tokenizer(spec).vocab_sha256
+    corpus = tmp_path / "corpus"
+    write_corpus(str(corpus), n_shards=1)
+    shard = str(corpus / "shard000.jsonl")
+    if command == "predict":
+        argv = ["classifier", "predict", "--model", model_path, "--in", shard]
+    else:
+        argv = ["filter", "score", "--model", model_path, "--shards", shard,
+                "--out", str(tmp_path / "scored")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert trained_digest in lines[0] and edited_digest in lines[0]

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from websift import filtering
-from websift.classifier import ClassifierConfig, LabeledExample, train
+from websift.classifier import ClassifierConfig, LabeledExample, TokenizerMismatch, train
 from websift.documents import Document, encode_line, write_documents
 from websift.errors import WebsiftError
 from websift.filtering import (
@@ -30,6 +30,7 @@ from websift.filtering import (
     token_length_histogram,
     write_keep_manifest,
 )
+from websift.tokenizers import TokenizerSpec, load_tokenizer
 
 POS_WORDS = [f"good{i}" for i in range(20)]
 NEG_WORDS = [f"bad{i}" for i in range(20)]
@@ -627,6 +628,14 @@ def test_score_corpus_argument_validation(tmp_path, model, tokenizer):
     dupe = [shards[0], os.path.join(str(tmp_path / "corpus"), "..", "corpus", "s000.jsonl")]
     with pytest.raises(ValueError):
         score_corpus(model, dupe, 0.5, tokenizer, str(tmp_path / "o4"))
+
+
+def test_score_corpus_refuses_a_tokenizer_the_model_was_not_trained_with(tmp_path, model):
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=1)
+    other = load_tokenizer(TokenizerSpec(preserve_structural=False))
+    with pytest.raises(TokenizerMismatch, match="preserve_structural"):
+        score_corpus(model, shards, 0.5, other, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 # -- keep manifests -------------------------------------------------------------------

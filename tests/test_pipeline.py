@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from websift import pipeline
-from websift.classifier import ClassifierConfig, load_labeled_examples, train
+from websift.classifier import ClassifierConfig, load_labeled_examples, load_model, train
 from websift.documents import Document, write_documents
 from websift.errors import WebsiftError
 from websift.ioutil import canonical_json, sha256_file, sha256_text
@@ -46,7 +46,7 @@ from websift.pipeline import (
     run_status,
 )
 from websift.seedpool import InsufficientSeedData, SeedCategory, SeedPoolManifest, SeedPoolStore
-from websift.tokenizers import load_tokenizer
+from websift.tokenizers import TokenizerSpec, load_tokenizer
 from websift.verify import (
     CHINESE_METRICS,
     ENGLISH_METRICS,
@@ -464,6 +464,16 @@ class TestVerdicts:
         ]
         assert entries[-1]["data"] == {"classifier_round": 1}
         assert SeedPoolStore("pool").latest_version() == 2
+
+    def test_promoted_model_carries_the_run_tokenizer(self, tmp_path, monkeypatch):
+        config = build_world(tmp_path, max_rounds=1,
+                             tokenizer=TokenizerSpec(preserve_structural=False))
+        monkeypatch.chdir(tmp_path)
+        assert drive("run", config) == PROMOTED
+        final = [e for e in read_journal("run") if e["type"] == "classifier"][-1]
+        model = load_model(os.path.join("run", final["data"]["model_path"]))
+        assert model.tokenizer.spec == config.tokenizer
+        assert model.tokenizer.vocab_sha256 is None
 
     def test_report_requires_waiting_run(self, tmp_path, monkeypatch):
         config = build_world(tmp_path)
