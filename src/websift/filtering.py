@@ -6,12 +6,12 @@ class probability (kept means score >= threshold). A shard is decoded
 CHUNK_DOCS documents at a time; each chunk is featurized by one
 featurize_many call and scored by one positive_probs call over the model's
 logit table, which sums each document's entries as a segment of its own,
-so no output byte depends on the chunk size. Shards are
-independent units of work: forked worker processes score them in parallel,
-and a completed-shard ledger makes interrupted runs restartable without
-rescoring finished shards. Unreadable shards (missing, truncated or corrupt
-.gz) are reported and skipped so one bad file cannot sink a long run;
-malformed records are skipped, counted and logged.
+so no output byte depends on the chunk size. Shards are independent units
+of work that this process and forked workers claim one at a time from a
+shared claim file; a completed-shard ledger makes interrupted runs
+restartable without rescoring finished shards. Unreadable shards (missing,
+truncated or corrupt .gz) are reported and skipped so one bad file cannot
+sink a long run; malformed records are skipped, counted and logged.
 
 Keep manifests record the sorted kept ids under a corpus fingerprint, which
 intersect() checks before combining runs, so manifests from different
@@ -25,6 +25,11 @@ import json
 import logging
 import math
 import os
+import pickle
+import select
+import signal
+import tempfile
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -339,90 +344,92 @@ def _record_unreadable(failed: list[tuple[str, str]], name: str, reason: str) ->
     log.error("%s", ShardUnreadable(name, reason))
 
 
-def _score_forked(
+def _send(fd: int, obj: object) -> None:
+    """Write obj to a pipe as one length-prefixed pickle frame."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    frame = memoryview(len(data).to_bytes(4, "little") + data)
+    while frame:
+        frame = frame[os.write(fd, frame):]
+
+
+def _score_pending(
     score_one: Callable[[str], _ShardResult],
     pending: Sequence[str],
-    processes: int,
+    workers: int,
     settle: Callable[[int, _Outcome], None],
+    claims_dir: str,
 ) -> None:
-    """Score pending shards in this process and processes - 1 forked ones.
+    """Score pending shards in min(workers, pending shards, CPUs) processes.
 
-    Each process claims the next shard index from a shared counter, so
-    uneven shards balance. Forked workers inherit the model copy-on-write
-    and send back (index, outcome) pairs; settle(index, outcome) runs here,
+    Each process claims the next pending index with a 4-byte os.read of one
+    shared, unlinked claim file; Linux moves a shared offset atomically on
+    each read (read(2), since 3.14), so each shard is claimed once and uneven
+    shards balance. A forked worker sends (index, None) down its pipe as it
+    claims a shard, then (index, outcome). settle(index, outcome) runs here,
     in index order, as each prefix of the pending list completes.
     """
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    ctx = multiprocessing.get_context("fork")
-    n = len(pending)
-    # [0] is the next unclaimed index; [j] the index worker j claimed last.
-    claims = ctx.Array("q", [0] + [-1] * (processes - 1))
-
-    def claim(j: int) -> int:
-        with claims.get_lock():
-            i = claims[0]
-            claims[0] = i + 1
-            if j:
-                claims[j] = i
-        return i
-
-    def work(j: int, conn) -> None:
-        while (i := claim(j)) < n:
-            conn.send((i, _attempt(score_one, pending[i])))
-        conn.close()
-
-    workers: dict = {}       # reading end of each worker's pipe -> (j, process)
     outcomes: dict[int, _Outcome] = {}
+    forked: dict[int, list] = {}    # pipe fd -> [pid, unread bytes, claimed undelivered index]
+    poller = select.poll()
     settled = 0
 
-    def settle_prefix() -> None:
+    def collect(timeout: Optional[int]) -> None:
         nonlocal settled
+        for fd, _ in poller.poll(timeout):
+            pid, buf, lost = worker = forked[fd]
+            if not (data := os.read(fd, 1 << 16)):     # the worker has exited
+                del forked[fd]
+                poller.unregister(fd)
+                os.close(fd)
+                if exitcode := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                    raise WorkerDied(None if lost is None else shard_name(pending[lost]), exitcode)
+                continue
+            buf += data
+            while len(buf) >= 4 and len(buf) >= 4 + (size := int.from_bytes(buf[:4], "little")):
+                i, outcome = pickle.loads(buf[4:4 + size])
+                del buf[:4 + size]
+                worker[2] = i if outcome is None else None
+                if outcome is not None:
+                    outcomes[i] = outcome
         while settled in outcomes:
             settle(settled, outcomes.pop(settled))
             settled += 1
 
-    def reap(conn) -> None:
-        j, proc = workers.pop(conn)
-        conn.close()
-        proc.join()
-        if proc.exitcode != 0:
-            lost = claims[j]
-            delivered = lost < settled or lost in outcomes
-            raise WorkerDied(
-                None if lost < 0 or delivered else shard_name(pending[lost]), proc.exitcode
-            )
+    with tempfile.TemporaryFile(dir=claims_dir) as claims:
+        claims.write(b"".join(i.to_bytes(4, "little") for i in range(len(pending))))
+        claims.seek(0)      # flushes the indices and rewinds the shared offset
 
-    def collect(timeout: Optional[float]) -> None:
-        for conn in wait(list(workers), timeout):
-            try:
-                while conn.poll():
-                    i, outcome = conn.recv()
-                    outcomes[i] = outcome
-            except EOFError:    # the worker has exited
-                reap(conn)
-        settle_prefix()
+        def claimed() -> Iterator[int]:
+            while raw := os.read(claims.fileno(), 4):
+                yield int.from_bytes(raw, "little")
 
-    try:
-        for j in range(1, processes):
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=work, args=(j, writer), daemon=True)
-            proc.start()
-            writer.close()
-            workers[reader] = (j, proc)
-        while (i := claim(0)) < n:
-            outcomes[i] = _attempt(score_one, pending[i])
-            collect(0)
-        while workers:
-            collect(None)
-    finally:
-        for conn, (_, proc) in workers.items():
-            conn.close()
-            proc.terminate()
-            proc.join()
-    if settled != n:
-        raise WebsiftError(f"scoring workers returned {settled} of {n} shard results")
+        try:
+            for _ in range(min(workers, len(pending), os.cpu_count() or 1) - 1):
+                reader, writer = os.pipe()
+                if (pid := os.fork()) == 0:
+                    try:
+                        os.close(reader)
+                        for i in claimed():
+                            _send(writer, (i, None))
+                            _send(writer, (i, _attempt(score_one, pending[i])))
+                        os._exit(0)
+                    except BaseException:
+                        os.write(2, traceback.format_exc().encode())
+                    finally:    # a worker never returns into the caller's frames
+                        os._exit(1)
+                os.close(writer)
+                forked[reader] = [pid, bytearray(), None]
+                poller.register(reader, select.POLLIN)
+            for i in claimed():
+                outcomes[i] = _attempt(score_one, pending[i])
+                collect(0)
+            while forked:
+                collect(None)
+        finally:
+            for fd, (pid, _, _) in forked.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(fd)
 
 
 def _ledger_entry(raw: bytes) -> dict:
@@ -469,9 +476,9 @@ def score_corpus(
 
     Pending shards are scored by min(workers, pending shards, CPUs)
     processes: this one and forked workers, which share the model
-    copy-on-write. Forking is only safe while no other thread of the caller
-    holds a lock. One process scores inline. The ledger, the logs and every
-    output byte do not depend on the count.
+    copy-on-write and claim shards from a claim file in out_dir; one process
+    forks nothing. Forking is only safe while no other thread of the caller
+    holds a lock. No ledger, log or output byte depends on the count.
 
     Raises TokenizerMismatch unless tokenizer is the one the model was
     trained with.
@@ -539,15 +546,8 @@ def score_corpus(
         ledger[name] = entry
         per_shard[name] = outcome.stats
 
-    def score_one(path: str) -> _ShardResult:
-        return _score_shard(model, tokenizer, threshold, path, out_dir)
-
-    processes = min(workers, len(pending), os.cpu_count() or 1)
-    if processes > 1:
-        _score_forked(score_one, pending, processes, settle)
-    else:
-        for index, path in enumerate(pending):
-            settle(index, _attempt(score_one, path))
+    _score_pending(lambda path: _score_shard(model, tokenizer, threshold, path, out_dir),
+                   pending, workers, settle, out_dir)
 
     stats = FilterStats()
     completed = [n for n in names if n in per_shard]

@@ -440,6 +440,105 @@ def test_score_corpus_raises_when_a_worker_dies(tmp_path, model, tokenizer, monk
     assert recorded == names[: len(recorded)]
 
 
+def fail_in_worker(monkeypatch, tmp_path, fail):
+    """Patch _score_shard so that a forked worker writes its shard's name to
+    the returned marker and calls fail() instead of scoring; this process
+    waits for the marker before it scores a shard of its own."""
+    parent = os.getpid()
+    started = tmp_path / "worker-started"
+    real_score_shard = filtering._score_shard
+
+    def score_shard(*args):
+        if os.getpid() != parent:
+            started.write_text(os.path.basename(args[3]))
+            fail()
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return real_score_shard(*args)
+
+    monkeypatch.setattr(filtering, "_score_shard", score_shard)
+    return started
+
+
+def ledger_shards(out_dir):
+    ledger = os.path.join(out_dir, "ledger.jsonl")
+    if not os.path.exists(ledger):
+        return []
+    with open(ledger, encoding="utf-8") as f:
+        return [json.loads(line)["shard"] for line in f]
+
+
+def test_an_exception_in_a_worker_raises_worker_died(
+    tmp_path, model, tokenizer, monkeypatch, capfd
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=4)
+    out = str(tmp_path / "out")
+
+    def fail():
+        raise RuntimeError("raised in the worker only")
+
+    started = fail_in_worker(monkeypatch, tmp_path, fail)
+    with pytest.raises(WorkerDied) as info:
+        score_corpus(model, shards, 0.5, tokenizer, out, workers=2)
+    assert info.value.exitcode == 1
+    assert info.value.shard == started.read_text()
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "RuntimeError: raised in the worker only" in err
+    names = [os.path.basename(p) for p in shards]
+    recorded = ledger_shards(out)
+    assert info.value.shard not in recorded
+    assert recorded == names[: len(recorded)]
+
+
+def test_no_worker_outlives_score_corpus(tmp_path, model, tokenizer, monkeypatch):
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "clean"), workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    def die_or_hang():
+        try:
+            os.close(os.open(tmp_path / "died", os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            time.sleep(60)      # a hung worker, which score_corpus must kill
+        os._exit(3)
+
+    started = fail_in_worker(monkeypatch, tmp_path, die_or_hang)
+    for processes in (2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: processes)
+        began = time.monotonic()
+        with pytest.raises(WorkerDied):
+            score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / f"w{processes}"),
+                         workers=processes)
+        assert time.monotonic() - began < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        started.unlink()
+        os.remove(tmp_path / "died")
+
+
+def test_forked_workers_score_each_shard_exactly_once(tmp_path, model, tokenizer, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=20, docs_per_shard=4)
+    serial = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "w1"), workers=1)
+    real_score_shard = filtering._score_shard
+
+    def score_once(model, tokenizer, threshold, path, out_dir):
+        # a second claim of a shard fails here, in whichever process makes it
+        marker = tmp_path / f"{os.path.basename(path)}.claimed"
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        return real_score_shard(model, tokenizer, threshold, path, out_dir)
+
+    monkeypatch.setattr(filtering, "_score_shard", score_once)
+    run = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "w6"), workers=6)
+    assert len(list(tmp_path.glob("*.claimed"))) == 20
+    assert run.failed_shards == []
+    assert run_bytes(run.out_dir) == run_bytes(serial.out_dir)
+
+
 def test_score_corpus_digests_each_shard_once(tmp_path, model, tokenizer, monkeypatch):
     calls = []
     real_digest = filtering.shard_digest
