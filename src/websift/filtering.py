@@ -91,7 +91,7 @@ class CorpusMismatch(WebsiftError):
 
 
 @dataclass
-class BinCounts:
+class BinCounts(JsonRecord):
     """Histogram over integer values with explicit out-of-range buckets."""
 
     edges: tuple[int, ...]
@@ -99,11 +99,17 @@ class BinCounts:
     underflow: int = 0
     overflow: int = 0
 
+    def __post_init__(self):
+        edges = self.edges
+        if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
+            raise ValueError("bin edges must be strictly increasing, length >= 2")
+        if len(self.counts) != len(edges) - 1:
+            raise ValueError(f"{len(edges)} bin edges need {len(edges) - 1} counts, "
+                             f"got {len(self.counts)}")
+
     @staticmethod
     def empty(edges: Sequence[int]) -> "BinCounts":
         edges = tuple(edges)
-        if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
-            raise ValueError("bin edges must be strictly increasing, length >= 2")
         return BinCounts(edges=edges, counts=[0] * (len(edges) - 1))
 
     def add(self, value: int, count: int = 1) -> None:
@@ -124,32 +130,17 @@ class BinCounts:
         self.underflow += other.underflow
         self.overflow += other.overflow
 
-    def to_json_obj(self) -> dict:
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "BinCounts":
-        return BinCounts(
-            edges=tuple(obj["edges"]),
-            counts=list(obj["counts"]),
-            underflow=obj["underflow"],
-            overflow=obj["overflow"],
-        )
-
 
 @dataclass
-class FilterStats:
+class FilterStats(JsonRecord):
     """Aggregate counters for one scoring run.
 
     documents_total counts every input record, malformed ones included, so
     totals reconcile against raw line counts. Histogram mass covers exactly
     the scored documents (total minus malformed).
     """
+
+    DERIVED = ("documents_rejected",)
 
     documents_total: int = 0
     documents_kept: int = 0
@@ -160,6 +151,11 @@ class FilterStats:
     token_length_histogram: BinCounts = field(
         default_factory=lambda: BinCounts.empty(DEFAULT_TOKEN_BIN_EDGES)
     )
+
+    def __post_init__(self):
+        if len(self.score_histogram) != SCORE_BINS:
+            raise ValueError(f"score_histogram needs {SCORE_BINS} bins, "
+                             f"got {len(self.score_histogram)}")
 
     @property
     def documents_rejected(self) -> int:
@@ -188,30 +184,6 @@ class FilterStats:
             a + b for a, b in zip(self.score_histogram, other.score_histogram)
         ]
         self.token_length_histogram.merge(other.token_length_histogram)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "documents_total": self.documents_total,
-            "documents_kept": self.documents_kept,
-            "documents_rejected": self.documents_rejected,
-            "records_malformed": self.records_malformed,
-            "tokens_total": self.tokens_total,
-            "tokens_kept": self.tokens_kept,
-            "score_histogram": list(self.score_histogram),
-            "token_length_histogram": self.token_length_histogram.to_json_obj(),
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "FilterStats":
-        return FilterStats(
-            documents_total=obj["documents_total"],
-            documents_kept=obj["documents_kept"],
-            records_malformed=obj["records_malformed"],
-            tokens_total=obj["tokens_total"],
-            tokens_kept=obj["tokens_kept"],
-            score_histogram=list(obj["score_histogram"]),
-            token_length_histogram=BinCounts.from_json_obj(obj["token_length_histogram"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +404,26 @@ def _score_pending(
                 os.close(fd)
 
 
-def _ledger_entry(raw: bytes) -> dict:
+@dataclass
+class _LedgerEntry(JsonRecord):
+    """One ledger line: a completed shard, its content digest and its stats."""
+
+    shard: str
+    digest: str
+    stats: FilterStats
+
+
+def _ledger_entry(raw: bytes) -> _LedgerEntry:
+    """Parse a ledger line. Every stats key has a default, so a line counts
+    only if its entry re-encodes to exactly the line's object."""
     obj = json.loads(raw)
-    if not isinstance(obj, dict) or not {"shard", "digest", "stats"} <= obj.keys():
-        raise ValueError("not a ledger entry")
-    return obj
+    entry = _LedgerEntry.from_json_obj(obj)
+    if entry.to_json_obj() != obj:
+        raise ValueError("ledger entry does not re-encode to itself")
+    return entry
 
 
-def _load_ledger(path: str) -> dict[str, dict]:
+def _load_ledger(path: str) -> dict[str, _LedgerEntry]:
     """Completed-shard records keyed by shard name; last entry wins.
 
     A torn final entry is truncated away. A ledger damaged before its final
@@ -454,7 +438,7 @@ def _load_ledger(path: str) -> dict[str, dict]:
         log.warning("%s; removing the ledger and rescoring every shard", e)
         os.remove(path)
         return {}
-    return {obj["shard"]: obj for obj in entries}
+    return {entry.shard: entry for entry in entries}
 
 
 def score_corpus(
@@ -517,10 +501,10 @@ def score_corpus(
         prior = ledger.get(name)
         if (
             prior is not None
-            and prior.get("digest") == digests[name]
+            and prior.digest == digests[name]
             and all(map(os.path.exists, _output_paths(out_dir, name)))
         ):
-            per_shard[name] = FilterStats.from_json_obj(prior["stats"])
+            per_shard[name] = prior.stats
             skipped.append(name)
         else:
             pending.append(path)
@@ -540,8 +524,8 @@ def score_corpus(
             log.info("shard %s: %d documents had no tokens in the vocabulary and no "
                      "n-gram, scored 0.5", name, outcome.zero_feature)
         zero_feature += outcome.zero_feature
-        entry = {"shard": name, "digest": digests[name], "stats": outcome.stats.to_json_obj()}
-        append_line(ledger_path, canonical_json(entry))
+        entry = _LedgerEntry(name, digests[name], outcome.stats)
+        append_line(ledger_path, canonical_json(entry.to_json_obj()))
         superseded |= name in ledger
         ledger[name] = entry
         per_shard[name] = outcome.stats
@@ -555,7 +539,7 @@ def score_corpus(
         stats.merge(per_shard[name])
     if superseded:      # compact to one entry per shard, as a clean run writes
         with atomic_open(ledger_path) as f:
-            f.writelines(canonical_json(ledger[name]) + "\n" for name in completed)
+            f.writelines(canonical_json(ledger[name].to_json_obj()) + "\n" for name in completed)
 
     fingerprint = corpus_fingerprint(digests[n] for n in completed)
     manifest_path = os.path.join(out_dir, "keep_manifest.txt")

@@ -10,8 +10,10 @@ read back by read_log, which owns the rule for what a crash mid-append
 leaves behind. Directories are made with make_dirs, so a new directory's
 entry in its parent is durable before anything inside it is.
 
-Settings and pool manifests are dataclasses that inherit JsonRecord, the one
-codec between such a record and its JSON form.
+The records the package writes as JSON (settings, pool manifests,
+scoring-ledger entries and their stats, step plans) and the token manifests
+and eval scores that other tools write are dataclasses that inherit
+JsonRecord, the one codec between such a record and its JSON form.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 import logging
 import os
 import typing
-from typing import IO, Any, BinaryIO, Callable, Iterator
+from typing import IO, Any, BinaryIO, Callable, ClassVar, Iterator
 
 from .errors import WebsiftError
 
@@ -59,7 +61,15 @@ class JsonRecord:
     no default, or a wrong JSON type. A bool is never an int; an int is a
     valid float and is kept as written, so the bytes re-encode unchanged.
     Arrays become the declared tuple or list; nested records decode in turn.
+
+    DERIVED names properties that to_json_obj writes after the fields; a
+    decode accepts them and rejects one that differs from what the fields
+    give. IGNORE_UNKNOWN drops unknown keys instead of rejecting them, for
+    files that other tools write.
     """
+
+    DERIVED: ClassVar[tuple[str, ...]] = ()
+    IGNORE_UNKNOWN: ClassVar[bool] = False
 
     @classmethod
     def from_json_obj(cls, obj: Any):
@@ -67,13 +77,23 @@ class JsonRecord:
         if not isinstance(obj, dict):
             raise ValueError(f"{name}: expected a JSON object, got {_json_type(obj)}")
         hints, required = _record_fields(cls)
-        unknown = obj.keys() - hints.keys()
-        if unknown:
+        unknown = obj.keys() - hints.keys() - set(cls.DERIVED)
+        if unknown and not cls.IGNORE_UNKNOWN:
             raise ValueError(f"{name}: unknown key {', '.join(map(repr, sorted(unknown)))}")
         missing = required - obj.keys()
         if missing:
             raise ValueError(f"{name}: missing key {', '.join(map(repr, sorted(missing)))}")
-        return cls(**{key: _decode(value, hints[key], name, key) for key, value in obj.items()})
+        record = cls(**{
+            key: _decode(value, hints[key], name, key)
+            for key, value in obj.items() if key in hints
+        })
+        for key in cls.DERIVED:
+            want = getattr(record, key)
+            if key in obj and not (type(obj[key]) is type(want) and obj[key] == want):
+                raise ValueError(
+                    f"{name}: {key!r} is {obj[key]!r} but the other keys give {want!r}"
+                )
+        return record
 
     @classmethod
     def from_file(cls, path: str):
@@ -81,7 +101,9 @@ class JsonRecord:
             return cls.from_json_obj(json.load(f))
 
     def to_json_obj(self) -> dict:
-        return {f.name: _encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        obj = {f.name: _encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        obj.update((key, getattr(self, key)) for key in self.DERIVED)
+        return obj
 
 
 @functools.cache
@@ -112,7 +134,10 @@ def _decode(value: Any, hint: Any, name: str, key: str) -> Any:
             raise ValueError(f"{name}.{key}: {e}") from None
     if origin in (tuple, list) and isinstance(value, list):
         # tuple[X, ...] and tuple[X, X] alike; a class checks its own lengths
-        return origin(_decode(v, args[0], name, key) for v in value)
+        item = args[0]
+        if item in (int, str) and {item}.issuperset(map(type, value)):
+            return origin(value)    # the common case, without a call per element
+        return origin(_decode(v, item, name, key) for v in value)
     expected = origin or hint
     if type(value) is not expected and not (expected is float and type(value) is int):
         raise ValueError(
@@ -121,10 +146,15 @@ def _decode(value: Any, hint: Any, name: str, key: str) -> Any:
     return value
 
 
+_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
 def _encode(value: Any) -> Any:
     if hasattr(value, "to_json_obj"):
         return value.to_json_obj()
     if isinstance(value, (list, tuple)):
+        if _SCALARS.issuperset(map(type, value)):
+            return list(value)
         return [_encode(v) for v in value]
     return value
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import WebsiftError
-from .ioutil import canonical_json, sha256_text
+from .ioutil import JsonRecord, canonical_json, sha256_text
 
 CANONICAL_STEPS = (100, 500, 1000, 2500, 5000)
 ROUNDING_MODES = ("as_written_max", "nearest_canonical")
@@ -85,7 +85,9 @@ def _check_n_epoch(n_epoch: int) -> None:
 # step planning
 
 @dataclass(frozen=True)
-class StepPlan:
+class StepPlan(JsonRecord):
+    DERIVED = ("tokens_per_step", "plan_tokens")
+
     candidate_tokens: int
     n_epoch: int
     global_batch_size: int
@@ -102,20 +104,6 @@ class StepPlan:
     @property
     def plan_tokens(self) -> int:
         return self.computed_steps * self.tokens_per_step
-
-    def to_json_obj(self) -> dict:
-        return {
-            "candidate_tokens": self.candidate_tokens,
-            "n_epoch": self.n_epoch,
-            "global_batch_size": self.global_batch_size,
-            "sequence_length": self.sequence_length,
-            "rounding_mode": self.rounding_mode,
-            "total_tokens": self.total_tokens,
-            "tokens_per_step": self.tokens_per_step,
-            "raw_steps": self.raw_steps,
-            "computed_steps": self.computed_steps,
-            "plan_tokens": self.plan_tokens,
-        }
 
 
 def plan_steps(
@@ -166,13 +154,17 @@ def plan_steps(
 # token manifests
 
 @dataclass(frozen=True)
-class ManifestShard:
+class ManifestShard(JsonRecord):
+    IGNORE_UNKNOWN = True
+
     id: str
     tokens: int
 
 
 @dataclass(frozen=True)
-class TokenManifest:
+class TokenManifest(JsonRecord):
+    IGNORE_UNKNOWN = True   # other tools write these files
+
     name: str
     shards: tuple[ManifestShard, ...]
 
@@ -187,31 +179,8 @@ class TokenManifest:
     def total_tokens(self) -> int:
         return sum(s.tokens for s in self.shards)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "shards": [{"id": s.id, "tokens": s.tokens} for s in self.shards],
-        }
-
     def fingerprint(self) -> str:
         return sha256_text(canonical_json(self.to_json_obj()))
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TokenManifest":
-        """Other tools write these files, so keys beyond the ones read are ignored."""
-        try:
-            name = obj["name"]
-            shards = tuple(ManifestShard(id=s["id"], tokens=s["tokens"]) for s in obj["shards"])
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"TokenManifest: missing key or wrong JSON type: {e}") from None
-        if any(type(s.tokens) is not int for s in shards):
-            raise ValueError("TokenManifest: 'tokens' must be a JSON integer")
-        return TokenManifest(name=name, shards=shards)
-
-    @staticmethod
-    def from_file(path: str) -> "TokenManifest":
-        with open(path, "r", encoding="utf-8") as f:
-            return TokenManifest.from_json_obj(json.load(f))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +480,9 @@ DEFAULT_GROUPING = MetricGrouping(
 
 
 @dataclass(frozen=True)
-class EvalScores:
+class EvalScores(JsonRecord):
+    IGNORE_UNKNOWN = True   # other tools write these files
+
     run_label: str
     scores: dict[str, float]
 
@@ -521,22 +492,6 @@ class EvalScores:
                 raise ValueError(f"score for {metric!r} is not a number")
             if not (0.0 <= float(value) <= 100.0):
                 raise ValueError(f"score for {metric!r} outside [0, 100]: {value}")
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "EvalScores":
-        """Other tools write these files, so keys beyond the ones read are ignored."""
-        if not isinstance(obj, dict):
-            raise ValueError("EvalScores: expected a JSON object")
-        if not isinstance(obj.get("run_label"), str):
-            raise ValueError("eval scores need a string run_label")
-        if not isinstance(obj.get("scores"), dict):
-            raise ValueError("eval scores need a scores object")
-        return EvalScores(run_label=obj["run_label"], scores=dict(obj["scores"]))
-
-    @staticmethod
-    def from_file(path: str) -> "EvalScores":
-        with open(path, "r", encoding="utf-8") as f:
-            return EvalScores.from_json_obj(json.load(f))
 
 
 @dataclass(frozen=True)

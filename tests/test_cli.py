@@ -848,7 +848,11 @@ def test_token_manifest_missing_key_is_one_error_line(capsys, tmp_path):
         json.dumps({"name": "d", "shards": [{"id": "b", "tokens": "many"}], "source": "x"}),
         encoding="utf-8",
     )
-    for candidate, default, named in ((cpath, dpath, "'name'"), (dpath, dpath, "integer")):
+    idpath = tmp_path / "id.json"
+    idpath.write_text(json.dumps({"name": "i", "shards": [{"id": 7, "tokens": 10}]}), encoding="utf-8")
+    for candidate, default, named in (
+        (cpath, dpath, "'name'"), (dpath, dpath, "integer"), (idpath, idpath, "'id'"),
+    ):
         code, _, err = run(
             capsys, "verify", "plan",
             "--candidate-manifest", str(candidate), "--default-manifest", str(default),
@@ -856,6 +860,21 @@ def test_token_manifest_missing_key_is_one_error_line(capsys, tmp_path):
         assert code == 1
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], err
+    # keys beyond the ones read are ignored, inside a shard entry too
+    for name, tokens in (("c", 10), ("d", 70)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"name": name, "shards": [{"id": "a", "tokens": tokens, "path": "a.bin"}], "source": "x"}
+        ), encoding="utf-8")
+    code, out, err = run(
+        capsys, "verify", "plan",
+        "--candidate-manifest", str(tmp_path / "c.json"), "--default-manifest", str(tmp_path / "d.json"),
+        "--batch-size", "1", "--seq-len", "1", "--rounding-mode", "nearest_canonical",
+    )
+    assert code == 0, err
+    plan = json.loads(out)["provenance"]
+    assert plan["candidate_fingerprint"] == verify.TokenManifest(
+        "c", (verify.ManifestShard("a", 10),)
+    ).fingerprint()
 
 
 @pytest.mark.parametrize("command", [["verify", "report"], ["pipeline", "ingest-report", "--run", "run"]])

@@ -4,6 +4,8 @@ import logging
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 import zlib
@@ -13,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from websift import filtering
-from websift.classifier import ClassifierConfig, LabeledExample, TokenizerMismatch, train
+from websift.classifier import ClassifierConfig, LabeledExample, TokenizerMismatch, save_model, train
 from websift.documents import Document, encode_line, write_documents
 from websift.errors import WebsiftError
 from websift.filtering import (
@@ -86,6 +88,14 @@ def test_bin_counts_validation():
         BinCounts.empty([5])
     with pytest.raises(ValueError):
         BinCounts.empty([0, 10, 10])
+    with pytest.raises(ValueError, match="need 2 counts"):
+        BinCounts((0, 10, 20), [0])
+    # a decoded histogram of the wrong length is rejected, not zip-truncated by merge
+    obj = BinCounts.empty([0, 10, 20]).to_json_obj()
+    with pytest.raises(ValueError, match="need 2 counts"):
+        BinCounts.from_json_obj({**obj, "counts": [1, 2, 3]})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        BinCounts.from_json_obj({**obj, "edges": [0, 20, 10]})
 
 
 def test_bin_counts_boundaries():
@@ -175,6 +185,12 @@ def test_filter_stats_json_round_trip():
     s.observe(0.7, 42, kept=True)
     s.observe_malformed()
     assert FilterStats.from_json_obj(s.to_json_obj()).to_json_obj() == s.to_json_obj()
+    obj = s.to_json_obj()
+    assert obj["documents_rejected"] == 0
+    with pytest.raises(ValueError, match="'documents_rejected'"):
+        FilterStats.from_json_obj({**obj, "documents_rejected": 1})
+    with pytest.raises(ValueError, match="score_histogram"):
+        FilterStats.from_json_obj({**obj, "score_histogram": [0] * 99})
 
 
 # -- scoring -----------------------------------------------------------------------
@@ -655,6 +671,66 @@ def test_score_corpus_rescores_everything_after_midfile_ledger_damage(
     assert any("rescoring every shard" in r.message for r in caplog.records)
     assert run.skipped_shards == []
     assert _scored_bytes(out) == _scored_bytes(clean)
+
+
+def _damage_ledger_line(out: str, index: int, damage) -> None:
+    """Rewrite one ledger line as damage(its JSON object) leaves it."""
+    ledger = os.path.join(out, "ledger.jsonl")
+    with open(ledger, encoding="utf-8") as f:
+        lines = f.readlines()
+    obj = json.loads(lines[index])
+    damage(obj)
+    lines[index] = json.dumps(obj) + "\n"
+    with open(ledger, "w", encoding="utf-8") as f:
+        f.writelines(lines)
+
+
+def test_score_corpus_resume_treats_a_ledger_line_with_bad_stats_as_damage(
+    tmp_path, model, tokenizer, caplog
+):
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
+    names = [os.path.basename(p) for p in shards]
+    clean = str(tmp_path / "clean")
+    score_corpus(model, shards, 0.5, tokenizer, clean)
+
+    # a first line whose stats lost their keys: the ledger goes, every shard is rescored
+    out = str(tmp_path / "first")
+    score_corpus(model, shards, 0.5, tokenizer, out)
+    _damage_ledger_line(out, 0, lambda obj: obj.update(stats={"documents_total": 1}))
+    with caplog.at_level(logging.WARNING, logger="websift.filtering"):
+        run = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert any("rescoring every shard" in r.message for r in caplog.records)
+    assert run.skipped_shards == []
+    assert run.completed_shards == names
+    assert _scored_bytes(out) == _scored_bytes(clean)
+
+    # a final line with a mistyped histogram is a torn tail: only its shard is rescored
+    out = str(tmp_path / "last")
+    score_corpus(model, shards, 0.5, tokenizer, out)
+    _damage_ledger_line(out, 1, lambda obj: obj["stats"].update(score_histogram="x"))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="websift.ioutil"):
+        run = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert any("truncating torn tail" in r.message for r in caplog.records)
+    assert run.skipped_shards == names[:1]
+    assert run.completed_shards == names
+    assert _scored_bytes(out) == _scored_bytes(clean)
+
+
+def test_filter_score_resume_over_damaged_ledger_stats_exits_cleanly(tmp_path, model):
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
+    model_path = str(tmp_path / "model.ufwc")
+    save_model(model, model_path)
+    out = str(tmp_path / "out")
+    argv = [sys.executable, "-m", "websift.cli", "filter", "score",
+            "--model", model_path, "--shards", *shards, "--out", out]
+    subprocess.run(argv, check=True, capture_output=True)
+    _damage_ledger_line(out, 0, lambda obj: obj.update(stats={"documents_total": 1}))
+    proc = subprocess.run(argv + ["--resume"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    summary = json.loads(proc.stdout)
+    assert (summary["completed_shards"], summary["skipped_shards"]) == (2, 0)
 
 
 def test_score_corpus_makes_outputs_durable_before_their_ledger_entry(
