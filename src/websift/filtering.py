@@ -13,17 +13,27 @@ restartable without rescoring finished shards. Unreadable shards (missing,
 truncated or corrupt .gz) are reported and skipped so one bad file cannot
 sink a long run; malformed records are skipped, counted and logged.
 
+Each scored shard leaves three files, all durable before its ledger line:
+its kept and rejected streams and ids/<shard>.kept_ids, its kept ids
+sorted, one per line. setup.json names the threshold and model the ledger's
+shards were scored with; a resume under any other setup rescores every
+shard, and a shard missing any of its files is rescored.
+
 Keep manifests record the sorted kept ids under a corpus fingerprint, which
 intersect() checks before combining runs, so manifests from different
-corpora never silently intersect.
+corpora never silently intersect. score_corpus writes its manifest by
+merging the completed shards' sidecars, without reading a kept document.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
+import heapq
 import json
 import logging
 import math
+import operator
 import os
 import pickle
 import select
@@ -33,7 +43,9 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+
+import numpy as np
 
 from .classifier import (
     CHUNK_DOCS,
@@ -64,6 +76,7 @@ from .ioutil import (
     canonical_json,
     make_dirs,
     read_log,
+    remove_file,
 )
 from .tokenizers import Tokenizer
 
@@ -240,11 +253,20 @@ class WorkerDied(WebsiftError):
         self.exitcode = exitcode
 
 
-def _output_paths(out_dir: str, name: str) -> tuple[str, str]:
+def _output_paths(out_dir: str, name: str) -> tuple[str, str, str]:
+    """A shard's kept and rejected streams and its sorted kept-id sidecar."""
     return (
         os.path.join(out_dir, "kept", name + ".scored.jsonl"),
         os.path.join(out_dir, "rejected", name + ".scored.jsonl"),
+        os.path.join(out_dir, "ids", name + ".kept_ids"),
     )
+
+
+def _read_kept_ids(path: str) -> list[str]:
+    """A sidecar's ids. Ids hold no "\n" but may hold other line breaks
+    that str.splitlines would split on."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        return f.read().split("\n")[:-1]
 
 
 def _read_shard(path: str, on_malformed: Callable[[str], None]) -> Iterator[Document]:
@@ -277,9 +299,11 @@ def _score_shard(
     stats = FilterStats()
     zero_feature = 0
     malformed: list[str] = []
+    kept_ids: list[str] = []
     docs = _read_shard(path, malformed.append)
-    kept_path, rejected_path = _output_paths(out_dir, shard_name(path))
-    with atomic_open(kept_path) as kf, atomic_open(rejected_path) as rf:
+    kept_path, rejected_path, ids_path = _output_paths(out_dir, shard_name(path))
+    with atomic_open(kept_path) as kf, atomic_open(rejected_path) as rf, \
+            atomic_open(ids_path) as idf:
         while chunk := list(islice(docs, CHUNK_DOCS)):
             token_lists = [tokenizer.tokenize(doc.text) for doc in chunk]
             scores, chunk_zero_feature = score_many(model, token_lists)
@@ -291,6 +315,10 @@ def _score_shard(
                 obj["score"] = score
                 obj["kept"] = kept
                 (kf if kept else rf).write(encode_line(obj) + "\n")
+                if kept:
+                    kept_ids.append(doc.id)
+        kept_ids.sort()
+        idf.writelines(doc_id + "\n" for doc_id in kept_ids)
     for _ in malformed:
         stats.observe_malformed()
     return _ShardResult(stats, zero_feature, malformed)
@@ -436,9 +464,28 @@ def _load_ledger(path: str) -> dict[str, _LedgerEntry]:
         return {}
     except LogCorrupt as e:
         log.warning("%s; removing the ledger and rescoring every shard", e)
-        os.remove(path)
+        remove_file(path)
         return {}
     return {entry.shard: entry for entry in entries}
+
+
+@dataclass
+class _ScoringSetup(JsonRecord):
+    """What a ledger's shards were scored with: the threshold and the model's
+    SHA-256 (_model_sha256). A resume reuses them only under the same setup."""
+
+    threshold: float
+    model_sha256: str
+
+
+def _model_sha256(model: ClassifierModel) -> str:
+    """SHA-256 over what a score depends on: config, tokenizer stamp,
+    vocabulary tokens and logit table."""
+    h = hashlib.sha256()
+    for block in (model.config.to_json_obj(), model.tokenizer.to_json_obj(), model.vocab.tokens):
+        h.update(canonical_json(block).encode("utf-8") + b"\n")
+    h.update(np.ascontiguousarray(model.table, dtype="<f8"))
+    return h.hexdigest()
 
 
 def score_corpus(
@@ -453,10 +500,12 @@ def score_corpus(
     """Score a sharded corpus into kept/ and rejected/ under out_dir.
 
     With resume=True, shards recorded in the ledger with an unchanged content
-    digest are reused instead of rescored; when a resume rescores a shard
-    that the ledger named, the ledger is rewritten to one entry per completed
-    shard, as a clean run leaves it. Every input document lands in exactly
-    one output stream, in its shard's input order.
+    digest and all their output files are reused instead of rescored, provided
+    setup.json names this threshold and model (otherwise every shard is
+    rescored, with one warning); when a resume rescores a shard that the
+    ledger named, the ledger is rewritten to one entry per completed shard,
+    as a clean run leaves it. Every input document lands in exactly one
+    output stream, in its shard's input order.
 
     Pending shards are scored by min(workers, pending shards, CPUs)
     processes: this one and forked workers, which share the model
@@ -478,12 +527,23 @@ def score_corpus(
     if len(set(names)) != len(names):
         raise ValueError("shard basenames must be unique within a corpus")
 
-    make_dirs(os.path.join(out_dir, "kept"))
-    make_dirs(os.path.join(out_dir, "rejected"))
+    for sub in ("kept", "rejected", "ids"):
+        make_dirs(os.path.join(out_dir, sub))
     ledger_path = os.path.join(out_dir, "ledger.jsonl")
-    ledger = _load_ledger(ledger_path) if resume else {}
-    if not resume and os.path.exists(ledger_path):
-        os.remove(ledger_path)
+    setup_path = os.path.join(out_dir, "setup.json")
+    setup = _ScoringSetup(threshold, _model_sha256(model))
+    try:
+        same_setup = _ScoringSetup.from_file(setup_path) == setup
+    except (OSError, ValueError):
+        same_setup = False
+    if resume and not same_setup and os.path.exists(ledger_path):
+        log.warning("%s is missing or names another threshold or model; "
+                    "rescoring every shard", setup_path)
+    if not (resume and same_setup):     # the removal is durable before the new setup
+        remove_file(ledger_path)
+    ledger = _load_ledger(ledger_path)
+    if not same_setup:
+        atomic_write_text(setup_path, canonical_json(setup.to_json_obj()) + "\n")
 
     digests: dict[str, str] = {}
     failed: list[tuple[str, str]] = []
@@ -543,17 +603,10 @@ def score_corpus(
 
     fingerprint = corpus_fingerprint(digests[n] for n in completed)
     manifest_path = os.path.join(out_dir, "keep_manifest.txt")
-    kept_ids: list[str] = []
-    for name in completed:
-        kept_path, _ = _output_paths(out_dir, name)
-        with open(kept_path, "r", encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    kept_ids.append(json.loads(line)["id"])
-    kept_ids.sort()
-    if len(set(kept_ids)) != len(kept_ids):
+    # each sidecar is read whole and closed, so no file stays open per shard
+    kept_ids = heapq.merge(*(_read_kept_ids(_output_paths(out_dir, n)[2]) for n in completed))
+    if write_keep_manifest(manifest_path, fingerprint, kept_ids):
         log.warning("duplicate document ids in kept stream; manifest keeps duplicates")
-    write_keep_manifest(manifest_path, fingerprint, kept_ids)
 
     return ScoreRun(
         stats=stats,
@@ -570,10 +623,19 @@ def score_corpus(
 # ---------------------------------------------------------------------------
 # keep manifests
 
-def write_keep_manifest(path: str, fingerprint: str, sorted_ids: Sequence[str]) -> None:
-    lines = [MANIFEST_HEADER_PREFIX + fingerprint]
-    lines.extend(sorted_ids)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_keep_manifest(path: str, fingerprint: str, sorted_ids: Iterable[str]) -> int:
+    """Stream sorted ids into a keep manifest under the corpus fingerprint
+    header. Returns how many ids equal the one before them (duplicates)."""
+    duplicates = 0
+    previous = None
+    ids = iter(sorted_ids)
+    with atomic_open(path) as f:
+        f.write(MANIFEST_HEADER_PREFIX + fingerprint + "\n")
+        while chunk := list(islice(ids, 4096)):
+            duplicates += sum(map(operator.eq, [previous, *chunk], chunk))
+            f.write("\n".join(chunk) + "\n")
+            previous = chunk[-1]
+    return duplicates
 
 
 def read_keep_manifest(path: str) -> tuple[str, list[str]]:

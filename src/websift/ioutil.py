@@ -8,7 +8,8 @@ once the call returns. Logs that record progress
 (the scoring ledger, the pipeline journal) go through append_line and are
 read back by read_log, which owns the rule for what a crash mid-append
 leaves behind. Directories are made with make_dirs, so a new directory's
-entry in its parent is durable before anything inside it is.
+entry in its parent is durable before anything inside it is, and a file
+whose absence later writes rely on is removed with remove_file.
 
 The records the package writes as JSON (settings, pool manifests,
 scoring-ledger entries and their stats, step plans) and the token manifests
@@ -229,6 +230,16 @@ def atomic_open(path: str, mode: str = "w") -> Iterator[IO]:
 def atomic_write_text(path: str, text: str) -> None:
     with atomic_open(path) as f:
         f.write(text)
+
+
+def remove_file(path: str) -> None:
+    """Remove path if it exists, then fsync its directory so the removal
+    is durable before anything written after it."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        return
+    _fsync_dir(path)
 
 
 def append_line(path: str, line: str) -> None:

@@ -1,17 +1,20 @@
+import dataclasses
 import gzip
 import json
 import logging
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import zlib
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from websift import filtering
@@ -314,9 +317,10 @@ def test_forked_scoring_reports_truncated_gzip_shard(tmp_path, model, tokenizer,
     listed = shards[:2] + [truncated] + shards[2:]
     run = score_corpus(model, listed, 0.5, tokenizer, str(tmp_path / "out"), workers=2)
     assert [name for name, _ in run.failed_shards] == ["s002x.jsonl.gz"]
-    for stream in ("kept", "rejected"):  # the failed shard's partial outputs are removed
+    for stream in ("kept", "rejected", "ids"):  # the failed shard's partial outputs are removed
         leftovers = os.listdir(os.path.join(run.out_dir, stream))
         assert not any(n.startswith("s002x") for n in leftovers)
+        assert not any(n.endswith(".tmp") for n in leftovers)
     names = [os.path.basename(p) for p in shards]
     assert run.completed_shards == names
     assert run.stats.documents_total == len(docs)
@@ -623,7 +627,7 @@ def test_score_corpus_resume_after_torn_ledger(tmp_path, model, tokenizer):
         assert f.read() == manifest_bytes
 
 
-@pytest.mark.parametrize("stream", ["kept", "rejected"])
+@pytest.mark.parametrize("stream", ["kept", "rejected", "ids"])
 def test_score_corpus_resume_rescores_a_shard_whose_output_is_gone(
     tmp_path, model, tokenizer, stream
 ):
@@ -633,11 +637,59 @@ def test_score_corpus_resume_rescores_a_shard_whose_output_is_gone(
     out = str(tmp_path / "out")
     score_corpus(model, shards, 0.5, tokenizer, out)
     gone = os.path.basename(shards[0])
-    os.remove(os.path.join(out, stream, gone + ".scored.jsonl"))
+    os.remove(filtering._output_paths(out, gone)[("kept", "rejected", "ids").index(stream)])
     run = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
     assert run.completed_shards == [os.path.basename(p) for p in shards]
     assert run.skipped_shards == [os.path.basename(shards[1])]
     # kept, rejected, the keep manifest and the compacted ledger
+    assert _scored_bytes(out) == _scored_bytes(clean)
+
+
+@pytest.mark.parametrize("removed", [("ids",), ("ids", "setup.json")])
+def test_score_corpus_resume_rescores_an_older_output_dir_once(
+    tmp_path, model, tokenizer, caplog, removed
+):
+    # an older version left no ids/ sidecars and no setup.json
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
+    clean = str(tmp_path / "clean")
+    score_corpus(model, shards, 0.5, tokenizer, clean)
+    out = str(tmp_path / "out")
+    score_corpus(model, shards, 0.5, tokenizer, out)
+    for name in removed:
+        path = os.path.join(out, name)
+        shutil.rmtree(path) if os.path.isdir(path) else os.remove(path)
+    with caplog.at_level(logging.WARNING, logger="websift.filtering"):
+        run = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    warned = [r for r in caplog.records if "rescoring every shard" in r.getMessage()]
+    assert len(warned) == ("setup.json" in removed)
+    assert run.skipped_shards == []
+    assert _scored_bytes(out) == _scored_bytes(clean)
+    again = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert again.skipped_shards == run.completed_shards
+    assert _scored_bytes(out) == _scored_bytes(clean)
+
+
+@pytest.mark.parametrize("change", ["threshold", "model"])
+def test_score_corpus_resume_rescores_everything_under_another_setup(
+    tmp_path, model, tokenizer, caplog, change
+):
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
+    threshold, other = 0.5, model
+    if change == "threshold":
+        threshold = 0.99
+    else:
+        other = dataclasses.replace(model, table=model.table + 1.0)
+    clean = str(tmp_path / "clean")
+    expected = score_corpus(other, shards, threshold, tokenizer, clean)
+    out = str(tmp_path / "out")
+    first = score_corpus(model, shards, 0.5, tokenizer, out)
+    assert first.stats.documents_kept != expected.stats.documents_kept
+    with caplog.at_level(logging.WARNING, logger="websift.filtering"):
+        run = score_corpus(other, shards, threshold, tokenizer, out, resume=True)
+    warned = [r for r in caplog.records if "rescoring every shard" in r.getMessage()]
+    assert len(warned) == 1
+    assert run.skipped_shards == []
+    assert run.stats.to_json_obj() == expected.stats.to_json_obj()
     assert _scored_bytes(out) == _scored_bytes(clean)
 
 
@@ -738,9 +790,12 @@ def test_score_corpus_makes_outputs_durable_before_their_ledger_entry(
 ):
     shards, _ = make_corpus(tmp_path / "corpus")
     run = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "out"))
+    setup = os.path.join(run.out_dir, "setup.json")
+    named = [(setup, *filtering._output_paths(run.out_dir, name)) for name in run.completed_shards]
+    assert all(os.path.join(run.out_dir, "ids", name + ".kept_ids") in paths
+               for name, paths in zip(run.completed_shards, named))
     durability_trace.assert_artifacts_durable_before_appends(
-        os.path.join(run.out_dir, "ledger.jsonl"),
-        [filtering._output_paths(run.out_dir, name) for name in run.completed_shards],
+        os.path.join(run.out_dir, "ledger.jsonl"), named
     )
 
 
@@ -779,6 +834,56 @@ def test_keep_manifest_holds_exactly_the_kept_ids(tmp_path, model, tokenizer):
     assert run.stats.records_malformed == 3
     assert run.stats.documents_kept == 1
     assert read_keep_manifest(run.keep_manifest_path)[1] == ["c"]
+
+
+# ids whose characters str.splitlines would split on, or that sort past ASCII
+_ID_CHARS = ["a", "b", ":", "é", "中", "😀", "\u2028", "\x85", "\x0c", "\x1c"]
+_ids = st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=4).filter(str.strip)
+
+
+@settings(suppress_health_check=[*settings.default.suppress_health_check,
+                                 HealthCheck.function_scoped_fixture])
+@given(
+    layout=st.lists(st.lists(st.tuples(_ids, st.booleans()), max_size=6), min_size=1, max_size=4),
+    shared=st.booleans(),
+)
+def test_kept_id_sidecars_merge_into_the_manifest(
+    model, tokenizer, monkeypatch, caplog, layout, shared
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if shared and len(layout) > 1:    # one id kept in two shards
+        layout[0].append(("dup\u2028é", True))
+        layout[-1].insert(0, ("dup\u2028é", True))
+    with tempfile.TemporaryDirectory() as tmp:
+        shards = []
+        for s, docs in enumerate(layout):
+            path = os.path.join(tmp, f"s{s}.jsonl")
+            write_documents(path, [
+                Document(id=doc_id, text=" ".join((POS_WORDS if good else NEG_WORDS)[:12]))
+                for doc_id, good in docs
+            ])
+            shards.append(path)
+        manifests = []
+        for workers in (1, 2):
+            out = os.path.join(tmp, f"w{workers}")
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="websift.filtering"):
+                run = score_corpus(model, shards, 0.5, tokenizer, out, workers=workers)
+            kept_ids = []
+            for name in run.completed_shards:
+                kept_path, _, ids_path = filtering._output_paths(out, name)
+                with open(kept_path, encoding="utf-8") as f:
+                    shard_ids = [json.loads(line)["id"] for line in f]
+                with open(ids_path, "rb") as f:
+                    assert f.read() == "".join(i + "\n" for i in sorted(shard_ids)).encode()
+                kept_ids += shard_ids
+            assert read_keep_manifest(run.keep_manifest_path)[1] == sorted(kept_ids)
+            duplicated = len(set(kept_ids)) != len(kept_ids)
+            assert [r.getMessage() for r in caplog.records] == \
+                ["duplicate document ids in kept stream; manifest keeps duplicates"] * duplicated
+            with open(run.keep_manifest_path, "rb") as f:
+                manifests.append(f.read())
+        assert manifests[0] == manifests[1]
 
 
 def test_score_corpus_empty_text_scores_half(tmp_path, model, tokenizer):
@@ -823,6 +928,17 @@ def test_keep_manifest_round_trip(tmp_path):
     assert ids == ["a:1", "b:2"]
     with open(path, encoding="utf-8") as f:
         assert f.readline() == "# corpus_fingerprint: " + "f" * 64 + "\n"
+
+
+def test_keep_manifest_streams_ids_and_counts_adjacent_duplicates(tmp_path):
+    path = str(tmp_path / "keep.txt")
+    ids = iter(["a", "a", "b\u2028x", "c", "c", "c"])
+    assert write_keep_manifest(path, "f" * 64, ids) == 3
+    with open(path, "rb") as f:
+        assert f.read() == ("# corpus_fingerprint: " + "f" * 64 + "\n"
+                            + "a\na\nb\u2028x\nc\nc\nc\n").encode()
+    assert write_keep_manifest(path, "f" * 64, iter([])) == 0
+    assert read_keep_manifest(path) == ("f" * 64, [])
 
 
 def test_keep_manifest_missing_header(tmp_path):

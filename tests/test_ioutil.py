@@ -18,6 +18,7 @@ from websift.ioutil import (
     canonical_json,
     open_maybe_gzip,
     read_log,
+    remove_file,
     sha256_file,
     sha256_text,
 )
@@ -104,6 +105,20 @@ def test_atomic_open_fsyncs_file_before_rename_and_directory_after(tmp_path, mon
         ("replace", target),
         ("fsync", os.stat(tmp_path).st_ino),
     ]
+
+
+def test_remove_file_fsyncs_the_directory_only_when_it_removed_something(tmp_path, monkeypatch):
+    events = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (events.append(os.fstat(fd).st_ino),
+                                                  real_fsync(fd)))
+    target = tmp_path / "ledger.jsonl"
+    target.write_text("x\n", encoding="utf-8")
+    remove_file(str(target))
+    assert not target.exists()
+    assert events == [os.stat(tmp_path).st_ino]
+    remove_file(str(target))
+    assert events == [os.stat(tmp_path).st_ino]
 
 
 def _parse(raw: bytes) -> dict:
