@@ -15,7 +15,8 @@ of the two logits, which is linear in the hidden state. So training folds
 its two weight matrices into a logit table with one float per feature row
 (row @ (out[1] - out[0])), and scoring reads only that table: the logistic
 of the mean of the document's table entries. The model file holds the
-table, not the matrices.
+table, not the matrices, and the tokenizer the model was trained with,
+vocabulary included, so a model file is all that scoring reads.
 
 Training is single threaded and bit-for-bit deterministic for a fixed
 (config, dataset order) pair, which lets callers fingerprint model files and
@@ -28,10 +29,11 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, count, repeat
 from typing import Iterable, Optional, Sequence
 
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import WebsiftError
 from .ioutil import JsonRecord, atomic_open, canonical_json
-from .tokenizers import Tokenizer, TokenizerSpec, load_tokenizer
+from .tokenizers import Tokenizer, TokenizerSpec
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +60,10 @@ class BadMagic(WebsiftError):
 
 class UnsupportedVersion(WebsiftError):
     def __init__(self, version: int):
-        super().__init__(f"unsupported model format version {version}")
+        super().__init__(
+            f"unsupported model format version {version}: this build reads version "
+            f"{MODEL_FORMAT_VERSION} only; retrain the model"
+        )
         self.version = version
 
 
@@ -308,14 +313,29 @@ def featurize(tokens: Sequence[str], vocab: Vocabulary, config: ClassifierConfig
 @dataclass(frozen=True)
 class TokenizerStamp(JsonRecord):
     """The tokenizer a model was trained with: its spec and, for
-    vocab_greedy, the SHA-256 of its vocabulary file."""
+    vocab_greedy, its vocabulary, sorted in Python string order."""
 
     spec: TokenizerSpec = field(default_factory=TokenizerSpec)
-    vocab_sha256: Optional[str] = None
+    vocab: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        if self.spec.kind == "unicode_words":
+            if self.vocab is not None:
+                raise ValueError("a unicode_words tokenizer has no vocabulary")
+        elif self.vocab is None:
+            raise ValueError("a vocab_greedy tokenizer needs its vocabulary")
+        elif not all(map(operator.lt, ("",) + self.vocab, self.vocab)):  # "" sorts first
+            raise ValueError("vocabulary tokens must be non-empty, sorted and distinct")
 
     @staticmethod
     def of(tokenizer: Tokenizer) -> "TokenizerStamp":
-        return TokenizerStamp(tokenizer.spec, tokenizer.vocab_sha256)
+        vocab = None if tokenizer.vocab is None else tuple(sorted(tokenizer.vocab))
+        return TokenizerStamp(tokenizer.spec, vocab)
+
+    @cached_property
+    def built(self) -> Tokenizer:
+        """The Tokenizer this stamp describes, built once."""
+        return Tokenizer(self.spec, None if self.vocab is None else frozenset(self.vocab))
 
 
 @dataclass
@@ -494,25 +514,24 @@ def train(
 
 def check_tokenizer(model: ClassifierModel, tokenizer: Tokenizer) -> None:
     """Raise TokenizerMismatch unless tokenizer is the one model was trained
-    with: the same spec and the same vocabulary file bytes."""
-    want, got = model.tokenizer, TokenizerStamp.of(tokenizer)
-    if got.spec != want.spec:
+    with: the same spec and the same vocabulary."""
+    want = model_tokenizer(model)
+    if tokenizer is want:
+        return
+    if tokenizer.spec != want.spec:
         raise TokenizerMismatch(
-            f"tokenizer {canonical_json(got.spec.to_json_obj())} is not the model's "
+            f"tokenizer {canonical_json(tokenizer.spec.to_json_obj())} is not the model's "
             f"{canonical_json(want.spec.to_json_obj())}"
         )
-    if got.vocab_sha256 != want.vocab_sha256:
-        raise TokenizerMismatch(
-            f"tokenizer vocabulary {got.spec.vocab_path} has sha256 {got.vocab_sha256}, "
-            f"the model was trained on sha256 {want.vocab_sha256}"
-        )
+    if tokenizer.vocab != want.vocab:
+        extra, missing = len(tokenizer.vocab - want.vocab), len(want.vocab - tokenizer.vocab)
+        raise TokenizerMismatch(f"tokenizer vocabulary {tokenizer.spec.vocab_path} has {extra} "
+                                f"tokens the model's lacks and lacks {missing} of the model's")
 
 
 def model_tokenizer(model: ClassifierModel) -> Tokenizer:
-    """Load the tokenizer model was trained with, checked by check_tokenizer."""
-    tokenizer = load_tokenizer(model.tokenizer.spec)
-    check_tokenizer(model, tokenizer)
-    return tokenizer
+    """The tokenizer model was trained with, built from the model alone."""
+    return model.tokenizer.built
 
 
 def positive_probs(model: ClassifierModel, id_lists: Sequence[np.ndarray]) -> np.ndarray:
@@ -571,25 +590,21 @@ def predict(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> Predicti
 # model file format
 #
 #   magic   b"UFWC"
-#   u32     format version (currently 2)
+#   u32     format version (currently 3)
 #   u32     config JSON length, then that many bytes (canonical JSON)
 #   u32     tokenizer JSON length, then that many bytes (canonical JSON of
-#           the TokenizerStamp: {"spec": {...}, "vocab_sha256": ...})
+#           the TokenizerStamp: {"spec": {...}, "vocab": [...] or null}, the
+#           vocab_greedy vocabulary sorted in Python string order)
 #   u64     vocabulary size V, then V entries of (u32 len, token bytes, u64 count)
 #   u64     logit table length (V + bucket), then that many little-endian float64
 #   u64     checksum: first 8 bytes of SHA-256 over all preceding bytes
 #
 # All integers little-endian. The checksum makes truncation and bit rot a
-# load-time error instead of silently wrong scores.
-#
-# Version 1 files still load. They hold no tokenizer block, and in place of
-# the table the two weight matrices, each as u64 x2 shape then rows*cols
-# little-endian float64: input (V + bucket, dim), then output (2, dim). A
-# load folds them into the table as train does, and the model takes the
-# default tokenizer.
+# load-time error instead of silently wrong scores. Versions 1 and 2, which
+# named a vocabulary file instead of holding the vocabulary, do not load.
 
 MODEL_MAGIC = b"UFWC"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 class _ModelFile:
@@ -669,22 +684,18 @@ def _read_json_block(r: _ModelFile, record: type, name: str):
 
 
 def load_model(path: str) -> ClassifierModel:
-    """Read a model file of either version in one pass, hashing it as it
-    streams. A model is returned only if the checksum trailer matches and
-    ends the file."""
+    """Read a model file in one pass, hashing it as it streams. A model is
+    returned only if the checksum trailer matches and ends the file."""
     with open(path, "rb") as f:
         r = _ModelFile(f)
         magic = r.read(min(4, r.left))
         if magic != MODEL_MAGIC:
             raise BadMagic(magic)
         version = r.u32()
-        if version not in (1, MODEL_FORMAT_VERSION):
+        if version != MODEL_FORMAT_VERSION:
             raise UnsupportedVersion(version)
         config = _read_json_block(r, ClassifierConfig, "config")
-        if version == 1:
-            stamp = TokenizerStamp()
-        else:
-            stamp = _read_json_block(r, TokenizerStamp, "tokenizer")
+        stamp = _read_json_block(r, TokenizerStamp, "tokenizer")
         v = r.u64()
         if v * 12 > r.left:  # each entry holds at least its two integers
             raise CorruptPayload("model file truncated")
@@ -697,17 +708,9 @@ def load_model(path: str) -> ClassifierModel:
                 raise CorruptPayload("bad vocab token encoding") from e
             counts.append(r.u64())
         rows = v + config.bucket
-        if version == 1:
-            matrices = []
-            for name, shape in (("input", (rows, config.dim)),
-                                ("output", (len(config.labels), config.dim))):
-                if (r.u64(), r.u64()) != shape:
-                    raise CorruptPayload(f"{name} matrix shape does not match config")
-                matrices.append(r.read_floats(*shape))
-        else:
-            if r.u64() != rows:
-                raise CorruptPayload("logit table length does not match config")
-            table = r.read_floats(rows)
+        if r.u64() != rows:
+            raise CorruptPayload("logit table length does not match config")
+        table = r.read_floats(rows)
         digest = r.h.digest()[:8]
         if r.read(8) != digest:
             raise CorruptPayload("checksum mismatch")
@@ -715,11 +718,6 @@ def load_model(path: str) -> ClassifierModel:
             raise CorruptPayload("trailing bytes after the checksum")
     if len(set(tokens)) != len(tokens):
         raise CorruptPayload("duplicate vocab tokens")
-    if version == 1:
-        table = _logit_table(*matrices)
-        log.warning("%s is a version 1 model file, which names no tokenizer; it scores "
-                    "with the default tokenizer %s", path,
-                    canonical_json(stamp.spec.to_json_obj()))
     return ClassifierModel(config, Vocabulary.from_rows(tokens, counts), table, stamp)
 
 

@@ -22,14 +22,14 @@ shard, and a shard missing any of its files is rescored.
 Keep manifests record the sorted kept ids under a corpus fingerprint, which
 intersect() checks before combining runs, so manifests from different
 corpora never silently intersect. score_corpus writes its manifest by
-merging the completed shards' sidecars, without reading a kept document.
+sorting the completed shards' sidecars together, without reading a kept
+document.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import heapq
 import json
 import logging
 import math
@@ -42,7 +42,7 @@ import tempfile
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
@@ -603,8 +603,10 @@ def score_corpus(
 
     fingerprint = corpus_fingerprint(digests[n] for n in completed)
     manifest_path = os.path.join(out_dir, "keep_manifest.txt")
-    # each sidecar is read whole and closed, so no file stays open per shard
-    kept_ids = heapq.merge(*(_read_kept_ids(_output_paths(out_dir, n)[2]) for n in completed))
+    # each sidecar is read whole and closed, so no file stays open per shard;
+    # sorting the concatenated sorted lists is faster in Python than merging them
+    kept_ids = sorted(chain.from_iterable(
+        _read_kept_ids(_output_paths(out_dir, n)[2]) for n in completed))
     if write_keep_manifest(manifest_path, fingerprint, kept_ids):
         log.warning("duplicate document ids in kept stream; manifest keeps duplicates")
 

@@ -127,7 +127,8 @@ def _decode(value: Any, hint: Any, name: str, key: str) -> Any:
     if origin is typing.Union and value is None and type(None) in args:
         return None
     if origin is typing.Union:  # Optional[X]
-        hint, origin = args[0], typing.get_origin(args[0])
+        hint = args[0]
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hasattr(hint, "from_json_obj"):
         try:
             return hint.from_json_obj(value)

@@ -30,6 +30,7 @@ directory plus its pool relocatable as a unit.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -298,24 +299,29 @@ def _commit(run_dir: str, state: RunState, kind: str, data: dict) -> None:
 # locking
 
 class _RunLock:
+    """An exclusive flock on the run's lock file. The kernel releases it when
+    its holder dies, so a crashed writer leaves no run locked."""
+
     def __init__(self, run_dir: str):
         self.path = os.path.join(run_dir, LOCK_NAME)
-        self.fd: Optional[int] = None
 
     def __enter__(self) -> "_RunLock":
+        self.fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RunLocked(
-                f"run is locked by another writer (remove {self.path} if stale)"
-            ) from None
-        os.write(self.fd, str(os.getpid()).encode("ascii"))
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder unlinks the file before it unlocks; a lock on that
+            # unlinked inode would exclude no one
+            held = os.fstat(self.fd).st_ino == os.stat(self.path).st_ino
+        except (BlockingIOError, FileNotFoundError):
+            held = False
+        if not held:
+            os.close(self.fd)
+            raise RunLocked("run is locked by another writer")
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.fd is not None:
-            os.close(self.fd)
-            os.remove(self.path)
+        os.remove(self.path)
+        os.close(self.fd)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ the tokens reproduces the input byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -57,21 +56,12 @@ class TokenizerSpec(JsonRecord):
 
 
 class Tokenizer:
-    """A loaded, ready-to-run tokenizer.
+    """A loaded, ready-to-run tokenizer: its spec and, for vocab_greedy, its
+    vocabulary."""
 
-    vocab_sha256 records the vocabulary file content so downstream artifacts
-    can name exactly which tokenization produced them.
-    """
-
-    def __init__(
-        self,
-        spec: TokenizerSpec,
-        vocab: Optional[frozenset[str]] = None,
-        vocab_sha256: Optional[str] = None,
-    ):
+    def __init__(self, spec: TokenizerSpec, vocab: Optional[frozenset[str]] = None):
         self.spec = spec
         self.vocab = vocab
-        self.vocab_sha256 = vocab_sha256
         if vocab:
             self._lengths = sorted({len(t) for t in vocab}, reverse=True)
         else:
@@ -121,7 +111,7 @@ class Tokenizer:
                 i += 1
 
 
-def load_vocab(path: str) -> tuple[frozenset[str], str]:
+def load_vocab(path: str) -> frozenset[str]:
     """Load a vocabulary file: one non-empty UTF-8 token per line, no duplicates."""
     try:
         with open(path, "rb") as f:
@@ -142,11 +132,10 @@ def load_vocab(path: str) -> tuple[frozenset[str], str]:
         if token in tokens:
             raise VocabMalformed(path, line_no, f"duplicate entry {token!r}")
         tokens.add(token)
-    return frozenset(tokens), hashlib.sha256(data).hexdigest()
+    return frozenset(tokens)
 
 
 def load_tokenizer(spec: TokenizerSpec) -> Tokenizer:
     if spec.kind == "unicode_words":
         return Tokenizer(spec)
-    vocab, digest = load_vocab(spec.vocab_path)
-    return Tokenizer(spec, vocab=vocab, vocab_sha256=digest)
+    return Tokenizer(spec, load_vocab(spec.vocab_path))

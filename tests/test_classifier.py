@@ -47,7 +47,7 @@ from websift.classifier import (
 from websift import classifier
 from websift.filtering import score_many, score_tokens
 from websift.ioutil import canonical_json, sha256_file
-from websift.tokenizers import TokenizerSpec, load_tokenizer
+from websift.tokenizers import Tokenizer, TokenizerSpec, load_tokenizer
 
 # -- reference implementations used as oracles ---------------------------------
 
@@ -630,17 +630,51 @@ def test_load_rejects_bad_magic(tmp_path, toy_model):
 
 
 def test_load_rejects_unsupported_version(tmp_path, toy_model):
-    import hashlib
-
     path = tmp_path / "model.bin"
     save_model(toy_model, str(path))
-    body = bytearray(path.read_bytes()[:-8])
-    body[4:8] = struct.pack("<I", 3)
-    # keep the checksum valid so only the version trips
-    path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest()[:8])
-    with pytest.raises(UnsupportedVersion) as err:
+    data = path.read_bytes()
+    assert MODEL_FORMAT_VERSION == 3
+    # versions 1 and 2 named a vocabulary file instead of holding the vocabulary
+    for version in (1, 2, 4):
+        body = bytearray(data[:-8])
+        body[4:8] = struct.pack("<I", version)
+        # keep the checksum valid so only the version trips
+        path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest()[:8])
+        with pytest.raises(UnsupportedVersion, match="reads version 3 only; retrain") as err:
+            load_model(str(path))
+        assert err.value.version == version
+
+
+def with_tokenizer_block(data: bytes, block) -> bytes:
+    """A model file's bytes with its tokenizer block replaced by block's
+    canonical JSON, under a valid checksum."""
+    at = 12 + struct.unpack_from("<I", data, 8)[0]
+    end = at + 4 + struct.unpack_from("<I", data, at)[0]
+    new = canonical_json(block).encode("utf-8")
+    body = data[:at] + struct.pack("<I", len(new)) + new + data[end:-8]
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+UNICODE_SPEC = TokenizerSpec().to_json_obj()
+GREEDY_SPEC = TokenizerSpec(kind="vocab_greedy", vocab_path="vocab.txt").to_json_obj()
+
+
+@pytest.mark.parametrize("block, reason", [
+    ({"spec": UNICODE_SPEC, "vocab": ["a"]}, "unicode_words tokenizer has no vocabulary"),
+    ({"spec": GREEDY_SPEC, "vocab": None}, "vocab_greedy tokenizer needs its vocabulary"),
+    ({"spec": GREEDY_SPEC}, "vocab_greedy tokenizer needs its vocabulary"),
+    ({"spec": GREEDY_SPEC, "vocab": ["", "a"]}, "must be non-empty, sorted and distinct"),
+    ({"spec": GREEDY_SPEC, "vocab": ["b", "a"]}, "must be non-empty, sorted and distinct"),
+    ({"spec": GREEDY_SPEC, "vocab": ["a", "a"]}, "must be non-empty, sorted and distinct"),
+    ({"spec": GREEDY_SPEC, "vocab": ["a", 1]}, "must be a JSON string"),
+], ids=["vocab-on-unicode-words", "null-vocab-on-greedy", "no-vocab-on-greedy", "empty-token",
+        "unsorted", "duplicated", "non-string"])
+def test_load_rejects_a_malformed_tokenizer_block(tmp_path, toy_model, block, reason):
+    path = tmp_path / "model.bin"
+    save_model(toy_model, str(path))
+    path.write_bytes(with_tokenizer_block(path.read_bytes(), block))
+    with pytest.raises(CorruptPayload, match=f"bad tokenizer block: .*{reason}"):
         load_model(str(path))
-    assert err.value.version == 3
 
 
 def test_load_rejects_bit_flip(tmp_path, toy_model):
@@ -684,7 +718,7 @@ def test_load_rejects_every_byte_flip(tmp_path, toy_model):
 
 
 def _length_fields(data: bytes) -> dict[str, tuple[int, str]]:
-    """Offset and struct format of each length field of a version 2 model file."""
+    """Offset and struct format of each length field of a version 3 model file."""
     tokenizer_at = 12 + struct.unpack_from("<I", data, 8)[0]
     vocab_at = tokenizer_at + 4 + struct.unpack_from("<I", data, tokenizer_at)[0]
     pos = vocab_at + 8
@@ -738,53 +772,6 @@ def test_load_peaks_near_the_file_size_and_resaves_its_bytes(tmp_path, zero_mode
         assert a.read() == b.read()
 
 
-def write_v1_model(path, config, vocab, input_matrix, output_matrix) -> None:
-    """A version 1 model file, written field by field as that format lays it out."""
-    body = bytearray(MODEL_MAGIC + struct.pack("<I", 1))
-    cfg = canonical_json(config.to_json_obj()).encode("utf-8")
-    body += struct.pack("<I", len(cfg)) + cfg + struct.pack("<Q", len(vocab))
-    for token, count in zip(vocab.tokens, vocab.counts):
-        tb = token.encode("utf-8")
-        body += struct.pack("<I", len(tb)) + tb + struct.pack("<Q", count)
-    for arr in (input_matrix, output_matrix):
-        body += struct.pack("<QQ", *arr.shape) + arr.astype("<f8").tobytes()
-    path.write_bytes(bytes(body) + hashlib.sha256(body).digest()[:8])
-
-
-def test_load_folds_a_version_1_file_into_the_table(tmp_path, caplog):
-    config = ClassifierConfig(dim=5, bucket=11, min_count=1)
-    vocab = Vocabulary.from_rows(["a", "b", "日本"], [3, 2, 1])
-    rng = np.random.default_rng(3)
-    input_matrix = rng.normal(size=(len(vocab) + config.bucket, config.dim))
-    output_matrix = rng.normal(size=(2, config.dim))
-    v1 = tmp_path / "v1.bin"
-    write_v1_model(v1, config, vocab, input_matrix, output_matrix)
-    with caplog.at_level(logging.WARNING, logger="websift.classifier"):
-        model = load_model(str(v1))
-    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
-    assert len(warnings) == 1 and "version 1" in warnings[0] and "unicode_words" in warnings[0]
-    assert model.config == config and model.vocab.tokens == vocab.tokens
-    assert model.vocab.counts == vocab.counts
-    assert np.array_equal(model.table, classifier._logit_table(input_matrix, output_matrix))
-    assert model.tokenizer == TokenizerStamp()
-    v2 = tmp_path / "v2.bin"
-    save_model(model, str(v2))
-    assert struct.unpack_from("<I", v2.read_bytes(), 4)[0] == MODEL_FORMAT_VERSION == 2
-    again = load_model(str(v2))
-    assert np.array_equal(again.table, model.table) and again.tokenizer == model.tokenizer
-    save_model(again, str(tmp_path / "v2-again.bin"))
-    assert (tmp_path / "v2-again.bin").read_bytes() == v2.read_bytes()
-
-
-def test_version_1_shapes_must_match_the_config(tmp_path):
-    config = ClassifierConfig(dim=3, bucket=4, min_count=1)
-    vocab = Vocabulary.from_rows(["a"], [1])
-    path = tmp_path / "v1.bin"
-    write_v1_model(path, config, vocab, np.zeros((5, 2)), np.zeros((2, 2)))
-    with pytest.raises(CorruptPayload, match="input matrix shape"):
-        load_model(str(path))
-
-
 def test_model_records_its_tokenizer(tmp_path, tokenizer):
     vocab_file = tmp_path / "vocab.txt"
     vocab_file.write_text("good\nbad\n", encoding="utf-8")
@@ -792,20 +779,19 @@ def test_model_records_its_tokenizer(tmp_path, tokenizer):
     greedy = load_tokenizer(spec)
     model = train(make_dataset(n_per_class=4), ClassifierConfig(dim=4, bucket=32, min_count=1),
                   greedy)
-    assert model.tokenizer == TokenizerStamp(spec, greedy.vocab_sha256)
+    assert model.tokenizer == TokenizerStamp(spec, ("bad", "good"))
     path = str(tmp_path / "model.bin")
     save_model(model, path)
+    vocab_file.unlink()     # the model file holds the vocabulary
     loaded = load_model(path)
     assert loaded.tokenizer == model.tokenizer
     assert classifier.model_tokenizer(loaded).vocab == greedy.vocab
+    assert predict(loaded, "good bad", greedy) == predict(model, "good bad", greedy)
     with pytest.raises(TokenizerMismatch, match="unicode_words"):
         predict(loaded, "good bad", tokenizer)
-    old_digest = greedy.vocab_sha256
-    vocab_file.write_text("good\nbad\nugly\n", encoding="utf-8")
-    with pytest.raises(TokenizerMismatch) as err:
-        classifier.model_tokenizer(loaded)
-    assert old_digest in str(err.value)
-    assert load_tokenizer(spec).vocab_sha256 in str(err.value)
+    edited = Tokenizer(spec, greedy.vocab | {"ugly"})
+    with pytest.raises(TokenizerMismatch, match="1 tokens the model's lacks and lacks 0"):
+        predict(loaded, "good bad", edited)
 
 
 # -- config ----------------------------------------------------------------------

@@ -952,12 +952,13 @@ class TestEntryPoint:
 # ---------------------------------------------------------------------------
 # the model names its tokenizer
 
-def train_with_greedy_tokenizer(capsys, tmp_path):
-    """Train through the CLI with a vocab_greedy tokenizer; returns (model
+def train_with_greedy_tokenizer(capsys, tmp_path, vocab_path=None):
+    """Train through the CLI with a vocab_greedy tokenizer whose spec names
+    vocab_path (by default the vocabulary's absolute path); returns (model
     path, vocab path, spec, the same model trained in memory)."""
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("fresh\nstale\n1\n2\n", encoding="utf-8")
-    spec = TokenizerSpec(kind="vocab_greedy", vocab_path=str(vocab))
+    spec = TokenizerSpec(kind="vocab_greedy", vocab_path=vocab_path or str(vocab))
     spec_file = tmp_path / "tokenizer.json"
     spec_file.write_text(json.dumps(spec.to_json_obj()), encoding="utf-8")
     labels = tmp_path / "train.txt"
@@ -998,22 +999,57 @@ def test_scoring_commands_use_the_model_tokenizer(capsys, tmp_path):
     assert [scores[d.id] for d in docs] == expected
 
 
-@pytest.mark.parametrize("command", ["predict", "score"])
-def test_edited_tokenizer_vocabulary_is_one_error_line(capsys, tmp_path, command):
-    model_path, vocab, spec, _ = train_with_greedy_tokenizer(capsys, tmp_path)
-    trained_digest = load_tokenizer(spec).vocab_sha256
-    vocab.write_text("fresh\nstale\n1\n2\n3\n", encoding="utf-8")
-    edited_digest = load_tokenizer(spec).vocab_sha256
-    corpus = tmp_path / "corpus"
-    write_corpus(str(corpus), n_shards=1)
-    shard = str(corpus / "shard000.jsonl")
-    if command == "predict":
-        argv = ["classifier", "predict", "--model", model_path, "--in", shard]
-    else:
-        argv = ["filter", "score", "--model", model_path, "--shards", shard,
-                "--out", str(tmp_path / "scored")]
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
-    assert trained_digest in lines[0] and edited_digest in lines[0]
+def test_vocab_greedy_model_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("fresh\nstale\n1\n2\n日本\n", encoding="utf-8")
+    spec_file = tmp_path / "tokenizer.json"
+    spec = TokenizerSpec(kind="vocab_greedy", vocab_path=str(vocab))
+    spec_file.write_text(json.dumps(spec.to_json_obj()), encoding="utf-8")
+    labels = tmp_path / "train.txt"
+    write_labels(str(labels))
+    models = [tmp_path / f"model-{seed}.ufwc" for seed in (1, 2)]
+    for seed, out in zip((1, 2), models):
+        # the vocabulary's set order differs between hash seeds
+        subprocess.run(
+            [sys.executable, "-m", "websift.cli", "classifier", "train", "--data", str(labels),
+             "--out", str(out), "--tokenizer", str(spec_file), "--dim", "4", "--bucket", "64",
+             "--min-count", "1"],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed)), capture_output=True, check=True,
+        )
+    again = tmp_path / "again.ufwc"
+    clf.save_model(clf.load_model(str(models[0])), str(again))
+    assert models[0].read_bytes() == models[1].read_bytes() == again.read_bytes()
+
+
+def test_a_model_scores_from_another_directory_without_its_vocabulary_file(
+    capsys, tmp_path, monkeypatch
+):
+    trained_in = tmp_path / "a"
+    trained_in.mkdir()
+    monkeypatch.chdir(trained_in)
+    _, vocab, spec, in_memory = train_with_greedy_tokenizer(capsys, trained_in, "vocab.txt")
+    tokenizer = load_tokenizer(spec)
+    vocab.unlink()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "b")
+    write_corpus("corpus", n_shards=1)
+    shard = os.path.join("corpus", "shard000.jsonl")
+    docs = list(iter_documents(shard))
+    model_path = os.path.join("..", "a", "model.ufwc")
+
+    code, out, err = run(capsys, "classifier", "predict", "--model", model_path, "--in", shard)
+    assert code == 0, err
+    preds = clf.predict_many(in_memory, [d.text for d in docs], tokenizer)
+    assert [json.loads(line)["score"] for line in out.splitlines()] == \
+        [p.dist["positive"] for p in preds]
+
+    code, _, err = run(capsys, "filter", "score", "--model", model_path, "--shards", shard,
+                       "--out", "scored")
+    assert code == 0, err
+    scores = {}
+    for stream in ("kept", "rejected"):
+        with open(os.path.join("scored", stream, "shard000.jsonl.scored.jsonl"),
+                  encoding="utf-8") as f:
+            scores.update((obj["id"], obj["score"]) for obj in map(json.loads, f))
+    expected, _ = filtering.score_many(in_memory, [tokenizer.tokenize(d.text) for d in docs])
+    assert [scores[d.id] for d in docs] == expected

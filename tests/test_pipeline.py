@@ -10,10 +10,12 @@ lines, and pool manifests, making that comparison meaningful.
 import builtins
 import collections
 import dataclasses
+import fcntl
 import json
 import logging
 import os
 import shutil
+import signal
 
 import numpy as np
 import pytest
@@ -473,7 +475,7 @@ class TestVerdicts:
         final = [e for e in read_journal("run") if e["type"] == "classifier"][-1]
         model = load_model(os.path.join("run", final["data"]["model_path"]))
         assert model.tokenizer.spec == config.tokenizer
-        assert model.tokenizer.vocab_sha256 is None
+        assert model.tokenizer.vocab is None
 
     def test_report_requires_waiting_run(self, tmp_path, monkeypatch):
         config = build_world(tmp_path)
@@ -518,22 +520,70 @@ class TestLockingAndFailure:
         monkeypatch.chdir(tmp_path)
         init_run("run", config)
         lock = os.path.join("run", pipeline.LOCK_NAME)
-        with open(lock, "w", encoding="utf-8"):
-            pass
+        held = os.open(lock, os.O_CREAT | os.O_RDWR)
+        fcntl.flock(held, fcntl.LOCK_EX)
         with pytest.raises(RunLocked):
             run_round("run")
         base, cand = improved_pair()
         with pytest.raises(RunLocked):
             ingest_report("run", base, cand)
         os.makedirs("run2")
-        with open(os.path.join("run2", pipeline.LOCK_NAME), "w", encoding="utf-8"):
-            pass
+        held2 = os.open(os.path.join("run2", pipeline.LOCK_NAME), os.O_CREAT | os.O_RDWR)
+        fcntl.flock(held2, fcntl.LOCK_EX)
         with pytest.raises(RunLocked):
             init_run("run2", config)
+        os.close(held2)
 
-        os.remove(lock)
+        os.close(held)      # unlocked; the file stays
         state = run_round("run")
         assert state.status == AWAITING_VERIFICATION
+        assert not os.path.exists(lock)
+
+    def test_a_killed_writer_leaves_the_run_unlocked(self, tmp_path, monkeypatch):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        init_run("run", config)
+        ready_r, ready_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                pipeline._RunLock("run").__enter__()
+                os.write(ready_w, b"x")
+                signal.pause()
+            finally:
+                os._exit(1)
+        try:
+            os.close(ready_w)
+            assert os.read(ready_r, 1) == b"x"
+            with pytest.raises(RunLocked):
+                run_round("run")
+        finally:
+            os.close(ready_r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert os.path.exists(os.path.join("run", pipeline.LOCK_NAME))
+        assert run_round("run").status == AWAITING_VERIFICATION
+        assert not os.path.exists(os.path.join("run", pipeline.LOCK_NAME))
+
+    def test_a_lock_taken_on_an_unlinked_lock_file_is_refused(self, tmp_path, monkeypatch):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        init_run("run", config)
+        lock = os.path.join("run", pipeline.LOCK_NAME)
+        flock = fcntl.flock
+
+        def holder_leaves_first(fd, operation):
+            # between this writer's open and its flock, the holder unlinks
+            # the file and another writer creates a new one
+            os.remove(lock)
+            open(lock, "w").close()
+            flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", holder_leaves_first)
+        with pytest.raises(RunLocked):
+            run_round("run")
+        monkeypatch.setattr(fcntl, "flock", flock)
+        assert run_round("run").status == AWAITING_VERIFICATION
 
     def test_round_failure_names_round_and_cause(self, tmp_path, monkeypatch):
         # quota of 300 positives against a 120 document category

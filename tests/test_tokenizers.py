@@ -138,9 +138,7 @@ def test_load_vocab_rejects_invalid_utf8(tmp_path):
 def test_load_vocab_accepts_missing_trailing_newline(tmp_path):
     path = tmp_path / "v.txt"
     path.write_bytes(b"a\nb")
-    vocab, digest = load_vocab(str(path))
-    assert vocab == {"a", "b"}
-    assert len(digest) == 64
+    assert load_vocab(str(path)) == {"a", "b"}
 
 
 # -- spec validation -----------------------------------------------------------
