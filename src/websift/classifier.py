@@ -514,18 +514,20 @@ def train(
 
 def check_tokenizer(model: ClassifierModel, tokenizer: Tokenizer) -> None:
     """Raise TokenizerMismatch unless tokenizer is the one model was trained
-    with: the same spec and the same vocabulary."""
+    with: the same kind, preserve_structural and vocabulary. The vocabulary
+    file's path is not compared; the model carries the vocabulary."""
     want = model_tokenizer(model)
     if tokenizer is want:
         return
-    if tokenizer.spec != want.spec:
+    got, spec = tokenizer.spec, want.spec
+    if (got.kind, got.preserve_structural) != (spec.kind, spec.preserve_structural):
         raise TokenizerMismatch(
-            f"tokenizer {canonical_json(tokenizer.spec.to_json_obj())} is not the model's "
-            f"{canonical_json(want.spec.to_json_obj())}"
+            f"tokenizer {canonical_json(got.to_json_obj())} is not the model's "
+            f"{canonical_json(spec.to_json_obj())}"
         )
     if tokenizer.vocab != want.vocab:
         extra, missing = len(tokenizer.vocab - want.vocab), len(want.vocab - tokenizer.vocab)
-        raise TokenizerMismatch(f"tokenizer vocabulary {tokenizer.spec.vocab_path} has {extra} "
+        raise TokenizerMismatch(f"tokenizer vocabulary {got.vocab_path} has {extra} "
                                 f"tokens the model's lacks and lacks {missing} of the model's")
 
 

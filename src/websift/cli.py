@@ -406,8 +406,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--shards", required=True, nargs="+", help="shard paths or globs")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
-        "--workers", type=int, default=None,
-        help="scoring processes, forked; capped at pending shards and CPUs (default: CPUs)",
+        "--workers", type=int, default=os.cpu_count() or 1,
+        help="scoring processes, forked; capped at shards and CPUs (default: CPUs)",
     )
     p.add_argument("--resume", action="store_true", help="reuse shards already scored")
     p.set_defaults(func=_cmd_filter_score)
@@ -491,10 +491,6 @@ def dispatch(argv: Sequence[str]) -> int:
             print(f"error: missing or unknown subcommand under {name!r}" if name
                   else "error: a command is required", file=sys.stderr)
             return EXIT_FATAL
-        if getattr(args, "workers", None) is not None and args.workers < 1:
-            raise _UsageError("--workers must be >= 1")
-        if getattr(args, "workers", "absent") is None:
-            args.workers = os.cpu_count() or 1
         return args.func(args)
     except _UsageError as e:
         parser.print_usage(sys.stderr)

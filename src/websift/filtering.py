@@ -8,10 +8,11 @@ featurize_many call and scored by one positive_probs call over the model's
 logit table, which sums each document's entries as a segment of its own,
 so no output byte depends on the chunk size. Shards are independent units
 of work that this process and forked workers claim one at a time from a
-shared claim file; a completed-shard ledger makes interrupted runs
-restartable without rescoring finished shards. Unreadable shards (missing,
-truncated or corrupt .gz) are reported and skipped so one bad file cannot
-sink a long run; malformed records are skipped, counted and logged.
+shared claim file. The claiming process hashes the shard and reuses it if
+a completed-shard ledger names that digest, so interrupted runs restart
+without rescoring finished shards. Unreadable shards (missing, truncated or
+corrupt .gz) are reported and skipped so one bad file cannot sink a long
+run; malformed records are skipped, counted and logged.
 
 Each scored shard leaves three files, all durable before its ledger line:
 its kept and rejected streams and ids/<shard>.kept_ids, its kept ids
@@ -227,6 +228,7 @@ class _ShardResult:
     stats: FilterStats
     zero_feature: int
     malformed: list[str]     # MalformedRecord messages, in line order
+    digest: str = ""         # the shard's shard_digest, set by the claiming process
 
 
 @dataclass
@@ -324,8 +326,9 @@ def _score_shard(
     return _ShardResult(stats, zero_feature, malformed)
 
 
-# A shard's outcome: its result, or why it could not be read.
-_Outcome = Union[_ShardResult, str]
+# A shard's outcome: its result, why it could not be read, or None when an
+# earlier run's outputs are reused.
+_Outcome = Union[_ShardResult, str, None]
 
 
 _T = TypeVar("_T")
@@ -353,20 +356,20 @@ def _send(fd: int, obj: object) -> None:
 
 
 def _score_pending(
-    score_one: Callable[[str], _ShardResult],
-    pending: Sequence[str],
+    score_one: Callable[[str], Optional[_ShardResult]],
+    shards: Sequence[str],
     workers: int,
     settle: Callable[[int, _Outcome], None],
     claims_dir: str,
 ) -> None:
-    """Score pending shards in min(workers, pending shards, CPUs) processes.
+    """Run score_one on every shard in min(workers, shards, CPUs) processes.
 
-    Each process claims the next pending index with a 4-byte os.read of one
+    Each process claims the next shard index with a 4-byte os.read of one
     shared, unlinked claim file; Linux moves a shared offset atomically on
     each read (read(2), since 3.14), so each shard is claimed once and uneven
-    shards balance. A forked worker sends (index, None) down its pipe as it
+    shards balance. A forked worker sends (index,) down its pipe as it
     claims a shard, then (index, outcome). settle(index, outcome) runs here,
-    in index order, as each prefix of the pending list completes.
+    in index order, as each prefix of the shard list completes.
     """
     outcomes: dict[int, _Outcome] = {}
     forked: dict[int, list] = {}    # pipe fd -> [pid, unread bytes, claimed undelivered index]
@@ -382,21 +385,21 @@ def _score_pending(
                 poller.unregister(fd)
                 os.close(fd)
                 if exitcode := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
-                    raise WorkerDied(None if lost is None else shard_name(pending[lost]), exitcode)
+                    raise WorkerDied(None if lost is None else shard_name(shards[lost]), exitcode)
                 continue
             buf += data
             while len(buf) >= 4 and len(buf) >= 4 + (size := int.from_bytes(buf[:4], "little")):
-                i, outcome = pickle.loads(buf[4:4 + size])
+                i, *outcome = pickle.loads(buf[4:4 + size])  # (index,) is a claim
                 del buf[:4 + size]
-                worker[2] = i if outcome is None else None
-                if outcome is not None:
-                    outcomes[i] = outcome
+                worker[2] = None if outcome else i
+                if outcome:
+                    outcomes[i] = outcome[0]
         while settled in outcomes:
             settle(settled, outcomes.pop(settled))
             settled += 1
 
     with tempfile.TemporaryFile(dir=claims_dir) as claims:
-        claims.write(b"".join(i.to_bytes(4, "little") for i in range(len(pending))))
+        claims.write(b"".join(i.to_bytes(4, "little") for i in range(len(shards))))
         claims.seek(0)      # flushes the indices and rewinds the shared offset
 
         def claimed() -> Iterator[int]:
@@ -404,14 +407,14 @@ def _score_pending(
                 yield int.from_bytes(raw, "little")
 
         try:
-            for _ in range(min(workers, len(pending), os.cpu_count() or 1) - 1):
+            for _ in range(min(workers, len(shards), os.cpu_count() or 1) - 1):
                 reader, writer = os.pipe()
                 if (pid := os.fork()) == 0:
                     try:
                         os.close(reader)
                         for i in claimed():
-                            _send(writer, (i, None))
-                            _send(writer, (i, _attempt(score_one, pending[i])))
+                            _send(writer, (i,))
+                            _send(writer, (i, _attempt(score_one, shards[i])))
                         os._exit(0)
                     except BaseException:
                         os.write(2, traceback.format_exc().encode())
@@ -421,7 +424,7 @@ def _score_pending(
                 forked[reader] = [pid, bytearray(), None]
                 poller.register(reader, select.POLLIN)
             for i in claimed():
-                outcomes[i] = _attempt(score_one, pending[i])
+                outcomes[i] = _attempt(score_one, shards[i])
                 collect(0)
             while forked:
                 collect(None)
@@ -507,11 +510,13 @@ def score_corpus(
     as a clean run leaves it. Every input document lands in exactly one
     output stream, in its shard's input order.
 
-    Pending shards are scored by min(workers, pending shards, CPUs)
-    processes: this one and forked workers, which share the model
-    copy-on-write and claim shards from a claim file in out_dir; one process
-    forks nothing. Forking is only safe while no other thread of the caller
-    holds a lock. No ledger, log or output byte depends on the count.
+    Shards are claimed by min(workers, shards, CPUs) processes: this one and
+    forked workers, which share the model and ledger copy-on-write and claim
+    shards from a claim file in out_dir; one process forks nothing. The
+    claiming process hashes a shard and decides its reuse, so no shard is
+    read before scoring starts. Forking is only safe while no other thread
+    of the caller holds a lock. No ledger, log or output byte depends on the
+    count.
 
     Raises TokenizerMismatch unless tokenizer is the one the model was
     trained with.
@@ -545,38 +550,32 @@ def score_corpus(
     if not same_setup:
         atomic_write_text(setup_path, canonical_json(setup.to_json_obj()) + "\n")
 
-    digests: dict[str, str] = {}
-    failed: list[tuple[str, str]] = []
-    pending: list[str] = []
-    skipped: list[str] = []
-    per_shard: dict[str, FilterStats] = {}
-
-    for path in shards:
+    def claim(path: str) -> Optional[_ShardResult]:
+        """Score a shard, or None to reuse the ledger's entry for its digest."""
         name = shard_name(path)
-        try:
-            digests[name] = shard_digest(path)
-        except OSError as e:
-            _record_unreadable(failed, name, str(e))
-            continue
+        digest = shard_digest(path)
         prior = ledger.get(name)
-        if (
-            prior is not None
-            and prior.digest == digests[name]
-            and all(map(os.path.exists, _output_paths(out_dir, name)))
-        ):
-            per_shard[name] = prior.stats
-            skipped.append(name)
-        else:
-            pending.append(path)
+        if prior and prior.digest == digest and all(map(os.path.exists, _output_paths(out_dir, name))):
+            return None
+        result = _score_shard(model, tokenizer, threshold, path, out_dir)
+        result.digest = digest
+        return result
 
+    completed: list[str] = []
+    skipped: list[str] = []
+    failed: list[tuple[str, str]] = []
     zero_feature = 0
     superseded = False      # this run rescored a shard the ledger already named
 
     def settle(index: int, outcome: _Outcome) -> None:
         nonlocal zero_feature, superseded
-        name = shard_name(pending[index])
+        name = names[index]
         if isinstance(outcome, str):
             _record_unreadable(failed, name, outcome)
+            return
+        completed.append(name)
+        if outcome is None:
+            skipped.append(name)
             return
         for message in outcome.malformed:
             log.warning("skipping malformed record %s", message)
@@ -584,24 +583,21 @@ def score_corpus(
             log.info("shard %s: %d documents had no tokens in the vocabulary and no "
                      "n-gram, scored 0.5", name, outcome.zero_feature)
         zero_feature += outcome.zero_feature
-        entry = _LedgerEntry(name, digests[name], outcome.stats)
+        entry = _LedgerEntry(name, outcome.digest, outcome.stats)
         append_line(ledger_path, canonical_json(entry.to_json_obj()))
         superseded |= name in ledger
         ledger[name] = entry
-        per_shard[name] = outcome.stats
 
-    _score_pending(lambda path: _score_shard(model, tokenizer, threshold, path, out_dir),
-                   pending, workers, settle, out_dir)
+    _score_pending(claim, shards, workers, settle, out_dir)
 
     stats = FilterStats()
-    completed = [n for n in names if n in per_shard]
     for name in completed:
-        stats.merge(per_shard[name])
+        stats.merge(ledger[name].stats)
     if superseded:      # compact to one entry per shard, as a clean run writes
         with atomic_open(ledger_path) as f:
             f.writelines(canonical_json(ledger[name].to_json_obj()) + "\n" for name in completed)
 
-    fingerprint = corpus_fingerprint(digests[n] for n in completed)
+    fingerprint = corpus_fingerprint(ledger[n].digest for n in completed)
     manifest_path = os.path.join(out_dir, "keep_manifest.txt")
     # each sidecar is read whole and closed, so no file stays open per shard;
     # sorting the concatenated sorted lists is faster in Python than merging them

@@ -39,6 +39,7 @@ DEFAULT_SEQUENCE_LENGTH = 4096
 WARMUP_FRACTION = 0.1
 LR_MAX = 1e-3
 LR_MIN = 5e-5
+LR_DECAY = "exponential"
 # How far below candidate_weight a mixture's achieved candidate fraction may fall.
 WEIGHT_TOLERANCE = 0.005
 
@@ -309,34 +310,25 @@ def compose_mixture(
 @dataclass
 class AnnealPlan:
     step_plan: StepPlan
-    candidate_weight: float
-    default_weight: float
-    warmup_fraction: float
-    lr_max: float
-    lr_min: float
-    lr_decay: str
+    candidate_weight: float     # the default corpus takes the rest
     seed: int
     candidate_manifest: TokenManifest
     default_manifest: TokenManifest
     schedule: list[ScheduleSlice] = field(repr=False)
-
-    def __post_init__(self):
-        if self.candidate_weight + self.default_weight != 1.0:
-            raise ValueError("candidate_weight + default_weight must equal 1 exactly")
 
     def to_json_obj(self) -> dict:
         sp = self.step_plan
         return {
             "hyperparameters": {
                 "candidate_weight": self.candidate_weight,
-                "default_weight": self.default_weight,
+                "default_weight": 1.0 - self.candidate_weight,
                 "global_batch_size": sp.global_batch_size,
                 "sequence_length": sp.sequence_length,
                 "n_epoch": sp.n_epoch,
-                "warmup_fraction": self.warmup_fraction,
-                "lr_max": self.lr_max,
-                "lr_min": self.lr_min,
-                "lr_decay": self.lr_decay,
+                "warmup_fraction": WARMUP_FRACTION,
+                "lr_max": LR_MAX,
+                "lr_min": LR_MIN,
+                "lr_decay": LR_DECAY,
             },
             "steps": {
                 "candidate_tokens": sp.candidate_tokens,
@@ -402,11 +394,6 @@ def build_anneal_plan(
     return AnnealPlan(
         step_plan=step_plan,
         candidate_weight=candidate_weight,
-        default_weight=1.0 - candidate_weight,
-        warmup_fraction=WARMUP_FRACTION,
-        lr_max=LR_MAX,
-        lr_min=LR_MIN,
-        lr_decay="exponential",
         seed=seed,
         candidate_manifest=candidate,
         default_manifest=default,

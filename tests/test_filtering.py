@@ -18,7 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from websift import filtering
-from websift.classifier import ClassifierConfig, LabeledExample, TokenizerMismatch, save_model, train
+from websift.classifier import (
+    ClassifierConfig,
+    LabeledExample,
+    TokenizerMismatch,
+    predict_many,
+    save_model,
+    train,
+)
 from websift.documents import Document, encode_line, write_documents
 from websift.errors import WebsiftError
 from websift.filtering import (
@@ -545,16 +552,26 @@ def test_forked_workers_score_each_shard_exactly_once(tmp_path, model, tokenizer
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=20, docs_per_shard=4)
     serial = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "w1"), workers=1)
     real_score_shard = filtering._score_shard
+    real_digest = filtering.shard_digest
+
+    def mark_once(path, suffix):
+        # a second call for a shard fails here, in whichever process makes it
+        marker = tmp_path / f"{os.path.basename(path)}.{suffix}"
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
 
     def score_once(model, tokenizer, threshold, path, out_dir):
-        # a second claim of a shard fails here, in whichever process makes it
-        marker = tmp_path / f"{os.path.basename(path)}.claimed"
-        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        mark_once(path, "claimed")
         return real_score_shard(model, tokenizer, threshold, path, out_dir)
 
+    def digest_once(path):
+        mark_once(path, "hashed")
+        return real_digest(path)
+
     monkeypatch.setattr(filtering, "_score_shard", score_once)
+    monkeypatch.setattr(filtering, "shard_digest", digest_once)
     run = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "w6"), workers=6)
     assert len(list(tmp_path.glob("*.claimed"))) == 20
+    assert len(list(tmp_path.glob("*.hashed"))) == 20
     assert run.failed_shards == []
     assert run_bytes(run.out_dir) == run_bytes(serial.out_dir)
 
@@ -573,12 +590,39 @@ def test_score_corpus_digests_each_shard_once(tmp_path, model, tokenizer, monkey
     assert calls == shards
 
 
-def test_score_corpus_resume_skips_unchanged(tmp_path, model, tokenizer):
+def test_no_shard_is_read_before_scoring_starts(tmp_path, model, tokenizer, monkeypatch):
+    started = []
+    real_score_pending = filtering._score_pending
+
+    def score_pending(*args):
+        started.append(True)
+        return real_score_pending(*args)
+
+    def after_start(read):
+        def checked(*args):
+            assert started, f"{read.__name__} ran before scoring started"
+            return read(*args)
+        return checked
+
+    monkeypatch.setattr(filtering, "_score_pending", score_pending)
+    monkeypatch.setattr(filtering, "shard_digest", after_start(filtering.shard_digest))
+    monkeypatch.setattr(filtering, "iter_shard_lines", after_start(filtering.iter_shard_lines))
     shards, _ = make_corpus(tmp_path / "corpus")
     out = str(tmp_path / "out")
     first = score_corpus(model, shards, 0.5, tokenizer, out)
-    assert first.skipped_shards == []
+    started.clear()
     second = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert second.skipped_shards == first.completed_shards
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_score_corpus_resume_skips_unchanged(tmp_path, model, tokenizer, monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shards, _ = make_corpus(tmp_path / "corpus")
+    out = str(tmp_path / "out")
+    first = score_corpus(model, shards, 0.5, tokenizer, out, workers=workers)
+    assert first.skipped_shards == []
+    second = score_corpus(model, shards, 0.5, tokenizer, out, workers=workers, resume=True)
     assert sorted(second.skipped_shards) == sorted(first.completed_shards)
     assert second.stats.to_json_obj() == first.stats.to_json_obj()
     with open(first.keep_manifest_path, "rb") as f:
@@ -586,13 +630,15 @@ def test_score_corpus_resume_skips_unchanged(tmp_path, model, tokenizer):
     assert again.startswith(b"# corpus_fingerprint: ")
 
 
-def test_score_corpus_resume_rescans_changed_shard(tmp_path, model, tokenizer):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_score_corpus_resume_rescans_changed_shard(tmp_path, model, tokenizer, monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     shards, docs = make_corpus(tmp_path / "corpus")
     out = str(tmp_path / "out")
-    score_corpus(model, shards, 0.5, tokenizer, out)
+    score_corpus(model, shards, 0.5, tokenizer, out, workers=workers)
     with open(shards[1], "a", encoding="utf-8") as f:
         f.write(json.dumps({"id": "s001:99", "text": " ".join(POS_WORDS[:8])}) + "\n")
-    second = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    second = score_corpus(model, shards, 0.5, tokenizer, out, workers=workers, resume=True)
     changed = os.path.basename(shards[1])
     assert changed not in second.skipped_shards
     assert changed in second.completed_shards
@@ -799,12 +845,24 @@ def test_score_corpus_makes_outputs_durable_before_their_ledger_entry(
     )
 
 
-def test_score_corpus_reports_failed_shards(tmp_path, model, tokenizer):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_score_corpus_reports_failed_shards(tmp_path, model, tokenizer, monkeypatch, caplog, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     shards, docs = make_corpus(tmp_path / "corpus", n_shards=2)
+    with open(shards[0], "rb") as f:
+        packed = gzip.compress(f.read())
+    truncated = str(tmp_path / "corpus" / "s000x.jsonl.gz")
+    with open(truncated, "wb") as f:
+        f.write(packed[: len(packed) // 2])
     missing = str(tmp_path / "corpus" / "nope.jsonl")
-    run = score_corpus(model, shards + [missing], 0.5, tokenizer, str(tmp_path / "out"))
+    listed = shards[:1] + [truncated, missing] + shards[1:]
+    run = score_corpus(model, listed, 0.5, tokenizer, str(tmp_path / "out"), workers=workers)
     assert run.partial
-    assert [name for name, _ in run.failed_shards] == ["nope.jsonl"]
+    # in shard order, although the missing shard fails on its digest and the
+    # truncated one part way through scoring
+    assert [name for name, _ in run.failed_shards] == ["s000x.jsonl.gz", "nope.jsonl"]
+    logged = [r.getMessage().split()[1] for r in caplog.records if "unreadable" in r.getMessage()]
+    assert logged == ["s000x.jsonl.gz", "nope.jsonl"]
     assert sorted(run.completed_shards) == [os.path.basename(p) for p in shards]
     assert run.stats.documents_total == len(docs)
 
@@ -916,6 +974,39 @@ def test_score_corpus_refuses_a_tokenizer_the_model_was_not_trained_with(tmp_pat
     with pytest.raises(TokenizerMismatch, match="preserve_structural"):
         score_corpus(model, shards, 0.5, other, str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
+
+
+def test_a_copied_vocabulary_file_is_the_model_tokenizer(tmp_path):
+    # the model carries its vocabulary, so where the file lies does not matter
+    vocab_file = tmp_path / "vocab.txt"
+    vocab_file.write_text("\n".join(POS_WORDS + NEG_WORDS) + "\n", encoding="utf-8")
+    greedy = load_tokenizer(TokenizerSpec(kind="vocab_greedy", vocab_path=str(vocab_file)))
+    dataset = [LabeledExample(label, " ".join(words[i:] + words[:i]))
+               for label, words in (("positive", POS_WORDS), ("negative", NEG_WORDS))
+               for i in range(4)]
+    model = train(dataset, ClassifierConfig(dim=8, bucket=64, min_count=1), greedy)
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=1)
+    texts = [" ".join(POS_WORDS[:5]), " ".join(NEG_WORDS[:5])]
+    copy = tmp_path / "copy.txt"
+    shutil.copyfile(vocab_file, copy)
+    copied = load_tokenizer(TokenizerSpec(kind="vocab_greedy", vocab_path=str(copy)))
+    assert predict_many(model, texts, copied) == predict_many(model, texts, greedy)
+    run = score_corpus(model, shards, 0.5, copied, str(tmp_path / "copied"))
+    clean = score_corpus(model, shards, 0.5, greedy, str(tmp_path / "clean"))
+    assert run_bytes(run.out_dir) == run_bytes(clean.out_dir)
+
+    unstructured = load_tokenizer(TokenizerSpec(kind="vocab_greedy", vocab_path=str(copy),
+                                                preserve_structural=False))
+    with open(copy, "a", encoding="utf-8") as f:
+        f.write("ugly\n")
+    extended = load_tokenizer(TokenizerSpec(kind="vocab_greedy", vocab_path=str(copy)))
+    for other, match in ((unstructured, "preserve_structural"),
+                         (extended, "1 tokens the model's lacks and lacks 0")):
+        with pytest.raises(TokenizerMismatch, match=match):
+            predict_many(model, texts, other)
+        with pytest.raises(TokenizerMismatch, match=match):
+            score_corpus(model, shards, 0.5, other, str(tmp_path / "refused"))
+        assert not (tmp_path / "refused").exists()
 
 
 # -- keep manifests -------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from websift.verify import (
-    AnnealPlan,
     CandidateEpochOverflow,
     EvalScores,
     InsufficientDefaultTokens,
@@ -292,26 +291,6 @@ def test_build_anneal_plan_document():
     assert prov["candidate_total_tokens"] == 1000
     assert len(obj["schedule"]) == len(plan.schedule)
     assert sum(s["tokens"] for s in obj["schedule"]) == 10000
-
-
-def test_anneal_plan_weights_must_sum_to_one():
-    cand = manifest("c", 600)
-    default = manifest("d", 5000)
-    step_plan = plan_steps(600, n_epoch=3, global_batch_size=1, sequence_length=2)
-    with pytest.raises(ValueError):
-        AnnealPlan(
-            step_plan=step_plan,
-            candidate_weight=0.3,
-            default_weight=0.6,
-            warmup_fraction=0.1,
-            lr_max=1e-3,
-            lr_min=5e-5,
-            lr_decay="exponential",
-            seed=0,
-            candidate_manifest=cand,
-            default_manifest=default,
-            schedule=[],
-        )
 
 
 # -- benchmark reports -----------------------------------------------------------------
