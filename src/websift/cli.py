@@ -15,7 +15,7 @@ import argparse
 import logging
 import os
 import sys
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import classifier as clf
@@ -218,11 +218,14 @@ def _cmd_filter_score(args) -> int:
 
 
 def _cmd_filter_intersect(args) -> int:
-    fingerprint, ids = filtering.intersect(args.manifests)
-    header = filtering.MANIFEST_HEADER_PREFIX + fingerprint
-    _write_out(args.out, (line + "\n" for line in [header, *ids]))
-    if args.out:
-        print(canonical_json({"out": args.out, "kept": len(ids)}))
+    with filtering.open_intersection(args.manifests) as (fingerprint, ids):
+        if args.out:
+            tally = count()   # zip takes an id before a number, so it ends at the id count
+            filtering.write_keep_manifest(args.out, fingerprint, (i for i, _ in zip(ids, tally)))
+            print(canonical_json({"out": args.out, "kept": next(tally)}))
+        else:
+            sys.stdout.write(filtering.MANIFEST_HEADER_PREFIX + fingerprint + "\n")
+            sys.stdout.writelines(i + "\n" for i in ids)
     return EXIT_OK
 
 

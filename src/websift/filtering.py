@@ -24,7 +24,10 @@ Keep manifests record the sorted kept ids under a corpus fingerprint, which
 intersect() checks before combining runs, so manifests from different
 corpora never silently intersect. score_corpus writes its manifest by
 sorting the completed shards' sidecars together, without reading a kept
-document.
+document. Manifests are read MANIFEST_WINDOW lines at a time, and ids out
+of order are refused on both write and read. intersect() merges the
+manifests window by window, so a streamed intersection holds one window
+per manifest whatever the corpus size.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import signal
 import tempfile
 import traceback
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
@@ -86,6 +90,7 @@ log = logging.getLogger(__name__)
 SCORE_BINS = 100
 DEFAULT_TOKEN_BIN_EDGES = (0, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 MANIFEST_HEADER_PREFIX = "# corpus_fingerprint: "
+MANIFEST_WINDOW = 4096      # keep manifest lines read, or ids written, at a time
 
 
 class ShardUnreadable(WebsiftError):
@@ -622,49 +627,131 @@ def score_corpus(
 # keep manifests
 
 def write_keep_manifest(path: str, fingerprint: str, sorted_ids: Iterable[str]) -> int:
-    """Stream sorted ids into a keep manifest under the corpus fingerprint
-    header. Returns how many ids equal the one before them (duplicates)."""
+    """Stream ascending ids into a keep manifest under the corpus fingerprint
+    header. Returns how many ids equal the one before them (duplicates).
+    An id that sorts before the one before it raises ValueError and leaves
+    path as it was, so no manifest is written that intersect would refuse."""
     duplicates = 0
     previous = None
     ids = iter(sorted_ids)
     with atomic_open(path) as f:
         f.write(MANIFEST_HEADER_PREFIX + fingerprint + "\n")
-        while chunk := list(islice(ids, 4096)):
+        while chunk := list(islice(ids, MANIFEST_WINDOW)):
+            if _descends(previous, chunk):
+                raise ValueError(f"{path}: keep manifest ids must be written in ascending order")
             duplicates += sum(map(operator.eq, [previous, *chunk], chunk))
             f.write("\n".join(chunk) + "\n")
             previous = chunk[-1]
     return duplicates
 
 
+def _descends(previous: Optional[str], ids: list[str]) -> bool:
+    """Whether non-empty ids, following previous (None at the start), break
+    ascending order."""
+    return (previous is not None and previous > ids[0]) or any(map(operator.gt, ids, ids[1:]))
+
+
+def _open_manifest(path: str, stack: ExitStack) -> tuple[str, Iterator[list[str]]]:
+    """Open a keep manifest on stack and check its header. Returns its
+    fingerprint and its ids as ascending, non-empty windows read
+    MANIFEST_WINDOW lines at a time, blank lines skipped; the windows raise
+    ValueError at an id that sorts before the one before it."""
+    f = stack.enter_context(open(path, "r", encoding="utf-8"))
+    header = f.readline().rstrip("\n")
+    if not header.startswith(MANIFEST_HEADER_PREFIX):
+        raise ValueError(f"{path}: missing corpus fingerprint header")
+
+    def windows() -> Iterator[list[str]]:
+        previous = None
+        while lines := list(islice(f, MANIFEST_WINDOW)):
+            window = [line.rstrip("\n") for line in lines if not line.isspace()]
+            del lines       # hold one copy of the window while it is merged
+            if window:
+                if _descends(previous, window):
+                    raise ValueError(f"{path}: keep manifest ids are not in ascending order")
+                previous = window[-1]
+                yield window
+
+    return header[len(MANIFEST_HEADER_PREFIX):], windows()
+
+
 def read_keep_manifest(path: str) -> tuple[str, list[str]]:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith(MANIFEST_HEADER_PREFIX):
-            raise ValueError(f"{path}: missing corpus fingerprint header")
-        fingerprint = header[len(MANIFEST_HEADER_PREFIX):]
-        ids = [line.rstrip("\n") for line in f if line.strip()]
-    return fingerprint, ids
+    """A keep manifest's fingerprint and all its ids, ascending."""
+    with ExitStack() as stack:
+        fingerprint, windows = _open_manifest(path, stack)
+        return fingerprint, list(chain.from_iterable(windows))
+
+
+def _common_ids(streams: Sequence[Iterator[list[str]]]) -> Iterator[str]:
+    """The ids that every stream holds, ascending and each once. A stream
+    yields its ids in ascending, non-empty windows.
+
+    Each round settles every id up to the smallest window tail (the bound)
+    at once: one set intersection of the other streams' settled ids filters
+    the first stream's, which are already in order, and dict.fromkeys drops
+    repeats. The rest of each window carries to the next round, so memory
+    is one window per stream. An id read later than its round can only
+    equal that round's bound, and is dropped. Once one stream ends nothing
+    more is common, but the others are still read to their ends, so a
+    manifest out of order is refused wherever it is."""
+    pending: list[list[str]] = [[] for _ in streams]
+    bound = None
+    while True:
+        for i, stream in enumerate(streams):
+            if not pending[i]:
+                pending[i] = next(stream, [])
+                if not pending[i]:
+                    for _ in chain.from_iterable(streams):
+                        pass
+                    return
+        settled_before, bound = bound, min(window[-1] for window in pending)
+        cuts = [bisect.bisect_right(window, bound) for window in pending]
+        first, *others = [window[:cut] for window, cut in zip(pending, cuts)]
+        common = set(others[0]).intersection(*others[1:])
+        settled = dict.fromkeys(filter(common.__contains__, first))
+        settled.pop(settled_before, None)
+        yield from settled
+        pending = [window[cut:] for window, cut in zip(pending, cuts)]
+
+
+def _windows(ids: list[str]) -> Iterator[list[str]]:
+    return (ids[i:i + MANIFEST_WINDOW] for i in range(0, len(ids), MANIFEST_WINDOW))
 
 
 def intersect_ids(id_sets: Sequence[set[str]]) -> list[str]:
+    """The ids in every set, ascending: each set is sorted and the sorted
+    lists merged as intersect merges manifests."""
     if len(id_sets) < 2:
         raise ValueError("intersect needs at least two keep manifests")
-    common = set(id_sets[0])
-    for s in id_sets[1:]:
-        common &= s
-    return sorted(common)
+    return list(_common_ids([_windows(sorted(s)) for s in id_sets]))
+
+
+@contextmanager
+def open_intersection(manifest_paths: Sequence[str]) -> Iterator[tuple[str, Iterator[str]]]:
+    """Open keep manifests of one corpus and yield their fingerprint and an
+    iterator over the ids in every one, ascending and each once.
+
+    The iterator streams a merge of the manifests, so memory is one window
+    of MANIFEST_WINDOW lines per manifest whatever the corpus size. It
+    raises ValueError, naming the file, at a manifest whose ids are out of
+    order. Fingerprints that differ raise CorpusMismatch before any id is
+    read."""
+    if len(manifest_paths) < 2:
+        raise ValueError("intersect needs at least two keep manifests")
+    with ExitStack() as stack:
+        opened = [_open_manifest(p, stack) for p in manifest_paths]
+        fingerprints = [fp for fp, _ in opened]
+        if len(set(fingerprints)) != 1:
+            raise CorpusMismatch(fingerprints)
+        yield fingerprints[0], _common_ids([windows for _, windows in opened])
 
 
 def intersect(manifest_paths: Sequence[str]) -> tuple[str, list[str]]:
-    """Intersect keep manifests of the same corpus; sorted ids out."""
-    if len(manifest_paths) < 2:
-        raise ValueError("intersect needs at least two keep manifests")
-    loaded = [read_keep_manifest(p) for p in manifest_paths]
-    fingerprints = [fp for fp, _ in loaded]
-    if len(set(fingerprints)) != 1:
-        raise CorpusMismatch(fingerprints)
-    ids = intersect_ids([set(ids) for _, ids in loaded])
-    return fingerprints[0], ids
+    """Intersect keep manifests of the same corpus: their fingerprint and
+    the common ids, ascending and each once, collected from
+    open_intersection's stream."""
+    with open_intersection(manifest_paths) as (fingerprint, ids):
+        return fingerprint, list(ids)
 
 
 # ---------------------------------------------------------------------------

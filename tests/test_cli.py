@@ -553,6 +553,29 @@ class TestFilterCommands:
         assert header == fp
         assert sorted(ids) == ["d2", "d3"]
 
+    def test_intersect_out_may_overwrite_an_input(self, capsys, tmp_path):
+        fp = "f" * 64
+        a, b, both = (str(tmp_path / name) for name in ("a.txt", "b.txt", "both.txt"))
+        filtering.write_keep_manifest(a, fp, [f"d{i:03d}" for i in range(0, 300, 2)])
+        filtering.write_keep_manifest(b, fp, [f"d{i:03d}" for i in range(0, 300, 3)])
+        assert run(capsys, "filter", "intersect", a, b, "--out", both)[0] == 0
+        assert run(capsys, "filter", "intersect", a, b, "--out", a)[0] == 0
+        with open(a, "rb") as fa, open(both, "rb") as fb:
+            assert fa.read() == fb.read()
+
+    def test_intersect_refuses_unsorted_manifest(self, capsys, tmp_path):
+        fp = "f" * 64
+        a, b = tmp_path / "a.txt", str(tmp_path / "b.txt")
+        a.write_text(filtering.MANIFEST_HEADER_PREFIX + fp + "\nd1\nd3\nd2\n", encoding="utf-8")
+        filtering.write_keep_manifest(b, fp, ["d1", "d2", "d3"])
+        out = tmp_path / "both.txt"
+        code, _, err = run(capsys, "filter", "intersect", str(a), b, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and str(a) in err and len(err.splitlines()) == 1
+        assert not out.exists() and not (tmp_path / "both.txt.tmp").exists()
+        code, _, err = run(capsys, "filter", "intersect", b, str(a))
+        assert code == 1 and err.startswith("error: ")
+
     def test_intersect_mismatched_corpora(self, capsys, tmp_path):
         filtering.write_keep_manifest(str(tmp_path / "a.txt"), "a" * 64, ["d1"])
         filtering.write_keep_manifest(str(tmp_path / "b.txt"), "b" * 64, ["d1"])

@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -1066,6 +1067,82 @@ def test_intersect_needs_two_inputs(tmp_path):
         intersect([path])
     with pytest.raises(ValueError):
         intersect_ids([{"x"}])
+
+
+def test_write_keep_manifest_refuses_descending_ids(tmp_path, monkeypatch):
+    path = tmp_path / "keep.txt"
+    # within one written chunk, then across two
+    for window, ids in ((filtering.MANIFEST_WINDOW, ["a", "c", "b"]), (2, ["a", "b", "a"])):
+        monkeypatch.setattr(filtering, "MANIFEST_WINDOW", window)
+        with pytest.raises(ValueError, match="ascending"):
+            write_keep_manifest(str(path), "f" * 64, iter(ids))
+        assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("window", [1, filtering.MANIFEST_WINDOW])
+def test_out_of_order_manifest_is_refused(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(filtering, "MANIFEST_WINDOW", window)
+    unsorted, other = tmp_path / "unsorted.txt", str(tmp_path / "other.txt")
+    unsorted.write_text(filtering.MANIFEST_HEADER_PREFIX + "f" * 64 + "\nx\nz\ny\n", encoding="utf-8")
+    write_keep_manifest(other, "f" * 64, ["x"])
+    names_path = re.escape(str(unsorted))
+    with pytest.raises(ValueError, match=names_path):
+        read_keep_manifest(str(unsorted))
+    # other ends at x, before the disorder: the rest is still read and refused
+    with pytest.raises(ValueError, match=names_path):
+        intersect([other, str(unsorted)])
+
+
+# one manifest's lines: an int is an id (the ids are sorted into place), a str a blank line
+_manifest_entries = st.lists(st.one_of(st.integers(0, 30), st.sampled_from(["", " ", "\t"])),
+                             max_size=12)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, filtering.MANIFEST_WINDOW])
+def test_streamed_intersection_matches_set_intersection(tmp_path, monkeypatch, window):
+    # small windows put duplicate ids on both sides of a window boundary
+    monkeypatch.setattr(filtering, "MANIFEST_WINDOW", window)
+    fp = "f" * 64
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(_manifest_entries, st.booleans()), min_size=2, max_size=5))
+    def matches(manifests):
+        lists, paths = [], []
+        for n, (entries, crlf) in enumerate(manifests):
+            ids = sorted(f"id{e:02d}" for e in entries if isinstance(e, int))
+            placed = iter(ids)
+            lines = [next(placed) if isinstance(e, int) else e for e in entries]
+            path = tmp_path / f"m{n}.txt"
+            path.write_text("".join(line + "\n" for line in [filtering.MANIFEST_HEADER_PREFIX + fp, *lines]),
+                            encoding="utf-8", newline="\r\n" if crlf else "\n")
+            lists.append(ids)
+            paths.append(str(path))
+        want = sorted(set.intersection(*map(set, lists)))
+        assert intersect(paths) == (fp, want)
+        assert intersect_ids([set(ids) for ids in lists]) == want
+        assert read_keep_manifest(paths[0]) == (fp, lists[0])
+
+    matches()
+
+
+def test_streamed_intersection_memory_is_flat_in_manifest_size(tmp_path):
+    # the same peak for a corpus and one ten times its size
+    def peak(n):
+        paths = [str(tmp_path / f"every{step}-{n}.txt") for step in (1, 2)]
+        for step, path in zip((1, 2), paths):
+            write_keep_manifest(path, "f" * 64, (f"doc{i:09d}" for i in range(0, n * step, step)))
+        with filtering.open_intersection(paths) as (_, common):
+            tracemalloc.start()
+            try:
+                kept = sum(1 for _ in common)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert kept == (n + 1) // 2
+        return peak
+
+    small, large = peak(35_000), peak(350_000)
+    assert large <= small + 64 * 1024, (small, large)
 
 
 # -- token length stats ----------------------------------------------------------------
