@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields, replace
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -53,6 +54,11 @@ class _Parser(argparse.ArgumentParser):
 def _tokenizer_from_flag(path: Optional[str]):
     spec = TokenizerSpec.from_file(path) if path else TokenizerSpec()
     return load_tokenizer(spec)
+
+
+def _given(args, names: Iterable[str]) -> dict:
+    """The flags among names (by dest) that the command line set."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _write_out(path: Optional[str], chunks: Iterable[str]) -> None:
@@ -105,14 +111,9 @@ def _cmd_tokenize(args) -> int:
 
 def _cmd_classifier_train(args) -> int:
     config = clf.ClassifierConfig.from_file(args.config) if args.config else clf.ClassifierConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in ("dim", "lr", "epochs", "min_count", "word_ngrams", "bucket", "seed")
-        if getattr(args, name) is not None
-    }
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides)
+    config = replace(config, **_given(
+        args, ("dim", "lr", "epochs", "min_count", "word_ngrams", "bucket", "seed")
+    ))
     tokenizer = _tokenizer_from_flag(args.tokenizer)
     examples = clf.load_labeled_examples(args.data)
     model = clf.train(examples, config, tokenizer)
@@ -238,33 +239,18 @@ def _cmd_filter_stats(args) -> int:
 
 
 def _cmd_verify_plan(args) -> int:
+    settings = verify.AnnealSettings(
+        **_given(args, (f.name for f in fields(verify.AnnealSettings)))
+    )
     if args.candidate_manifest:
         if not args.default_manifest:
             raise _UsageError("--default-manifest is required with --candidate-manifest")
         candidate = verify.TokenManifest.from_file(args.candidate_manifest)
         default = verify.TokenManifest.from_file(args.default_manifest)
-        plan = verify.build_anneal_plan(
-            candidate,
-            default,
-            n_epoch=args.n_epoch,
-            global_batch_size=args.batch_size,
-            sequence_length=args.seq_len,
-            rounding_mode=args.rounding_mode,
-            candidate_weight=args.weight,
-            seed=args.seed,
-            strata=args.strata,
-        )
+        plan = verify.build_anneal_plan(candidate, default, settings, args.seed)
         payload = canonical_json(plan.to_json_obj())
     elif args.candidate_tokens is not None:
-        step_plan = verify.plan_steps(
-            candidate_tokens=args.candidate_tokens,
-            n_epoch=args.n_epoch,
-            global_batch_size=args.batch_size,
-            sequence_length=args.seq_len,
-            rounding_mode=args.rounding_mode,
-            candidate_weight=args.weight,
-        )
-        payload = canonical_json(step_plan.to_json_obj())
+        payload = canonical_json(verify.plan_steps(args.candidate_tokens, settings).to_json_obj())
     else:
         raise _UsageError("one of --candidate-manifest or --candidate-tokens is required")
     _write_out(args.out, [payload + "\n"])
@@ -430,13 +416,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--candidate-manifest", help="candidate token manifest JSON")
     p.add_argument("--default-manifest", help="default-mixture token manifest JSON")
     p.add_argument("--candidate-tokens", type=int, help="token count for a steps-only plan")
-    p.add_argument("--n-epoch", dest="n_epoch", type=int, default=3)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=verify.DEFAULT_GLOBAL_BATCH_SIZE)
-    p.add_argument("--seq-len", dest="seq_len", type=int, default=verify.DEFAULT_SEQUENCE_LENGTH)
-    p.add_argument("--rounding-mode", choices=list(verify.ROUNDING_MODES), default="as_written_max")
-    p.add_argument("--weight", type=float, default=verify.DEFAULT_CANDIDATE_WEIGHT)
+    # unset anneal flags keep verify.AnnealSettings' defaults
+    p.add_argument("--n-epoch", dest="n_epoch", type=int)
+    p.add_argument("--batch-size", dest="global_batch_size", type=int)
+    p.add_argument("--seq-len", dest="sequence_length", type=int)
+    p.add_argument("--rounding-mode", dest="rounding_mode", choices=list(verify.ROUNDING_MODES))
+    p.add_argument("--weight", dest="candidate_weight", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strata", type=int, default=100)
+    p.add_argument("--strata", type=int)
     p.add_argument("--out", help="write plan JSON here instead of stdout")
     p.set_defaults(func=_cmd_verify_plan)
     p = gsub.add_parser("report", help="compare two eval score files")

@@ -65,6 +65,7 @@ from .ioutil import (
 from .seedpool import SeedPoolStore, assemble_training_set, write_training_set
 from .tokenizers import TokenizerSpec, load_tokenizer
 from .verify import (
+    AnnealSettings,
     EvalScores,
     ManifestShard,
     MetricGrouping,
@@ -117,14 +118,11 @@ class RoundFailed(WebsiftError):
 # configuration
 
 @dataclass(frozen=True)
-class VerifySettings(JsonRecord):
-    default_manifest: str
-    n_epoch: int = 3
-    global_batch_size: int = 512
-    sequence_length: int = 4096
-    rounding_mode: str = "as_written_max"
-    candidate_weight: float = 0.3
-    strata: int = 100
+class VerifySettings(AnnealSettings):
+    """Each round's anneal settings and the default corpus its kept sample
+    is mixed into."""
+
+    default_manifest: str = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -580,15 +578,7 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
     )
     default = TokenManifest.from_file(config.verify.default_manifest)
     plan = build_anneal_plan(
-        candidate,
-        default,
-        n_epoch=config.verify.n_epoch,
-        global_batch_size=config.verify.global_batch_size,
-        sequence_length=config.verify.sequence_length,
-        rounding_mode=config.verify.rounding_mode,
-        candidate_weight=config.verify.candidate_weight,
-        seed=_derived_seed(config.seed, state.round, "mixture"),
-        strata=config.verify.strata,
+        candidate, default, config.verify, _derived_seed(config.seed, state.round, "mixture")
     )
     plan_text = canonical_json(plan.to_json_obj()) + "\n"
     plan_path, plan_rel = _artifact(run_dir, state.round, "anneal_plan.json")

@@ -1,13 +1,16 @@
 """Annealing verification: step planning, mixture schedules, eval reports.
 
 Candidate data is verified by annealing a partially trained base model on a
-mixture of 30% candidate and 70% default data. plan_steps turns a candidate
+mixture of 30% candidate and 70% default data. One AnnealSettings record
+sizes an anneal: it holds the defaults and refuses a bad value when it is
+built, so every function below takes it whole. plan_steps turns a candidate
 token count into a step budget using exact rational arithmetic (the token
 total is candidate_tokens * n_epoch / candidate_weight, so the candidate
 passes through about n_epoch times). compose_mixture lays the two sources
 out as a stratified schedule whose candidate share stays near the target in
 every part of the run, not just globally, because front-loading the
 candidate would bias the annealed model toward whatever it saw last.
+build_anneal_plan runs both and records the provenance.
 
 eval_report compares two benchmark score sets with per-metric and per-group
 point differences. The Overall average runs over the union metric list, not
@@ -32,9 +35,6 @@ ROUNDING_MODES = ("as_written_max", "nearest_canonical")
 STEP_FLOOR = 5000
 N_EPOCH_RANGE = (3, 5)
 
-DEFAULT_CANDIDATE_WEIGHT = 0.3
-DEFAULT_GLOBAL_BATCH_SIZE = 512
-DEFAULT_SEQUENCE_LENGTH = 4096
 # Fixed annealing-schedule hyperparameters written into every plan.
 WARMUP_FRACTION = 0.1
 LR_MAX = 1e-3
@@ -76,14 +76,35 @@ class MissingMetric(WebsiftError):
         self.metrics = list(metrics)
 
 
-def _check_n_epoch(n_epoch: int) -> None:
-    lo, hi = N_EPOCH_RANGE
-    if not (lo <= n_epoch <= hi):
-        raise ValueError(f"n_epoch must be within [{lo}, {hi}], got {n_epoch}")
-
-
 # ---------------------------------------------------------------------------
 # step planning
+
+@dataclass(frozen=True)
+class AnnealSettings(JsonRecord):
+    """How one verification anneal is sized: passes over the candidate, batch
+    shape, step rounding, the candidate's share of the tokens and how many
+    strata the schedule is cut into."""
+
+    n_epoch: int = 3
+    global_batch_size: int = 512
+    sequence_length: int = 4096
+    rounding_mode: str = "as_written_max"
+    candidate_weight: float = 0.3
+    strata: int = 100
+
+    def __post_init__(self):
+        lo, hi = N_EPOCH_RANGE
+        if not (lo <= self.n_epoch <= hi):
+            raise ValueError(f"n_epoch must be within [{lo}, {hi}], got {self.n_epoch}")
+        if self.rounding_mode not in ROUNDING_MODES:
+            raise ValueError(f"rounding_mode must be one of {ROUNDING_MODES}")
+        if self.global_batch_size < 1 or self.sequence_length < 1:
+            raise ValueError("global_batch_size and sequence_length must be >= 1")
+        # 0 and 1 are exact floats, so this agrees with the exact arithmetic
+        # of plan_steps for every finite weight, and it refuses NaN and inf.
+        if not (0 < self.candidate_weight < 1):
+            raise ValueError("candidate_weight must be in (0, 1)")
+
 
 @dataclass(frozen=True)
 class StepPlan(JsonRecord):
@@ -107,14 +128,7 @@ class StepPlan(JsonRecord):
         return self.computed_steps * self.tokens_per_step
 
 
-def plan_steps(
-    candidate_tokens: int,
-    n_epoch: int,
-    global_batch_size: int = DEFAULT_GLOBAL_BATCH_SIZE,
-    sequence_length: int = DEFAULT_SEQUENCE_LENGTH,
-    rounding_mode: str = "as_written_max",
-    candidate_weight: float = DEFAULT_CANDIDATE_WEIGHT,
-) -> StepPlan:
+def plan_steps(candidate_tokens: int, settings: AnnealSettings) -> StepPlan:
     """Step budget for annealing on a candidate of the given token count.
 
     Arithmetic is exact: the weight is taken as a decimal fraction and both
@@ -124,27 +138,20 @@ def plan_steps(
     """
     if candidate_tokens <= 0:
         raise NonPositiveTokens(candidate_tokens)
-    _check_n_epoch(n_epoch)
-    if rounding_mode not in ROUNDING_MODES:
-        raise ValueError(f"rounding_mode must be one of {ROUNDING_MODES}")
-    if global_batch_size < 1 or sequence_length < 1:
-        raise ValueError("global_batch_size and sequence_length must be >= 1")
-    weight = Fraction(str(candidate_weight))
-    if not (0 < weight < 1):
-        raise ValueError("candidate_weight must be in (0, 1)")
-    total_tokens = math.ceil(Fraction(candidate_tokens * n_epoch) / weight)
-    tokens_per_step = global_batch_size * sequence_length
-    raw_steps = math.ceil(Fraction(total_tokens, tokens_per_step))
-    if rounding_mode == "as_written_max":
+    s = settings
+    weight = Fraction(str(s.candidate_weight))
+    total_tokens = math.ceil(Fraction(candidate_tokens * s.n_epoch) / weight)
+    raw_steps = math.ceil(Fraction(total_tokens, s.global_batch_size * s.sequence_length))
+    if s.rounding_mode == "as_written_max":
         computed = max(raw_steps, STEP_FLOOR)
     else:
         computed = min(CANONICAL_STEPS, key=lambda c: (abs(c - raw_steps), -c))
     return StepPlan(
         candidate_tokens=candidate_tokens,
-        n_epoch=n_epoch,
-        global_batch_size=global_batch_size,
-        sequence_length=sequence_length,
-        rounding_mode=rounding_mode,
+        n_epoch=s.n_epoch,
+        global_batch_size=s.global_batch_size,
+        sequence_length=s.sequence_length,
+        rounding_mode=s.rounding_mode,
         total_tokens=total_tokens,
         raw_steps=raw_steps,
         computed_steps=computed,
@@ -237,12 +244,8 @@ def compose_mixture(
     candidate: TokenManifest,
     default: TokenManifest,
     computed_steps: int,
-    n_epoch: int,
-    global_batch_size: int = DEFAULT_GLOBAL_BATCH_SIZE,
-    sequence_length: int = DEFAULT_SEQUENCE_LENGTH,
-    candidate_weight: float = DEFAULT_CANDIDATE_WEIGHT,
-    seed: int = 0,
-    strata: int = 100,
+    settings: AnnealSettings,
+    seed: int,
 ) -> list[ScheduleSlice]:
     """Ordered shard schedule mixing candidate and default data.
 
@@ -252,10 +255,10 @@ def compose_mixture(
     shards cycle at most n_epoch passes (shuffled per pass), default shards
     are consumed in a single shuffled pass.
     """
-    _check_n_epoch(n_epoch)
     if computed_steps < 1:
         raise ValueError("computed_steps must be >= 1")
-    plan_tokens = computed_steps * global_batch_size * sequence_length
+    n_epoch, candidate_weight = settings.n_epoch, settings.candidate_weight
+    plan_tokens = computed_steps * settings.global_batch_size * settings.sequence_length
     target_budget = round(candidate_weight * plan_tokens)
     available = n_epoch * candidate.total_tokens
 
@@ -284,7 +287,7 @@ def compose_mixture(
 
     # Keep strata wide enough that per-stratum rounding cannot starve either
     # side; tiny plans just use fewer strata.
-    n_strata = max(1, min(strata, plan_tokens // 10 or 1))
+    n_strata = max(1, min(settings.strata, plan_tokens // 10 or 1))
     sizes = _partition(plan_tokens, n_strata)
     cand_parts = _partition(candidate_budget, n_strata)
 
@@ -310,7 +313,7 @@ def compose_mixture(
 @dataclass
 class AnnealPlan:
     step_plan: StepPlan
-    candidate_weight: float     # the default corpus takes the rest
+    settings: AnnealSettings
     seed: int
     candidate_manifest: TokenManifest
     default_manifest: TokenManifest
@@ -320,8 +323,8 @@ class AnnealPlan:
         sp = self.step_plan
         return {
             "hyperparameters": {
-                "candidate_weight": self.candidate_weight,
-                "default_weight": 1.0 - self.candidate_weight,
+                "candidate_weight": self.settings.candidate_weight,
+                "default_weight": 1.0 - self.settings.candidate_weight,
                 "global_batch_size": sp.global_batch_size,
                 "sequence_length": sp.sequence_length,
                 "n_epoch": sp.n_epoch,
@@ -364,41 +367,16 @@ class AnnealPlan:
 def build_anneal_plan(
     candidate: TokenManifest,
     default: TokenManifest,
-    n_epoch: int = 3,
-    global_batch_size: int = DEFAULT_GLOBAL_BATCH_SIZE,
-    sequence_length: int = DEFAULT_SEQUENCE_LENGTH,
-    rounding_mode: str = "as_written_max",
-    candidate_weight: float = DEFAULT_CANDIDATE_WEIGHT,
-    seed: int = 0,
-    strata: int = 100,
+    settings: AnnealSettings,
+    seed: int,
 ) -> AnnealPlan:
-    step_plan = plan_steps(
-        candidate_tokens=candidate.total_tokens,
-        n_epoch=n_epoch,
-        global_batch_size=global_batch_size,
-        sequence_length=sequence_length,
-        rounding_mode=rounding_mode,
-        candidate_weight=candidate_weight,
-    )
-    schedule = compose_mixture(
-        candidate,
-        default,
-        computed_steps=step_plan.computed_steps,
-        n_epoch=n_epoch,
-        global_batch_size=global_batch_size,
-        sequence_length=sequence_length,
-        candidate_weight=candidate_weight,
-        seed=seed,
-        strata=strata,
-    )
-    return AnnealPlan(
-        step_plan=step_plan,
-        candidate_weight=candidate_weight,
-        seed=seed,
-        candidate_manifest=candidate,
-        default_manifest=default,
-        schedule=schedule,
-    )
+    """The plan for annealing on candidate mixed into default: the step
+    budget plan_steps gives for the candidate's token count, the schedule
+    compose_mixture lays out for that budget, and both manifests'
+    fingerprints. The settings were checked when they were built."""
+    step_plan = plan_steps(candidate.total_tokens, settings)
+    schedule = compose_mixture(candidate, default, step_plan.computed_steps, settings, seed)
+    return AnnealPlan(step_plan, settings, seed, candidate, default, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +406,8 @@ class MetricGrouping:
         for name, metrics in self.groups:
             if name == OVERALL:
                 raise ValueError(f"{OVERALL!r} is computed, not declared")
+            if not metrics:
+                raise ValueError(f"group {name!r} has no metrics")
             for m in metrics:
                 if m in seen:
                     raise ValueError(f"metric {m!r} appears in more than one group")

@@ -43,6 +43,7 @@ from websift.seedpool import InsufficientSeedData, SeedPoolStore, assemble_train
 from websift.verify import (
     CHINESE_METRICS,
     ENGLISH_METRICS,
+    AnnealSettings,
     EvalScores,
     ManifestShard,
     MetricGrouping,
@@ -137,14 +138,14 @@ def test_c01_report_reproduces_published_averages():
 
 def test_c02_step_plans_match_published_budgets():
     t0 = time.perf_counter()
-    plan = plan_steps(1_000_000_000, n_epoch=3)
+    plan = plan_steps(1_000_000_000, AnnealSettings())
     assert plan.tokens_per_step == 2_097_152
     assert plan.total_tokens == 10_000_000_000
     assert plan.raw_steps == 4769
     assert plan.computed_steps == 5000
     assert plan.plan_tokens == 5000 * 2_097_152
 
-    small = plan_steps(120_000_000, n_epoch=3, rounding_mode="nearest_canonical")
+    small = plan_steps(120_000_000, AnnealSettings(rounding_mode="nearest_canonical"))
     assert small.total_tokens == 1_200_000_000
     assert small.raw_steps == 573
     assert small.computed_steps == 500
@@ -456,8 +457,8 @@ def test_c08_anneal_mixture_fraction_within_tolerance():
                 )
             ),
         )
-        plan = build_anneal_plan(candidate, default, n_epoch=n_epoch, global_batch_size=1,
-                                 sequence_length=seq, seed=trial, strata=100)
+        plan = build_anneal_plan(candidate, default, AnnealSettings(
+            n_epoch=n_epoch, global_batch_size=1, sequence_length=seq, strata=100), trial)
 
         flags = candidate_flags(plan.schedule)
         assert flags.size == plan.step_plan.plan_tokens

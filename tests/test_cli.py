@@ -651,6 +651,15 @@ class TestVerifyCommands:
         assert code == 1
         assert "--default-manifest" in err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "0", "1"])
+    def test_plan_weight_outside_open_unit_interval_is_fatal(self, capsys, weight):
+        code, out, err = run(
+            capsys, "verify", "plan", "--candidate-tokens", "1000", "--weight", weight
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: candidate_weight must be in (0, 1)\n"
+
     @pytest.fixture()
     def score_files(self, tmp_path):
         base = {"run_label": "base", "scores": {m: 50.0 for m in ALL_METRICS}}
@@ -784,6 +793,29 @@ class TestPipelineCommands:
         assert code == 1
         assert "already initialized" in err
 
+    @pytest.mark.parametrize("bad", [
+        {"n_epoch": 9},
+        {"n_epoch": 2},
+        {"rounding_mode": "nope"},
+        {"candidate_weight": 1.5},
+        {"candidate_weight": 0},
+        {"candidate_weight": float("nan")},
+        {"global_batch_size": 0},
+        {"sequence_length": 0},
+    ])
+    def test_init_refuses_bad_verify_settings(self, capsys, tmp_path, monkeypatch, bad):
+        config = build_world(tmp_path).to_json_obj()
+        config["verify"].update(bad)
+        monkeypatch.chdir(tmp_path)
+        with open("pipeline.json", "w", encoding="utf-8") as f:
+            json.dump(config, f)
+        code, _, err = run(capsys, "pipeline", "init", "--run", "run", "--config", "pipeline.json")
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: PipelineConfig.verify:"), err
+        assert not os.path.exists(os.path.join("run", pipeline.JOURNAL_NAME))
+
     def test_status_missing_run(self, capsys, tmp_path):
         code, _, err = run(capsys, "pipeline", "status", "--run", str(tmp_path / "nowhere"))
         assert code == 1
@@ -901,15 +933,16 @@ def test_token_manifest_missing_key_is_one_error_line(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["verify", "report"], ["pipeline", "ingest-report", "--run", "run"]])
-@pytest.mark.parametrize("flag,content,cls_name", [
+@pytest.mark.parametrize("flag,content,named", [
     ("--baseline", ["x"], "EvalScores"),
     ("--baseline", "scores", "EvalScores"),
     ("--grouping", ["English"], "MetricGrouping"),
     ("--grouping", {"English": 5}, "MetricGrouping"),
     ("--grouping", {"English": "ARC"}, "MetricGrouping"),
     ("--grouping", {"English": ["ARC", 1]}, "MetricGrouping"),
+    ("--grouping", {"English": [], "Chinese": ["ARC"]}, "'English'"),
 ])
-def test_malformed_eval_file_is_one_error_line(capsys, tmp_path, command, flag, content, cls_name):
+def test_malformed_eval_file_is_one_error_line(capsys, tmp_path, command, flag, content, named):
     files = {
         "--baseline": {"run_label": "base", "scores": {"ARC": 50.0}},
         "--candidate": {"run_label": "cand", "scores": {"ARC": 51.0}},
@@ -925,7 +958,7 @@ def test_malformed_eval_file_is_one_error_line(capsys, tmp_path, command, flag, 
     assert code == 1
     assert "Traceback" not in err
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and cls_name in lines[0], err
+    assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], err
 
 
 def test_eval_files_keep_accepting_extra_keys(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from websift import cli
 from websift.verify import (
+    AnnealSettings,
     CandidateEpochOverflow,
     EvalScores,
     InsufficientDefaultTokens,
@@ -35,19 +38,19 @@ def manifest(name, *token_counts):
 # -- step planning ---------------------------------------------------------------
 
 def test_tokens_per_step_at_production_settings():
-    plan = plan_steps(10**9, n_epoch=3)
+    plan = plan_steps(10**9, AnnealSettings())
     assert plan.tokens_per_step == 2_097_152
 
 
 def test_plan_steps_billion_token_candidate():
-    plan = plan_steps(10**9, n_epoch=3)
+    plan = plan_steps(10**9, AnnealSettings())
     assert plan.total_tokens == 10_000_000_000
     assert plan.raw_steps == 4769
     assert plan.computed_steps == 5000  # floored at the minimum schedule
 
 
 def test_plan_steps_small_candidate_nearest_canonical():
-    plan = plan_steps(120_000_000, n_epoch=3, rounding_mode="nearest_canonical")
+    plan = plan_steps(120_000_000, AnnealSettings(rounding_mode="nearest_canonical"))
     assert plan.total_tokens == 1_200_000_000
     assert plan.raw_steps == 573
     assert plan.computed_steps == 500
@@ -55,26 +58,30 @@ def test_plan_steps_small_candidate_nearest_canonical():
 
 def test_plan_steps_canonical_tie_goes_up():
     # raw lands exactly between two canonical budgets
-    assert plan_steps(30, 3, 1, 1, "nearest_canonical").raw_steps == 300
-    assert plan_steps(30, 3, 1, 1, "nearest_canonical").computed_steps == 500
-    assert plan_steps(75, 3, 1, 1, "nearest_canonical").computed_steps == 1000
+    tiny = AnnealSettings(global_batch_size=1, sequence_length=1, rounding_mode="nearest_canonical")
+    assert plan_steps(30, tiny).raw_steps == 300
+    assert plan_steps(30, tiny).computed_steps == 500
+    assert plan_steps(75, tiny).computed_steps == 1000
 
 
 def test_plan_steps_rejects_bad_input():
     with pytest.raises(NonPositiveTokens):
-        plan_steps(0, 3)
+        plan_steps(0, AnnealSettings())
     with pytest.raises(NonPositiveTokens):
-        plan_steps(-5, 3)
-    with pytest.raises(ValueError):
-        plan_steps(100, 2)
-    with pytest.raises(ValueError):
-        plan_steps(100, 6)
-    with pytest.raises(ValueError):
-        plan_steps(100, 3, rounding_mode="round_up")
-    with pytest.raises(ValueError):
-        plan_steps(100, 3, global_batch_size=0)
-    with pytest.raises(ValueError):
-        plan_steps(100, 3, candidate_weight=1.0)
+        plan_steps(-5, AnnealSettings())
+    for bad in (
+        dict(n_epoch=2),
+        dict(n_epoch=6),
+        dict(rounding_mode="round_up"),
+        dict(global_batch_size=0),
+        dict(sequence_length=0),
+        dict(candidate_weight=1.0),
+        dict(candidate_weight=0),
+        dict(candidate_weight=math.nan),
+        dict(candidate_weight=math.inf),
+    ):
+        with pytest.raises(ValueError):
+            AnnealSettings(**bad)
 
 
 @given(
@@ -84,7 +91,7 @@ def test_plan_steps_rejects_bad_input():
     seq=st.sampled_from([2, 128, 4096]),
 )
 def test_plan_steps_matches_rational_arithmetic(ct, n_epoch, gbs, seq):
-    plan = plan_steps(ct, n_epoch, gbs, seq)
+    plan = plan_steps(ct, AnnealSettings(n_epoch, gbs, seq))
     total = math.ceil(Fraction(ct * n_epoch * 10, 3))  # weight 0.3 = 3/10
     assert plan.total_tokens == total
     assert plan.raw_steps == math.ceil(Fraction(total, gbs * seq))
@@ -94,14 +101,14 @@ def test_plan_steps_matches_rational_arithmetic(ct, n_epoch, gbs, seq):
 
 @given(ct=st.integers(1, 10**7), bump=st.integers(1, 10**6))
 def test_plan_steps_monotone_in_candidate_tokens(ct, bump):
-    a = plan_steps(ct, 3, 1, 64)
-    b = plan_steps(ct + bump, 3, 1, 64)
+    a = plan_steps(ct, AnnealSettings(3, 1, 64))
+    b = plan_steps(ct + bump, AnnealSettings(3, 1, 64))
     assert b.computed_steps >= a.computed_steps
-    assert plan_steps(ct, 4, 1, 64).computed_steps >= a.computed_steps
+    assert plan_steps(ct, AnnealSettings(4, 1, 64)).computed_steps >= a.computed_steps
 
 
 def test_step_plan_json_obj():
-    obj = plan_steps(10**9, 3).to_json_obj()
+    obj = plan_steps(10**9, AnnealSettings()).to_json_obj()
     assert obj["computed_steps"] == 5000
     assert obj["plan_tokens"] == 5000 * 2_097_152
     assert obj["rounding_mode"] == "as_written_max"
@@ -167,8 +174,7 @@ def max_window_deviation(flags, window, target):
 def test_mixture_exact_divisibility():
     cand = manifest("c", 1)
     default = manifest("d", 20)
-    schedule = compose_mixture(cand, default, computed_steps=10, n_epoch=3,
-                               global_batch_size=1, sequence_length=1)
+    schedule = compose_mixture(cand, default, 10, AnnealSettings(3, 1, 1), 0)
     assert sum(s.tokens for s in schedule) == 10
     assert candidate_tokens_of(schedule) == 3  # exactly 0.3 of the plan
     passes = [s.pass_index for s in schedule if s.source == "candidate"]
@@ -178,8 +184,7 @@ def test_mixture_exact_divisibility():
 def test_mixture_holds_fraction_in_every_window():
     cand = manifest("c", *([81] * 25))        # 2025 tokens, 3 passes cover 6075
     default = manifest("d", *([500] * 30))    # 15000 tokens
-    schedule = compose_mixture(cand, default, computed_steps=5000, n_epoch=3,
-                               global_batch_size=1, sequence_length=4)
+    schedule = compose_mixture(cand, default, 5000, AnnealSettings(3, 1, 4), 0)
     flags = candidate_flags(schedule)
     assert flags.size == 20000
     got = int(flags.sum())
@@ -193,8 +198,7 @@ def test_mixture_holds_fraction_in_every_window():
 def test_mixture_uneven_plan_still_windowed():
     cand = manifest("c", 1001, 1001)
     default = manifest("d", 5000, 5000, 5000)
-    schedule = compose_mixture(cand, default, computed_steps=5003, n_epoch=3,
-                               global_batch_size=1, sequence_length=4)
+    schedule = compose_mixture(cand, default, 5003, AnnealSettings(3, 1, 4), 0)
     flags = candidate_flags(schedule)
     assert flags.size == 20012
     assert abs(flags.sum() / flags.size - 0.3) <= 0.005
@@ -205,8 +209,7 @@ def test_mixture_uneven_plan_still_windowed():
 def test_mixture_candidate_passes_are_ordered():
     cand = manifest("c", 40, 60)
     default = manifest("d", 800)
-    schedule = compose_mixture(cand, default, computed_steps=1000, n_epoch=3,
-                               global_batch_size=1, sequence_length=1)
+    schedule = compose_mixture(cand, default, 1000, AnnealSettings(3, 1, 1), 0)
     passes = [s.pass_index for s in schedule if s.source == "candidate"]
     assert passes == sorted(passes)  # a new pass only starts after the previous one ends
     assert all(s.pass_index == 0 for s in schedule if s.source == "default")
@@ -215,10 +218,10 @@ def test_mixture_candidate_passes_are_ordered():
 def test_mixture_is_seeded():
     cand = manifest("c", *([50] * 10))
     default = manifest("d", *([200] * 10))
-    kw = dict(computed_steps=1000, n_epoch=3, global_batch_size=1, sequence_length=1)
-    a = compose_mixture(cand, default, seed=1, **kw)
-    b = compose_mixture(cand, default, seed=1, **kw)
-    c = compose_mixture(cand, default, seed=2, **kw)
+    settings = AnnealSettings(3, 1, 1)
+    a = compose_mixture(cand, default, 1000, settings, 1)
+    b = compose_mixture(cand, default, 1000, settings, 1)
+    c = compose_mixture(cand, default, 1000, settings, 2)
     assert a == b
     assert a != c
 
@@ -227,8 +230,7 @@ def test_mixture_clamps_within_weight_tolerance():
     # three full passes supply 5949 of the 6000-token target: 0.29745, accepted
     cand = manifest("c", 661, 661, 661)
     default = manifest("d", *([5000] * 3))
-    schedule = compose_mixture(cand, default, computed_steps=5000, n_epoch=3,
-                               global_batch_size=1, sequence_length=4)
+    schedule = compose_mixture(cand, default, 5000, AnnealSettings(3, 1, 4), 0)
     assert candidate_tokens_of(schedule) == 3 * 1983
     progress = check_tape_contiguity(schedule, cand, default)
     for shard in cand.shards:
@@ -240,8 +242,7 @@ def test_mixture_candidate_epoch_overflow():
     cand = manifest("c", 10)
     default = manifest("d", 50000)
     with pytest.raises(CandidateEpochOverflow) as err:
-        compose_mixture(cand, default, computed_steps=5000, n_epoch=5,
-                        global_batch_size=1, sequence_length=4)
+        compose_mixture(cand, default, 5000, AnnealSettings(5, 1, 4), 0)
     assert err.value.needed == 6000
     assert err.value.available == 50
     assert err.value.n_epoch == 5
@@ -251,8 +252,7 @@ def test_mixture_insufficient_default():
     cand = manifest("c", 2)
     default = manifest("d", 6)
     with pytest.raises(InsufficientDefaultTokens) as err:
-        compose_mixture(cand, default, computed_steps=10, n_epoch=3,
-                        global_batch_size=1, sequence_length=1)
+        compose_mixture(cand, default, 10, AnnealSettings(3, 1, 1), 0)
     assert err.value.needed == 7
     assert err.value.available == 6
 
@@ -260,9 +260,9 @@ def test_mixture_insufficient_default():
 def test_mixture_argument_validation():
     cand, default = manifest("c", 10), manifest("d", 100)
     with pytest.raises(ValueError):
-        compose_mixture(cand, default, computed_steps=0, n_epoch=3)
+        compose_mixture(cand, default, 0, AnnealSettings(), 0)
     with pytest.raises(ValueError):
-        compose_mixture(cand, default, computed_steps=10, n_epoch=2)
+        compose_mixture(cand, default, 10, AnnealSettings(n_epoch=2), 0)
 
 
 # -- full plan ----------------------------------------------------------------------
@@ -270,8 +270,7 @@ def test_mixture_argument_validation():
 def test_build_anneal_plan_document():
     cand = manifest("kept", 600, 400)
     default = manifest("base", 5000, 5000)
-    plan = build_anneal_plan(cand, default, n_epoch=3,
-                             global_batch_size=1, sequence_length=2, seed=9)
+    plan = build_anneal_plan(cand, default, AnnealSettings(3, 1, 2), 9)
     assert plan.step_plan.total_tokens == 10000
     assert plan.step_plan.computed_steps == 5000
     obj = plan.to_json_obj()
@@ -291,6 +290,53 @@ def test_build_anneal_plan_document():
     assert prov["candidate_total_tokens"] == 1000
     assert len(obj["schedule"]) == len(plan.schedule)
     assert sum(s["tokens"] for s in obj["schedule"]) == 10000
+
+
+# The exact bytes `websift verify plan` prints, pinned so that a refactor of
+# the planning code cannot move a step count, a slice or a fingerprint.
+PLAN_SHA256 = {
+    "steps_as_written_max":
+        "8943404a64bdaf964bebb8df277121a5bcd507ac539862fb76be12049da0b46b",
+    "steps_nearest_canonical":
+        "735cbce43df2a469b3215130bc5d1c5a8b1108d240c8d0331719fd80fb36b148",
+    "mixture_defaults":
+        "ba0433ddc86e390880eb804e85e4a545991c3275b8da830b2a86fd3b88236ee9",
+    "mixture_tiny_one_stratum":
+        "0b0cd7fa18f8ad10b2cea6235b0321c56b1b119f852cc0af57c28cd868ea4315",
+}
+
+
+def _plan_sha256(capsys, *argv):
+    assert cli.dispatch(["verify", "plan", *argv]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def _manifest_file(tmp_path, m):
+    path = tmp_path / f"{m.name}.json"
+    path.write_text(json.dumps(m.to_json_obj()), encoding="utf-8")
+    return str(path)
+
+
+def test_plan_bytes_are_pinned(capsys, tmp_path):
+    got = {
+        f"steps_{mode}": _plan_sha256(
+            capsys, "--candidate-tokens", "123456789", "--rounding-mode", mode
+        )
+        for mode in ("as_written_max", "nearest_canonical")
+    }
+    big_cand = _manifest_file(tmp_path, manifest("bc", 400_000_000, 350_000_000, 300_000_000))
+    big_default = _manifest_file(tmp_path, manifest("bd", *([10**9] * 8)))
+    got["mixture_defaults"] = _plan_sha256(
+        capsys, "--candidate-manifest", big_cand, "--default-manifest", big_default,
+        "--seed", "5", "--strata", "100",
+    )
+    cand = _manifest_file(tmp_path, manifest("c", 700, 300, 250))
+    default = _manifest_file(tmp_path, manifest("d", *([1000] * 12)))
+    got["mixture_tiny_one_stratum"] = _plan_sha256(
+        capsys, "--candidate-manifest", cand, "--default-manifest", default,
+        "--batch-size", "1", "--seq-len", "2", "--seed", "3", "--strata", "1",
+    )
+    assert got == PLAN_SHA256
 
 
 # -- benchmark reports -----------------------------------------------------------------
@@ -453,6 +499,8 @@ def test_metric_grouping_validation():
         MetricGrouping(groups=(("Overall", ("m",)),))
     with pytest.raises(ValueError):
         MetricGrouping(groups=(("A", ()),))
+    with pytest.raises(ValueError, match="group 'A' has no metrics"):
+        MetricGrouping(groups=(("A", ()), ("B", ("m",))))
     g = MetricGrouping(groups=(("A", ("x", "y")), ("B", ("z",))))
     assert g.union == ("x", "y", "z")
 
