@@ -7,20 +7,25 @@ thousands of seed documents stays cheap on CPUs:
   * word n-grams (lengths 2..word_ngrams) are hashed into `bucket`
     additional rows,
   * a document's hidden state is the mean of its feature rows,
-  * a softmax over the two labels is trained with plain sequential SGD,
-    learning rate decaying linearly to zero.
+  * one logistic weight vector w over the hidden state is trained with
+    plain sequential SGD, learning rate decaying linearly to zero.
 
-With two labels the positive probability is the logistic of the difference
-of the two logits, which is linear in the hidden state. So training folds
-its two weight matrices into a logit table with one float per feature row
-(row @ (out[1] - out[0])), and scoring reads only that table: the logistic
-of the mean of the document's table entries. The model file holds the
-table, not the matrices, and the tokenizer the model was trained with,
-vocabulary included, so a model file is all that scoring reads.
+With two labels fastText's softmax is exactly this logistic: w is the
+difference of its two output rows, and the positive probability is
+sigmoid(w . hidden). That is linear in the hidden state, so training folds
+w into a logit table with one float per feature row (row . w), and scoring
+reads only that table: the logistic of the mean of the document's table
+entries. The model file holds the table, not the weights, and the tokenizer
+the model was trained with, vocabulary included, so a model file is all
+that scoring reads.
 
 Training is single threaded and bit-for-bit deterministic for a fixed
 (config, dataset order) pair, which lets callers fingerprint model files and
-reproduce any published artifact exactly.
+reproduce any published artifact exactly. That holds across BLAS kernels and
+numpy SIMD levels too: training calls no BLAS product, sums w . hidden with
+math.fsum (correctly rounded) and the table in a fixed column order. It does
+not hold across C math libraries, whose exp may differ per CPU in the last
+bit; and scoring's np.exp can differ by an ulp between numpy SIMD levels.
 """
 
 from __future__ import annotations
@@ -101,8 +106,8 @@ class ClassifierConfig(JsonRecord):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if self.word_ngrams < 1:
             raise ValueError("word_ngrams must be >= 1")
         if self.min_count < 1:
@@ -111,6 +116,8 @@ class ClassifierConfig(JsonRecord):
             raise ValueError("epochs must be >= 1")
         if self.bucket < 1:
             raise ValueError("bucket must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         if len(labels) != 2 or len(set(labels)) != 2:
@@ -354,51 +361,37 @@ class Prediction:
     dist: dict[str, float]
 
 
-def _softmax_and_logloss(logits: np.ndarray, y: int) -> tuple[np.ndarray, float]:
-    m = logits.max()
-    e = np.exp(logits - m)
-    z = e.sum()
-    p = e / z
-    loss = float(np.log(z) + m - logits[y])
-    return p, loss
+def example_grads(
+    input_matrix: np.ndarray, w: np.ndarray, ids: np.ndarray, y: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log loss of one example plus its analytic gradients.
 
+    With h the mean of the example's rows and s = w . h, the positive
+    probability is p = sigmoid(s) and the loss is softplus(-s) for y = 1,
+    softplus(s) for y = 0. Returns (loss, grad_w, grad_row): grad_w is
+    (p - y) h, and grad_row is the gradient of every contributing input row,
+    (p - y) w / feature_count. With no features the row gradient is
+    zero-length.
 
-def example_loss(
-    input_matrix: np.ndarray, output_matrix: np.ndarray, ids: np.ndarray, y: int
-) -> float:
-    """Softmax log loss of one example at the given parameters."""
+    s is summed by math.fsum, which rounds correctly, and math.exp only sees
+    arguments <= 0, so a saturated logit neither overflows nor warns.
+    """
     if ids.size:
         hidden = input_matrix.take(ids, axis=0).mean(axis=0)
     else:
         hidden = np.zeros(input_matrix.shape[1])
-    _, loss = _softmax_and_logloss(output_matrix @ hidden, y)
-    return loss
+    s = math.fsum((hidden * w).tolist())
+    e = math.exp(-abs(s))
+    p = 1.0 / (1.0 + e) if s >= 0 else e / (1.0 + e)
+    loss = max(s if y == 0 else -s, 0.0) + math.log1p(e)
+    d = p - y
+    grad_row = (d / ids.size) * w if ids.size else np.zeros(0)
+    return loss, d * hidden, grad_row
 
 
-def example_grads(
-    input_matrix: np.ndarray, output_matrix: np.ndarray, ids: np.ndarray, y: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus analytic gradients for one example.
-
-    Returns (loss, grad_output, grad_row) where grad_output has the
-    output matrix shape and grad_row is the gradient of every contributing
-    input row (already scaled by 1/feature_count). With no features the row
-    gradient is zero-length.
-    """
-    dim = input_matrix.shape[1]
-    if ids.size:
-        hidden = input_matrix.take(ids, axis=0).mean(axis=0)
-    else:
-        hidden = np.zeros(dim)
-    p, loss = _softmax_and_logloss(output_matrix @ hidden, y)
-    g = p.copy()
-    g[y] -= 1.0
-    grad_output = np.outer(g, hidden)
-    if ids.size:
-        grad_row = (output_matrix.T @ g) / ids.size
-    else:
-        grad_row = np.zeros(0)
-    return loss, grad_output, grad_row
+def example_loss(input_matrix: np.ndarray, w: np.ndarray, ids: np.ndarray, y: int) -> float:
+    """Log loss of one example at the given parameters."""
+    return example_grads(input_matrix, w, ids, y)[0]
 
 
 def _row_update_plan(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -419,15 +412,14 @@ def _row_update_plan(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
 _TABLE_BLOCK_ELEMS = 1 << 18
 
 
-def _logit_table(input_matrix: np.ndarray, output_matrix: np.ndarray) -> np.ndarray:
-    """table[r] = sum over k of input_matrix[r, k] * w[k], w = out[1] - out[0],
-    added in column order k = 0, 1, ... for every row.
+def _logit_table(input_matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """table[r] = sum over k of input_matrix[r, k] * w[k], added in column
+    order k = 0, 1, ... for every row.
 
     Not a matrix product: BLAS may split and reorder that sum depending on
     its threads, and the table's bits must not depend on the machine.
     """
     rows, dim = input_matrix.shape
-    w = output_matrix[1] - output_matrix[0]
     table = np.zeros(rows)
     step = max(1, _TABLE_BLOCK_ELEMS // dim)
     terms = np.empty((dim, min(step, rows)))
@@ -444,8 +436,12 @@ def _logit_table(input_matrix: np.ndarray, output_matrix: np.ndarray) -> np.ndar
 def _sgd(
     dataset: Sequence[LabeledExample], config: ClassifierConfig, tokenizer: Tokenizer
 ) -> tuple[Vocabulary, np.ndarray, np.ndarray, tuple[float, ...]]:
-    """The training loop of train: (vocab, input_matrix, output_matrix,
-    epoch_losses)."""
+    """The training loop of train: (vocab, input_matrix, w, epoch_losses).
+
+    w is the difference of the two output rows of fastText's two-label
+    softmax, trained on its own: each of those rows would move by
+    lr_t * grad_w, so w moves by twice that.
+    """
     if not dataset:
         raise ValueError("empty training dataset")
     label_index = {name: i for i, name in enumerate(config.labels)}
@@ -466,7 +462,7 @@ def _sgd(
     rows = len(vocab) + config.bucket
     bound = 1.0 / config.dim
     input_matrix = rng.uniform(-bound, bound, size=(rows, config.dim))
-    output_matrix = np.zeros((len(config.labels), config.dim))
+    w = np.zeros(config.dim)
 
     total = config.epochs * len(dataset)
     t = 0
@@ -476,9 +472,9 @@ def _sgd(
         for ids, distinct, prefixes, y in steps:
             lr_t = config.lr * (1.0 - t / total)
             t += 1
-            loss, grad_output, grad_row = example_grads(input_matrix, output_matrix, ids, y)
+            loss, grad_w, grad_row = example_grads(input_matrix, w, ids, y)
             loss_sum += loss
-            output_matrix -= lr_t * grad_output
+            w -= 2.0 * lr_t * grad_w
             if prefixes:
                 update = lr_t * grad_row
                 block = input_matrix[distinct]
@@ -489,7 +485,7 @@ def _sgd(
         log.debug("epoch %d mean loss %.6f", epoch + 1, epoch_losses[-1])
     if zero_feature:
         log.info("training saw %d zero-feature examples", zero_feature)
-    return vocab, input_matrix, output_matrix, tuple(epoch_losses)
+    return vocab, input_matrix, w, tuple(epoch_losses)
 
 
 def train(
@@ -507,8 +503,8 @@ def train(
     in the example, in sequence, so a repeated row receives exactly the
     updates a per-occurrence loop would give it.
     """
-    vocab, input_matrix, output_matrix, epoch_losses = _sgd(dataset, config, tokenizer)
-    table = _logit_table(input_matrix, output_matrix)
+    vocab, input_matrix, w, epoch_losses = _sgd(dataset, config, tokenizer)
+    table = _logit_table(input_matrix, w)
     return ClassifierModel(config, vocab, table, TokenizerStamp.of(tokenizer), epoch_losses)
 
 

@@ -202,20 +202,19 @@ def test_c04_gradients_match_finite_differences_on_random_probes():
     worst = 0.0
     for probe in range(100):
         input_matrix = rng.normal(0.0, 0.6, size=(n_rows, dim))
-        output_matrix = rng.normal(0.0, 0.6, size=(n_labels, dim))
+        w = rng.normal(0.0, 0.6, size=dim)
         ids = np.asarray(rng.integers(0, n_rows, size=int(rng.integers(1, 10))), dtype=np.int64)
         y = int(rng.integers(0, n_labels))
-        _, grad_out, grad_row = example_grads(input_matrix, output_matrix, ids, y)
+        _, grad_w, grad_row = example_grads(input_matrix, w, ids, y)
         col = int(rng.integers(0, dim))
         if probe % 2 == 0:
-            row = int(rng.integers(0, n_labels))
-            analytic = grad_out[row, col]
-            numeric = central_diff(input_matrix, output_matrix, ids, y, "output", row, col)
+            analytic = grad_w[col]
+            numeric = central_diff(input_matrix, w, ids, y, "w", col)
         else:
             row = int(ids[int(rng.integers(0, ids.size))])
             # a row hit k times in one example accumulates k shared-row gradients
             analytic = int(np.count_nonzero(ids == row)) * grad_row[col]
-            numeric = central_diff(input_matrix, output_matrix, ids, y, "input", row, col)
+            numeric = central_diff(input_matrix, w, ids, y, "input", (row, col))
         err = rel_err(float(analytic), numeric)
         worst = max(worst, err)
         assert err < 1e-4, f"probe {probe}: analytic {analytic} vs central diff {numeric}"

@@ -258,14 +258,16 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1e-8, abs(a) + abs(b))
 
 
-def central_diff(input_matrix, output_matrix, ids, y, which, r, c, h=1e-5):
-    im, om = input_matrix.copy(), output_matrix.copy()
-    m = im if which == "input" else om
-    orig = m[r, c]
-    m[r, c] = orig + h
-    hi = example_loss(im, om, ids, y)
-    m[r, c] = orig - h
-    lo = example_loss(im, om, ids, y)
+def central_diff(input_matrix, w, ids, y, which, index, h=1e-5):
+    """Central difference of example_loss in one weight: input_matrix[index]
+    when which is "input", else w[index]."""
+    im, wv = input_matrix.copy(), w.copy()
+    m = im if which == "input" else wv
+    orig = m[index]
+    m[index] = orig + h
+    hi = example_loss(im, wv, ids, y)
+    m[index] = orig - h
+    lo = example_loss(im, wv, ids, y)
     return (hi - lo) / (2 * h)
 
 
@@ -276,34 +278,48 @@ def test_gradients_match_finite_differences():
     vocab = Vocabulary.from_rows(["a", "b", "c"], [2, 2, 2])
     rows = len(vocab) + config.bucket
     input_matrix = rng.uniform(-1.0 / dim, 1.0 / dim, size=(rows, dim))
-    output_matrix = rng.normal(0.0, 0.5, size=(2, dim))
+    w = rng.normal(0.0, 0.5, size=dim)
     checks = 0
     # repeated "a" exercises rows hit more than once per example
-    for tokens, y in [(["a", "b", "a", "c"], 0), (["b", "b"], 1), (["a"], 1)]:
+    for tokens, y in [(["a", "b", "a", "c"], 0), (["b", "b"], 1), (["a"], 1), (["c", "b"], 0)]:
         ids = featurize(tokens, vocab, config)
-        loss, grad_out, grad_row = example_grads(input_matrix, output_matrix, ids, y)
-        assert loss == pytest.approx(example_loss(input_matrix, output_matrix, ids, y))
-        for i in range(2):
-            for j in range(dim):
-                num = central_diff(input_matrix, output_matrix, ids, y, "output", i, j)
-                assert rel_err(grad_out[i, j], num) < 1e-4
-                checks += 1
+        loss, grad_w, grad_row = example_grads(input_matrix, w, ids, y)
+        assert loss == pytest.approx(example_loss(input_matrix, w, ids, y))
+        for j in range(dim):
+            num = central_diff(input_matrix, w, ids, y, "w", j)
+            assert rel_err(grad_w[j], num) < 1e-4
+            checks += 1
         for r in sorted(set(ids.tolist())):
             mult = int(np.count_nonzero(ids == r))
             for j in range(dim):
-                num = central_diff(input_matrix, output_matrix, ids, y, "input", r, j)
+                num = central_diff(input_matrix, w, ids, y, "input", (r, j))
                 assert rel_err(mult * grad_row[j], num) < 1e-4
                 checks += 1
     assert checks >= 100
 
 
 def test_grads_without_features():
-    output_matrix = np.random.default_rng(0).normal(size=(2, 4))
+    w = np.random.default_rng(0).normal(size=4)
     ids = np.zeros(0, dtype=np.int64)
-    loss, grad_out, grad_row = example_grads(np.zeros((1, 4)), output_matrix, ids, 0)
+    loss, grad_w, grad_row = example_grads(np.zeros((1, 4)), w, ids, 0)
     assert loss == pytest.approx(math.log(2))
-    assert np.all(grad_out == 0.0)
+    assert np.all(grad_w == 0.0)
     assert grad_row.size == 0
+
+
+@pytest.mark.parametrize("y", [0, 1])
+@pytest.mark.parametrize("s", [1e4, -1e4])
+def test_grads_saturate_without_warnings(s, y):
+    # hidden = [1, 1], so the logit w . hidden is s
+    w = np.array([s / 2, s / 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad_w, grad_row = example_grads(np.ones((1, 2)), w, np.array([0]), y)
+    d = float(s > 0) - y        # p - y with p saturated at exactly 0 or 1
+    assert grad_w.tolist() == [d, d]
+    assert grad_row.tolist() == (d * w).tolist()
+    assert math.isfinite(loss)
+    assert loss == (abs(s) if d else 0.0)
 
 
 # -- training --------------------------------------------------------------------
@@ -376,11 +392,12 @@ def test_train_matches_python_reference(tokenizer):
         LabeledExample("negative", "bad night bad"),
     ]
     config = ClassifierConfig(dim=3, bucket=5, word_ngrams=2, min_count=1, epochs=2, lr=0.5)
-    vocab, input_matrix, output_matrix, epoch_losses = classifier._sgd(dataset, config, tokenizer)
+    # the one-vector trainer against fastText's two-row softmax: w is B[1] - B[0]
+    vocab, input_matrix, w, epoch_losses = classifier._sgd(dataset, config, tokenizer)
     vocab_tokens, A, B, losses = python_train(dataset, config, tokenizer)
     assert vocab.tokens == vocab_tokens
     np.testing.assert_allclose(input_matrix, np.array(A), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(output_matrix, np.array(B), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w, np.array(B[1]) - np.array(B[0]), rtol=0, atol=1e-12)
     np.testing.assert_allclose(epoch_losses, losses, rtol=0, atol=1e-12)
 
 
@@ -394,7 +411,7 @@ def numpy_loop_train(dataset, config, tokenizer):
     rng = np.random.default_rng(config.seed)
     rows = len(vocab) + config.bucket
     input_matrix = rng.uniform(-1.0 / config.dim, 1.0 / config.dim, size=(rows, config.dim))
-    output_matrix = np.zeros((2, config.dim))
+    w = np.zeros(config.dim)
     label_index = {name: i for i, name in enumerate(config.labels)}
     total = config.epochs * len(dataset)
     t = 0
@@ -405,15 +422,13 @@ def numpy_loop_train(dataset, config, tokenizer):
             lr_t = config.lr * (1.0 - t / total)
             t += 1
             ids = featurize(tokenizer.tokenize(ex.text), vocab, config)
-            loss, grad_output, grad_row = example_grads(
-                input_matrix, output_matrix, ids, label_index[ex.label]
-            )
+            loss, grad_w, grad_row = example_grads(input_matrix, w, ids, label_index[ex.label])
             loss_sum += loss
-            output_matrix -= lr_t * grad_output
+            w -= 2.0 * lr_t * grad_w
             if ids.size:
                 np.subtract.at(input_matrix, ids, lr_t * grad_row)
         losses.append(loss_sum / len(dataset))
-    return input_matrix, output_matrix, losses
+    return input_matrix, w, losses
 
 
 def test_train_is_bit_identical_to_per_occurrence_updates(tokenizer):
@@ -434,10 +449,10 @@ def test_train_is_bit_identical_to_per_occurrence_updates(tokenizer):
                          return_counts=True)[1].max(initial=0) for ex in dataset]
     assert max(repeats) >= 3 and min(repeats) == 0
 
-    _, trained_input, trained_output, epoch_losses = classifier._sgd(dataset, config, tokenizer)
-    input_matrix, output_matrix, losses = numpy_loop_train(dataset, config, tokenizer)
+    _, trained_input, trained_w, epoch_losses = classifier._sgd(dataset, config, tokenizer)
+    input_matrix, w, losses = numpy_loop_train(dataset, config, tokenizer)
     assert np.array_equal(trained_input, input_matrix)
-    assert np.array_equal(trained_output, output_matrix)
+    assert np.array_equal(trained_w, w)
     assert list(epoch_losses) == losses
 
 
@@ -515,13 +530,12 @@ def toy_matrices(tokenizer):
     return classifier._sgd(make_dataset(), config, tokenizer)
 
 
-def softmax_positive(input_matrix, output_matrix, ids) -> float:
-    """The scoring formula before the logit table: softmax(out @ mean(A[ids]))[1]."""
+def softmax_positive(input_matrix, w, ids) -> float:
+    """The scoring formula before the logit table: the two-label softmax's
+    positive probability, sigmoid(w . mean(A[ids]))."""
     if not ids.size:
         return 0.5
-    logits = output_matrix @ input_matrix[ids].mean(axis=0)
-    e = np.exp(logits - logits.max())
-    return float(e[1] / e.sum())
+    return float(1.0 / (1.0 + np.exp(-(w @ input_matrix[ids].mean(axis=0)))))
 
 
 # in-vocabulary words, out-of-vocabulary words and repeats of both
@@ -550,33 +564,32 @@ def test_table_scores_do_not_depend_on_chunking(docs, toy_model, wide_model, toy
                 for runs in compositions(len(docs)):
                     got = [s for a, b in runs for s in score_many(model, docs[a:b])[0]]
                     assert got == expected
-    vocab, input_matrix, output_matrix, _ = toy_matrices
+    vocab, input_matrix, w, _ = toy_matrices
     assert vocab.tokens == toy_model.vocab.tokens
     for tokens, score in zip(docs, single):
         ids = featurize(tokens, toy_model.vocab, toy_model.config)
         pred = predict(toy_model, " ".join(tokens), tokenizer)
         assert pred.dist["positive"] == score
-        assert abs(score - softmax_positive(input_matrix, output_matrix, ids)) <= 1e-12
+        assert abs(score - softmax_positive(input_matrix, w, ids)) <= 1e-12
         if not ids.size:
             assert predict_tokens(toy_model, tokens).tolist() == [0.5, 0.5]
             assert pred.label == "negative"
 
 
 def test_logit_table_adds_columns_in_order(monkeypatch, toy_model, toy_matrices):
-    _, input_matrix, output_matrix, _ = toy_matrices
-    assert np.array_equal(toy_model.table, classifier._logit_table(input_matrix, output_matrix))
+    _, input_matrix, w, _ = toy_matrices
+    assert np.array_equal(toy_model.table, classifier._logit_table(input_matrix, w))
     rng = np.random.default_rng(4)
-    a, out = rng.normal(size=(23, 6)), rng.normal(size=(2, 6))
-    w = [float(x) for x in out[1] - out[0]]
+    a, w = rng.normal(size=(23, 6)), rng.normal(size=6)
     expected = []
     for row in a.tolist():
         s = 0.0
-        for x, wk in zip(row, w):
+        for x, wk in zip(row, w.tolist()):
             s += x * wk
         expected.append(s)
     for block_elems in (6, 30, 1 << 18):  # one row, five rows with a remainder, all rows
         monkeypatch.setattr(classifier, "_TABLE_BLOCK_ELEMS", block_elems)
-        assert classifier._logit_table(a, out).tolist() == expected
+        assert classifier._logit_table(a, w).tolist() == expected
 
 
 def test_positive_probs_saturates_without_warnings():
@@ -799,8 +812,12 @@ def test_model_records_its_tokenizer(tmp_path, tokenizer):
 def test_config_validation():
     with pytest.raises(ValueError):
         ClassifierConfig(dim=0)
-    with pytest.raises(ValueError):
-        ClassifierConfig(lr=0.0)
+    for lr in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            ClassifierConfig(lr=lr)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ClassifierConfig(seed=-1)
+    assert ClassifierConfig(seed=0).seed == 0
     with pytest.raises(ValueError):
         ClassifierConfig(labels=("same", "same"))
     with pytest.raises(ValueError):

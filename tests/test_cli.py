@@ -232,6 +232,18 @@ class TestClassifierCommands:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag", [("--lr", "nan"), ("--lr", "inf"), ("--seed", "-1")])
+    def test_bad_training_flag_is_fatal(self, capsys, tmp_path, flag):
+        labels = tmp_path / "train.txt"
+        write_labels(str(labels))
+        out = tmp_path / "model.ufwc"
+        code, _, err = run(capsys, "classifier", "train", "--data", str(labels),
+                           "--out", str(out), *flag)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert not out.exists()
+
     def test_predict_matches_library_across_chunks(self, capsys, tmp_path, model_file, monkeypatch):
         monkeypatch.setattr(clf, "CHUNK_DOCS", 2)
         texts = [" ".join(POS_WORDS[:i]) + " " + " ".join(NEG_WORDS[i:]) for i in range(5)] + [""]
@@ -804,8 +816,23 @@ class TestPipelineCommands:
         {"sequence_length": 0},
     ])
     def test_init_refuses_bad_verify_settings(self, capsys, tmp_path, monkeypatch, bad):
+        self.check_init_refuses(capsys, tmp_path, monkeypatch, "verify", bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"lr": 0},
+        {"seed": -1},
+    ])
+    def test_init_refuses_bad_classifier_settings(self, capsys, tmp_path, monkeypatch, bad):
+        self.check_init_refuses(capsys, tmp_path, monkeypatch, "classifier", bad)
+
+    @staticmethod
+    def check_init_refuses(capsys, tmp_path, monkeypatch, block, bad):
+        """pipeline init with bad merged into the config's block exits 1 with
+        one error line naming the block, and writes no journal."""
         config = build_world(tmp_path).to_json_obj()
-        config["verify"].update(bad)
+        config[block].update(bad)
         monkeypatch.chdir(tmp_path)
         with open("pipeline.json", "w", encoding="utf-8") as f:
             json.dump(config, f)
@@ -813,7 +840,7 @@ class TestPipelineCommands:
         assert code == 1
         assert "Traceback" not in err
         lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: PipelineConfig.verify:"), err
+        assert len(lines) == 1 and lines[0].startswith(f"error: PipelineConfig.{block}:"), err
         assert not os.path.exists(os.path.join("run", pipeline.JOURNAL_NAME))
 
     def test_status_missing_run(self, capsys, tmp_path):
@@ -1075,6 +1102,38 @@ def test_vocab_greedy_model_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     again = tmp_path / "again.ufwc"
     clf.save_model(clf.load_model(str(models[0])), str(again))
     assert models[0].read_bytes() == models[1].read_bytes() == again.read_bytes()
+
+
+def numpy_dispatch_features() -> list[str]:
+    """The SIMD features numpy dispatches to at run time on this CPU, above
+    its compiled baseline; their names depend on the numpy version."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def test_model_bytes_do_not_depend_on_the_blas_kernel_or_numpy_simd_level(tmp_path):
+    labels = tmp_path / "train.txt"
+    write_labels(str(labels))
+    # On a CPU without AVX-512 or AVX2 some settings change nothing; they still run.
+    settings = {
+        "default": {},
+        "haswell-kernel": {"OPENBLAS_CORETYPE": "Haswell"},
+        "numpy-baseline": {"NPY_DISABLE_CPU_FEATURES": " ".join(numpy_dispatch_features())},
+    }
+    digests = {}
+    for name, extra in settings.items():
+        out = tmp_path / f"{name}.ufwc"
+        subprocess.run(
+            [sys.executable, "-m", "websift.cli", "classifier", "train", "--data", str(labels),
+             "--out", str(out), "--dim", "64", "--bucket", "512", "--min-count", "1",
+             "--word-ngrams", "2"],
+            env=dict(os.environ, **extra), capture_output=True, check=True,
+        )
+        digests[name] = sha256_file(str(out))
+    assert len(set(digests.values())) == 1, digests
 
 
 def test_a_model_scores_from_another_directory_without_its_vocabulary_file(
