@@ -2,17 +2,18 @@
 
 score_corpus streams sharded JSONL through a trained classifier and splits
 every document into a kept or rejected stream by thresholding the positive
-class probability (kept means score >= threshold). A shard is decoded
-CHUNK_DOCS documents at a time; each chunk is featurized by one
-featurize_many call and scored by one positive_probs call over the model's
-logit table, which sums each document's entries as a segment of its own,
-so no output byte depends on the chunk size. Shards are independent units
-of work that this process and forked workers claim one at a time from a
-shared claim file. The claiming process hashes the shard and reuses it if
-a completed-shard ledger names that digest, so interrupted runs restart
-without rescoring finished shards. Unreadable shards (missing, truncated or
-corrupt .gz) are reported and skipped so one bad file cannot sink a long
-run; malformed records are skipped, counted and logged.
+class probability (kept means score >= threshold). score_documents is the
+one scoring loop, for corpus shards and the pipeline's sample alike: it
+featurizes CHUNK_DOCS documents by one featurize_many call and scores them
+by one positive_probs call over the model's logit table, which sums each
+document's entries as a segment of its own, so no output byte depends on
+the chunk size. Shards are independent units of work that this process and
+forked workers claim one at a time from a shared claim file. The claiming
+process hashes the shard and reuses it if a completed-shard ledger names
+that digest, so interrupted runs restart without rescoring finished shards.
+Unreadable shards (missing, truncated or corrupt .gz) are reported and
+skipped so one bad file cannot sink a long run; malformed records are
+skipped, counted and logged.
 
 Each scored shard leaves three files, all durable before its ledger line:
 its kept and rejected streams and ids/<shard>.kept_ids, its kept ids
@@ -212,20 +213,29 @@ def score_tokens(model: ClassifierModel, tokens: Sequence[str]) -> float:
     """Positive class probability for pre-tokenized text.
 
     Each call pays a whole chunk's fixed numpy cost (about 240 us against
-    about 50 us per document batched); batch through score_many.
+    about 50 us per document batched); batch through score_documents.
     """
     return float(predict_tokens(model, tokens)[1])
 
 
-def score_many(
-    model: ClassifierModel, token_lists: Sequence[Sequence[str]]
-) -> tuple[list[float], int]:
-    """score_tokens of each pre-tokenized document, featurized together by
-    featurize_many and scored together by positive_probs, and how many
-    documents had no feature row (those score exactly 0.5)."""
-    ids = featurize_many(token_lists, model.vocab, model.config)
-    zero_feature = sum(1 for doc_ids in ids if not doc_ids.size)
-    return positive_probs(model, ids).tolist(), zero_feature
+def score_documents(
+    model: ClassifierModel, tokenizer: Tokenizer, threshold: float,
+    docs: Iterable[Document], stats: FilterStats,
+) -> Iterator[tuple[Document, float, bool, bool]]:
+    """Each of docs, read CHUNK_DOCS at a time, with its score, whether it
+    is kept and whether it has no feature row (it then scores exactly 0.5),
+    tallied into stats as it is yielded."""
+    docs = iter(docs)
+    while chunk := list(islice(docs, CHUNK_DOCS)):
+        token_lists = [tokenizer.tokenize(doc.text) for doc in chunk]
+        ids = featurize_many(token_lists, model.vocab, model.config)
+        scores = positive_probs(model, ids).tolist()
+        bare = [not doc_ids.size for doc_ids in ids]
+        del ids     # not held while the chunk is consumed and the next featurized
+        for doc, tokens, score, no_features in zip(chunk, token_lists, scores, bare):
+            kept = score >= threshold
+            stats.observe(score, len(tokens), kept)
+            yield doc, score, kept, no_features
 
 
 @dataclass
@@ -294,15 +304,11 @@ def _read_shard(path: str, on_malformed: Callable[[str], None]) -> Iterator[Docu
 
 
 def _score_shard(
-    model: ClassifierModel,
-    tokenizer: Tokenizer,
-    threshold: float,
-    path: str,
-    out_dir: str,
+    model: ClassifierModel, tokenizer: Tokenizer, threshold: float, path: str, out_dir: str
 ) -> _ShardResult:
-    """Score one shard, CHUNK_DOCS documents per score_many call. Logs
-    nothing: it may run in a worker process, so the caller logs the result's
-    malformed records and zero-feature count."""
+    """Score one shard through score_documents. Logs nothing: it may run in
+    a worker process, so the caller logs the result's malformed records and
+    zero-feature count."""
     stats = FilterStats()
     zero_feature = 0
     malformed: list[str] = []
@@ -311,19 +317,15 @@ def _score_shard(
     kept_path, rejected_path, ids_path = _output_paths(out_dir, shard_name(path))
     with atomic_open(kept_path) as kf, atomic_open(rejected_path) as rf, \
             atomic_open(ids_path) as idf:
-        while chunk := list(islice(docs, CHUNK_DOCS)):
-            token_lists = [tokenizer.tokenize(doc.text) for doc in chunk]
-            scores, chunk_zero_feature = score_many(model, token_lists)
-            zero_feature += chunk_zero_feature
-            for doc, tokens, score in zip(chunk, token_lists, scores):
-                kept = score >= threshold
-                stats.observe(score, len(tokens), kept)
-                obj = doc.to_json_obj()
-                obj["score"] = score
-                obj["kept"] = kept
-                (kf if kept else rf).write(encode_line(obj) + "\n")
-                if kept:
-                    kept_ids.append(doc.id)
+        scored = score_documents(model, tokenizer, threshold, docs, stats)
+        for doc, score, kept, no_features in scored:
+            zero_feature += no_features
+            obj = doc.to_json_obj()
+            obj["score"] = score
+            obj["kept"] = kept
+            (kf if kept else rf).write(encode_line(obj) + "\n")
+            if kept:
+                kept_ids.append(doc.id)
         kept_ids.sort()
         idf.writelines(doc_id + "\n" for doc_id in kept_ids)
     for _ in malformed:

@@ -28,7 +28,7 @@ import json
 import logging
 import os
 import typing
-from typing import IO, Any, BinaryIO, Callable, ClassVar, Iterator
+from typing import IO, Any, BinaryIO, Callable, ClassVar, Iterable, Iterator
 
 from .errors import WebsiftError
 
@@ -231,6 +231,19 @@ def atomic_open(path: str, mode: str = "w") -> Iterator[IO]:
 def atomic_write_text(path: str, text: str) -> None:
     with atomic_open(path) as f:
         f.write(text)
+
+
+def write_lines(path: str, lines: Iterable[str]) -> str:
+    """Write each line and a newline to path through atomic_open, and return
+    the hex SHA-256 of the bytes as they are written, so callers need not
+    read the file back. If lines raises, path is left as it was."""
+    h = hashlib.sha256()
+    with atomic_open(path, "wb") as f:
+        for line in lines:
+            data = (line + "\n").encode("utf-8")
+            f.write(data)
+            h.update(data)
+    return h.hexdigest()
 
 
 def remove_file(path: str) -> None:

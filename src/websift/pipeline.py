@@ -17,11 +17,12 @@ verify every journaled artifact before they act.
 
 Round flow: assemble a balanced training set from the seed pool, train a
 classifier, score a fixed-size sample of the raw pool, emit an annealing
-verification plan for the kept subset, then wait for benchmark results. An
-improved verdict before the round limit folds the kept and rejected sample
-documents back into the pool as fresh categories for the next round; an
-improved verdict at the limit promotes the classifier; anything else rejects
-the run.
+verification plan for the kept subset, then wait for benchmark results.
+The sample is scored as corpus shards are, by filtering.score_documents,
+and its scores stream to disk. An improved verdict before the round limit
+folds the kept and rejected sample documents back into the pool as fresh
+categories for the next round; an improved verdict at the limit promotes
+the classifier; anything else rejects the run.
 
 Paths inside the config (pool, raw shards, default manifest) may be
 relative; they resolve against the working directory, which keeps a run
@@ -50,17 +51,17 @@ from .documents import Document, expand_shards, iter_documents
 from .errors import WebsiftError
 # score_tokens is not called here; perfbench's tracer wraps
 # pipeline.score_tokens by name, so the name stays importable.
-from .filtering import score_many, score_tokens  # noqa: F401
+from .filtering import FilterStats, score_documents, score_tokens  # noqa: F401
 from .ioutil import (
     JsonRecord,
     LogCorrupt,
     append_line,
-    atomic_write_text,
     canonical_json,
     make_dirs,
     read_log,
     sha256_file,
     sha256_text,
+    write_lines,
 )
 from .seedpool import SeedPoolStore, assemble_training_set, write_training_set
 from .tokenizers import TokenizerSpec, load_tokenizer
@@ -146,6 +147,7 @@ class PipelineConfig(JsonRecord):
             raise ValueError("sample_size must be >= 1")
         if not (0.0 <= self.threshold <= 1.0):
             raise ValueError("threshold must be in [0, 1]")
+        seedpool.check_training_set_settings(self.target_training_set, self.balance)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +476,11 @@ def ingest_report(
         if state.status != AWAITING_VERIFICATION:
             raise NotReady(f"cannot ingest a report in status {state.status!r}")
         report = eval_report(baseline, candidate, grouping=grouping, margin=margin)
-        text = canonical_json(report_to_json_obj(report)) + "\n"
         path, rel = _artifact(run_dir, state.round, "eval_report.json")
-        atomic_write_text(path, text)
+        digest = write_lines(path, [canonical_json(report_to_json_obj(report))])
         _commit(run_dir, state, "report", {
             "report_path": rel,
-            "report_sha256": sha256_text(text),
+            "report_sha256": digest,
             "verdicts": report.verdicts,
             "improved": report.improved_everywhere,
         })
@@ -547,53 +548,36 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
     sample = _reservoir_sample(config, state.round)
     if not sample:
         raise WebsiftError("raw pool produced no sample documents")
-    kept_tokens = 0
-    kept = rejected = 0
-    lines = []
-    token_lists = [tokenizer.tokenize(doc.text) for doc in sample]
-    scores, _ = score_many(model, token_lists)
-    for doc, tokens, score in zip(sample, token_lists, scores):
-        is_kept = score >= config.threshold
-        if is_kept:
-            kept += 1
-            kept_tokens += len(tokens)
-        else:
-            rejected += 1
-        lines.append(
-            canonical_json(
-                {"id": doc.id, "text": doc.text, "score": score, "kept": is_kept}
-            )
-        )
-    scores_text = "\n".join(lines) + "\n"
+    stats = FilterStats()
     scores_path, scores_rel = _artifact(run_dir, state.round, "sample_scores")
-    atomic_write_text(scores_path, scores_text)
-    if kept_tokens == 0:
-        raise WebsiftError(
-            "no sample document cleared the threshold; nothing to verify"
-        )
+    scores_sha256 = write_lines(scores_path, (
+        canonical_json({"id": doc.id, "text": doc.text, "score": score, "kept": kept})
+        for doc, score, kept, _ in score_documents(model, tokenizer, config.threshold, sample, stats)
+    ))
+    if stats.tokens_kept == 0:
+        raise WebsiftError("no sample document cleared the threshold; nothing to verify")
 
     candidate = TokenManifest(
         name=f"{state.run_id}/round{state.round}/kept_sample",
-        shards=(ManifestShard(id="kept_sample", tokens=kept_tokens),),
+        shards=(ManifestShard(id="kept_sample", tokens=stats.tokens_kept),),
     )
     default = TokenManifest.from_file(config.verify.default_manifest)
     plan = build_anneal_plan(
         candidate, default, config.verify, _derived_seed(config.seed, state.round, "mixture")
     )
-    plan_text = canonical_json(plan.to_json_obj()) + "\n"
     plan_path, plan_rel = _artifact(run_dir, state.round, "anneal_plan.json")
-    atomic_write_text(plan_path, plan_text)
+    plan_sha256 = write_lines(plan_path, [canonical_json(plan.to_json_obj())])
 
     _commit(run_dir, state, "classifier", {
         "model_path": model_rel,
         "model_sha256": model_sha256,
         "sample_scores_path": scores_rel,
-        "sample_scores_sha256": sha256_text(scores_text),
+        "sample_scores_sha256": scores_sha256,
         "anneal_plan_path": plan_rel,
-        "anneal_plan_sha256": sha256_text(plan_text),
-        "sample_total": len(sample),
-        "sample_kept": kept,
-        "sample_rejected": rejected,
+        "anneal_plan_sha256": plan_sha256,
+        "sample_total": stats.documents_total,
+        "sample_kept": stats.documents_kept,
+        "sample_rejected": stats.documents_rejected,
     })
 
 
@@ -612,10 +596,8 @@ def _do_verdict(run_dir: str, state: RunState) -> None:
     scores_path = os.path.join(run_dir, rs.classifier["sample_scores_path"])
     kept_docs: list[Document] = []
     rejected_docs: list[Document] = []
-    with open(scores_path, "r", encoding="utf-8") as f:
+    with open(scores_path, "r", encoding="utf-8") as f:    # hash-verified: every line is a record
         for line in f:
-            if not line.strip():
-                continue
             obj = json.loads(line)
             doc = Document(id=obj["id"], text=obj["text"])
             (kept_docs if obj["kept"] else rejected_docs).append(doc)

@@ -23,7 +23,7 @@ import numpy as np
 from .classifier import LabeledExample
 from .documents import Document, encode_line, iter_documents
 from .errors import WebsiftError
-from .ioutil import JsonRecord, atomic_open, atomic_write_text, canonical_json, make_dirs
+from .ioutil import JsonRecord, atomic_open, atomic_write_text, canonical_json, make_dirs, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -273,6 +273,17 @@ def _quotas(categories: list[SeedCategory], total: int) -> dict[str, int]:
     return {name: base + (1 if i < rem else 0) for i, name in enumerate(names)}
 
 
+def check_training_set_settings(target_size: int, balance: float) -> None:
+    """Raise ValueError unless target_size is at least 1, balance is inside
+    (0, 1) (NaN is not) and target_size is even at balance 0.5."""
+    if target_size < 1:
+        raise ValueError(f"training set size must be >= 1, got {target_size}")
+    if not (0.0 < balance < 1.0):
+        raise ValueError(f"balance must be in (0, 1), got {balance}")
+    if balance == 0.5 and target_size % 2 != 0:
+        raise ValueError(f"training set size must be even when balance is 0.5, got {target_size}")
+
+
 def assemble_training_set(
     store: SeedPoolStore,
     target_size: int,
@@ -286,12 +297,7 @@ def assemble_training_set(
     category contributes an equal quota (remainder assigned in name order).
     Deterministic for a fixed (pool version, target_size, balance, seed).
     """
-    if target_size < 1:
-        raise ValueError("target_size must be >= 1")
-    if not (0.0 < balance < 1.0):
-        raise ValueError("balance must be in (0, 1)")
-    if balance == 0.5 and target_size % 2 != 0:
-        raise ValueError("target_size must be even when balance is 0.5")
+    check_training_set_settings(target_size, balance)
     manifest = store.load_manifest(version)
 
     n_positive = int(target_size * balance)
@@ -329,16 +335,10 @@ def write_training_set(path: str, examples: list[LabeledExample], fmt: str = "js
     """
     if fmt not in ("jsonl", "labels"):
         raise ValueError(f"unknown training set format {fmt!r}")
-    h = hashlib.sha256()
-    with atomic_open(path, "wb") as f:
-        for i, ex in enumerate(examples):
-            if fmt == "jsonl":
-                line = encode_line({"label": ex.label, "text": ex.text})
-            elif "\n" in ex.text:
-                raise ValueError(f"example {i} contains a newline; use fmt='jsonl'")
-            else:
-                line = f"__label__{ex.label} {ex.text}"
-            data = (line + "\n").encode("utf-8")
-            f.write(data)
-            h.update(data)
-    return h.hexdigest()
+    if fmt == "jsonl":
+        return write_lines(path, (encode_line({"label": ex.label, "text": ex.text})
+                                  for ex in examples))
+    for i, ex in enumerate(examples):
+        if "\n" in ex.text:
+            raise ValueError(f"example {i} contains a newline; use fmt='jsonl'")
+    return write_lines(path, (f"__label__{ex.label} {ex.text}" for ex in examples))

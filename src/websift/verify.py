@@ -104,6 +104,8 @@ class AnnealSettings(JsonRecord):
         # of plan_steps for every finite weight, and it refuses NaN and inf.
         if not (0 < self.candidate_weight < 1):
             raise ValueError("candidate_weight must be in (0, 1)")
+        if self.strata < 1:
+            raise ValueError(f"strata must be >= 1, got {self.strata}")
 
 
 @dataclass(frozen=True)
@@ -287,7 +289,7 @@ def compose_mixture(
 
     # Keep strata wide enough that per-stratum rounding cannot starve either
     # side; tiny plans just use fewer strata.
-    n_strata = max(1, min(settings.strata, plan_tokens // 10 or 1))
+    n_strata = min(settings.strata, plan_tokens // 10 or 1)
     sizes = _partition(plan_tokens, n_strata)
     cand_parts = _partition(candidate_budget, n_strata)
 

@@ -45,7 +45,7 @@ from websift.classifier import (
     train,
 )
 from websift import classifier
-from websift.filtering import score_many, score_tokens
+from websift.filtering import score_tokens
 from websift.ioutil import canonical_json, sha256_file
 from websift.tokenizers import Tokenizer, TokenizerSpec, load_tokenizer
 
@@ -562,7 +562,8 @@ def test_table_scores_do_not_depend_on_chunking(docs, toy_model, wide_model, toy
             for chunk in (1, 7, 256):
                 mp.setattr(classifier, "CHUNK_DOCS", chunk)
                 for runs in compositions(len(docs)):
-                    got = [s for a, b in runs for s in score_many(model, docs[a:b])[0]]
+                    got = [s for a, b in runs for s in positive_probs(
+                        model, featurize_many(docs[a:b], model.vocab, model.config)).tolist()]
                     assert got == expected
     vocab, input_matrix, w, _ = toy_matrices
     assert vocab.tokens == toy_model.vocab.tokens

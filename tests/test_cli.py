@@ -672,6 +672,15 @@ class TestVerifyCommands:
         assert out == ""
         assert err == "error: candidate_weight must be in (0, 1)\n"
 
+    @pytest.mark.parametrize("strata", ["0", "-7"])
+    def test_plan_strata_below_one_is_fatal(self, capsys, strata):
+        code, out, err = run(
+            capsys, "verify", "plan", "--candidate-tokens", "1000", "--strata", strata
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: strata must be >= 1, got {strata}\n"
+
     @pytest.fixture()
     def score_files(self, tmp_path):
         base = {"run_label": "base", "scores": {m: 50.0 for m in ALL_METRICS}}
@@ -814,6 +823,7 @@ class TestPipelineCommands:
         {"candidate_weight": float("nan")},
         {"global_batch_size": 0},
         {"sequence_length": 0},
+        {"strata": 0},
     ])
     def test_init_refuses_bad_verify_settings(self, capsys, tmp_path, monkeypatch, bad):
         self.check_init_refuses(capsys, tmp_path, monkeypatch, "verify", bad)
@@ -827,12 +837,22 @@ class TestPipelineCommands:
     def test_init_refuses_bad_classifier_settings(self, capsys, tmp_path, monkeypatch, bad):
         self.check_init_refuses(capsys, tmp_path, monkeypatch, "classifier", bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"balance": 1.5},
+        {"balance": float("nan")},
+        {"target_training_set": 0},
+        {"target_training_set": 121},   # odd at balance 0.5
+    ])
+    def test_init_refuses_bad_training_set_settings(self, capsys, tmp_path, monkeypatch, bad):
+        self.check_init_refuses(capsys, tmp_path, monkeypatch, None, bad)
+
     @staticmethod
     def check_init_refuses(capsys, tmp_path, monkeypatch, block, bad):
-        """pipeline init with bad merged into the config's block exits 1 with
-        one error line naming the block, and writes no journal."""
+        """pipeline init with bad merged into the config's block (its top
+        level when block is None) exits 1 with one error line, naming the
+        block if there is one, and writes no journal."""
         config = build_world(tmp_path).to_json_obj()
-        config[block].update(bad)
+        (config[block] if block else config).update(bad)
         monkeypatch.chdir(tmp_path)
         with open("pipeline.json", "w", encoding="utf-8") as f:
             json.dump(config, f)
@@ -840,7 +860,8 @@ class TestPipelineCommands:
         assert code == 1
         assert "Traceback" not in err
         lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: PipelineConfig.{block}:"), err
+        prefix = f"error: PipelineConfig.{block}:" if block else "error: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), err
         assert not os.path.exists(os.path.join("run", pipeline.JOURNAL_NAME))
 
     def test_status_missing_run(self, capsys, tmp_path):
@@ -1078,8 +1099,7 @@ def test_scoring_commands_use_the_model_tokenizer(capsys, tmp_path):
     for stream in ("kept", "rejected"):
         with open(tmp_path / "scored" / stream / "shard000.jsonl.scored.jsonl", encoding="utf-8") as f:
             scores.update((obj["id"], obj["score"]) for obj in map(json.loads, f))
-    expected, _ = filtering.score_many(in_memory, [tokenizer.tokenize(d.text) for d in docs])
-    assert [scores[d.id] for d in docs] == expected
+    assert [scores[d.id] for d in docs] == [p.dist["positive"] for p in preds]
 
 
 def test_vocab_greedy_model_bytes_do_not_depend_on_the_hash_seed(tmp_path):
@@ -1166,5 +1186,4 @@ def test_a_model_scores_from_another_directory_without_its_vocabulary_file(
         with open(os.path.join("scored", stream, "shard000.jsonl.scored.jsonl"),
                   encoding="utf-8") as f:
             scores.update((obj["id"], obj["score"]) for obj in map(json.loads, f))
-    expected, _ = filtering.score_many(in_memory, [tokenizer.tokenize(d.text) for d in docs])
-    assert [scores[d.id] for d in docs] == expected
+    assert [scores[d.id] for d in docs] == [p.dist["positive"] for p in preds]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from websift import filtering
 from websift.classifier import (
+    CHUNK_DOCS,
     ClassifierConfig,
     LabeledExample,
     TokenizerMismatch,
@@ -37,6 +38,7 @@ from websift.filtering import (
     WorkerDied,
     read_keep_manifest,
     score_corpus,
+    score_documents,
     score_tokens,
     intersect,
     intersect_ids,
@@ -954,6 +956,51 @@ def test_score_corpus_empty_text_scores_half(tmp_path, model, tokenizer):
     rows = read_stream(run.out_dir, "kept")
     assert len(rows) == 1
     assert rows[0][2] == 0.5  # no tokens: exactly uniform, kept at the default cut
+
+
+def test_score_documents_matches_predict_many_and_tallies_stats(model, tokenizer):
+    words = POS_WORDS + NEG_WORDS
+    texts = ["", "unseen", "unseen words"] + [
+        " ".join(words[(i * j) % len(words)] for j in range(i % 9)) for i in range(CHUNK_DOCS + 40)
+    ]
+    docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
+    stats = FilterStats()
+    got = list(score_documents(model, tokenizer, 0.5, iter(docs), stats))
+    probs = [p.dist["positive"] for p in predict_many(model, texts, tokenizer)]
+    assert [doc for doc, *_ in got] == docs
+    assert [score for _, score, _, _ in got] == probs
+    assert [kept for *_, kept, _ in got] == [p >= 0.5 for p in probs]
+    # no token, or one unknown token, leaves no feature row; two unknown
+    # tokens still make a hashed bigram row
+    assert [bare for *_, bare in got[:3]] == [True, True, False]
+    expected = FilterStats()
+    for text, p in zip(texts, probs):
+        expected.observe(p, len(tokenizer.tokenize(text)), p >= 0.5)
+    assert stats == expected
+
+
+def test_score_documents_memory_does_not_grow_with_the_stream(model, tokenizer):
+    """A lazily generated stream is scored a chunk at a time: the tracemalloc
+    peak over 8N documents of about 1 KB stays within 1.5x of that over N."""
+    words = POS_WORDS + NEG_WORDS
+
+    def peak(n: int) -> int:
+        docs = (Document(id=f"d{i}", text=" ".join(words[(i + j) % len(words)] for j in range(170)))
+                for i in range(n))
+        stats = FilterStats()
+        tracemalloc.start()
+        try:
+            for _ in score_documents(model, tokenizer, 0.5, docs, stats):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.documents_total == n
+        return peak
+
+    # holding the 8N documents themselves would about double the larger peak
+    small, large = peak(4 * CHUNK_DOCS), peak(32 * CHUNK_DOCS)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_score_corpus_argument_validation(tmp_path, model, tokenizer):

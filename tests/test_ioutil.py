@@ -21,6 +21,7 @@ from websift.ioutil import (
     remove_file,
     sha256_file,
     sha256_text,
+    write_lines,
 )
 from websift.seedpool import SeedPoolManifest
 
@@ -81,6 +82,22 @@ def test_atomic_open_failure_keeps_old_file_and_removes_temp(tmp_path):
             raise RuntimeError("crash mid-write")
     assert os.listdir(tmp_path) == ["out.txt"]
     assert target.read_text() == "old"
+
+
+def test_write_lines_returns_the_digest_of_what_it_wrote(tmp_path):
+    target = str(tmp_path / "out.txt")
+    assert write_lines(target, iter(["a", "café", ""])) == sha256_file(target)
+    with open(target, "rb") as f:
+        assert f.read() == "a\ncafé\n\n".encode("utf-8")
+
+    def failing():
+        yield "new"
+        raise ValueError("refused mid-stream")
+
+    with pytest.raises(ValueError):
+        write_lines(target, failing())
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert sha256_file(target) == sha256_text("a\ncafé\n\n")
 
 
 def test_atomic_open_overwrites_a_stale_temp_file(tmp_path):

@@ -21,9 +21,17 @@ import numpy as np
 import pytest
 
 from websift import pipeline
-from websift.classifier import ClassifierConfig, load_labeled_examples, load_model, train
+from websift.classifier import (
+    ClassifierConfig,
+    load_labeled_examples,
+    load_model,
+    model_tokenizer,
+    predict_many,
+    train,
+)
 from websift.documents import Document, write_documents
 from websift.errors import WebsiftError
+from websift.filtering import score_corpus
 from websift.ioutil import canonical_json, sha256_file, sha256_text
 from websift.pipeline import (
     AWAITING_CLASSIFIER,
@@ -241,6 +249,12 @@ class TestPipelineConfig:
             dataclasses.replace(config, sample_size=0)
         with pytest.raises(ValueError):
             dataclasses.replace(config, threshold=1.5)
+        for bad in ({"balance": 1.0}, {"balance": float("nan")}, {"target_training_set": 0},
+                    {"target_training_set": 121}):
+            with pytest.raises(ValueError):
+                dataclasses.replace(config, **bad)
+        # an odd size is only refused at balance 0.5, where it cannot split evenly
+        dataclasses.replace(config, target_training_set=121, balance=0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +388,32 @@ class TestNominalRun:
         for r in rows:
             assert r["kept"] == (r["score"] >= threshold)
         assert sum(r["kept"] for r in rows) == clf["sample_kept"]
+
+    def test_sample_scores_equal_corpus_scores(self, control, tmp_path):
+        """A round's sample is scored on the corpus path: every sample_scores
+        score equals, bit for bit, what score_corpus writes for the same
+        documents and what predict_many gives for them."""
+        threshold = control["config"].threshold
+        rounds = [e["data"] for e in control["entries"] if e["type"] == "classifier"]
+        assert len(rounds) == 2
+        for n, clf in enumerate(rounds):
+            model = load_model(os.path.join(control["run_dir"], clf["model_path"]))
+            tokenizer = model_tokenizer(model)
+            with open(os.path.join(control["run_dir"], clf["sample_scores_path"]),
+                      encoding="utf-8") as f:
+                rows = [json.loads(line) for line in f]
+            shard = str(tmp_path / f"sample{n}.jsonl")
+            write_documents(shard, [Document(id=r["id"], text=r["text"]) for r in rows])
+            out = str(tmp_path / f"scored{n}")
+            score_corpus(model, [shard], threshold, tokenizer, out)
+            corpus = {}
+            for stream in ("kept", "rejected"):
+                with open(os.path.join(out, stream, f"sample{n}.jsonl.scored.jsonl"),
+                          encoding="utf-8") as f:
+                    corpus.update((obj["id"], obj["score"]) for obj in map(json.loads, f))
+            preds = predict_many(model, [r["text"] for r in rows], tokenizer)
+            assert [r["score"] for r in rows] == [corpus[r["id"]] for r in rows] \
+                == [p.dist["positive"] for p in preds]
 
     def test_status_after_promotion(self, control):
         status = run_status(control["run_dir"])
