@@ -40,10 +40,11 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, count, repeat
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .documents import find_lone_surrogate
 from .errors import WebsiftError
 from .ioutil import JsonRecord, atomic_open, canonical_json
 from .tokenizers import Tokenizer, TokenizerSpec
@@ -85,12 +86,7 @@ class TokenizerMismatch(WebsiftError):
 
 @dataclass(frozen=True)
 class ClassifierConfig(JsonRecord):
-    """Training setup. Defaults match the production filtering runs.
-
-    minn/maxn are reserved for character n-grams and must stay 0; they are
-    carried in the model file so older files keep loading if that feature
-    ever lands.
-    """
+    """Training setup. Defaults match the production filtering runs."""
 
     dim: int = 256
     lr: float = 0.1
@@ -100,8 +96,6 @@ class ClassifierConfig(JsonRecord):
     bucket: int = 2_000_000
     seed: int = 17
     labels: tuple[str, str] = ("negative", "positive")
-    minn: int = 0
-    maxn: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -124,8 +118,6 @@ class ClassifierConfig(JsonRecord):
             raise ValueError("exactly two distinct labels required")
         if not all(isinstance(l, str) and l for l in labels):
             raise ValueError("labels must be non-empty strings")
-        if self.minn != 0 or self.maxn != 0:
-            raise ValueError("character n-grams are not supported; minn/maxn must be 0")
 
     @property
     def positive_label(self) -> str:
@@ -185,19 +177,27 @@ def ngram_hash(token_hashes: Sequence[int]) -> int:
 @dataclass
 class Vocabulary:
     tokens: list[str]          # row order
-    counts: list[int]
-    index: dict[str, int] = field(repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = {t: i for i, t in enumerate(self.tokens)}
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     @staticmethod
-    def from_rows(tokens: list[str], counts: list[int]) -> "Vocabulary":
-        return Vocabulary(tokens, counts, {t: i for i, t in enumerate(tokens)})
+    def from_json_obj(obj) -> "Vocabulary":
+        """The vocabulary a JSON array of distinct strings lists in row order."""
+        if not isinstance(obj, list) or not set(map(type, obj)) <= {str}:
+            raise ValueError("expected a JSON array of strings")
+        vocab = Vocabulary(obj)
+        if len(vocab.index) != len(obj):
+            raise ValueError("duplicate tokens")
+        return vocab
 
 
 def build_vocab(token_seqs: Iterable[Sequence[str]], config: ClassifierConfig) -> Vocabulary:
-    """Count tokens and keep those with count >= min_count.
+    """The tokens that occur at least min_count times.
 
     Row ids follow first occurrence order in the stream, so the same corpus
     in the same order always yields the same embedding layout.
@@ -209,8 +209,7 @@ def build_vocab(token_seqs: Iterable[Sequence[str]], config: ClassifierConfig) -
     tokens = [t for t, c in counts.items() if c >= config.min_count]
     if not tokens:
         raise EmptyVocabulary()
-    kept_counts = [counts[t] for t in tokens]
-    return Vocabulary.from_rows(tokens, kept_counts)
+    return Vocabulary(tokens)
 
 
 def token_hashes(tokens: Sequence[str]) -> np.ndarray:
@@ -588,36 +587,62 @@ def predict(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> Predicti
 # model file format
 #
 #   magic   b"UFWC"
-#   u32     format version (currently 3)
-#   u32     config JSON length, then that many bytes (canonical JSON)
-#   u32     tokenizer JSON length, then that many bytes (canonical JSON of
-#           the TokenizerStamp: {"spec": {...}, "vocab": [...] or null}, the
-#           vocab_greedy vocabulary sorted in Python string order)
-#   u64     vocabulary size V, then V entries of (u32 len, token bytes, u64 count)
+#   u32     format version (currently 4)
+#   three blocks, each a u32 length and then that many bytes of canonical JSON:
+#     config      the ClassifierConfig
+#     tokenizer   the TokenizerStamp: {"spec": {...}, "vocab": [...] or null},
+#                 the vocab_greedy vocabulary sorted in Python string order
+#     vocabulary  the feature vocabulary's V tokens, in row order
 #   u64     logit table length (V + bucket), then that many little-endian float64
 #   u64     checksum: first 8 bytes of SHA-256 over all preceding bytes
 #
 # All integers little-endian. The checksum makes truncation and bit rot a
-# load-time error instead of silently wrong scores. Versions 1 and 2, which
-# named a vocabulary file instead of holding the vocabulary, do not load.
+# load-time error instead of silently wrong scores. The SHA-256 of the whole
+# file, model_sha256, names the model. Versions 1 to 3 do not load.
 
 MODEL_MAGIC = b"UFWC"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
-class _ModelFile:
-    """An open model file and the SHA-256 of every byte written to it or read
-    from it so far. A read checks its length against the bytes left in the
-    file before it reads or allocates anything."""
+def _write_model(model: ClassifierModel, write: Callable[[bytes], object]) -> str:
+    """Pass the bytes of model's file to write, in order, and return the hex
+    SHA-256 of the whole file."""
+    h = hashlib.sha256()
+    chunks = [MODEL_MAGIC, struct.pack("<I", MODEL_FORMAT_VERSION)]
+    for block in (model.config.to_json_obj(), model.tokenizer.to_json_obj(), model.vocab.tokens):
+        data = canonical_json(block).encode("utf-8")
+        chunks += [struct.pack("<I", len(data)), data]
+    chunks += [struct.pack("<Q", len(model.table)), np.ascontiguousarray(model.table, dtype="<f8")]
+    for data in chunks:
+        write(data)
+        h.update(data)
+    checksum = h.digest()[:8]
+    write(checksum)
+    h.update(checksum)
+    return h.hexdigest()
+
+
+def save_model(model: ClassifierModel, path: str) -> str:
+    """Write the model file and return its hex SHA-256, model_sha256(model)."""
+    with atomic_open(path, "wb") as f:
+        return _write_model(model, f.write)
+
+
+def model_sha256(model: ClassifierModel) -> str:
+    """The hex SHA-256 of the file save_model writes for model, without
+    writing it."""
+    return _write_model(model, lambda data: None)
+
+
+class _ModelReader:
+    """An open model file and the SHA-256 of every byte read from it so far.
+    A read checks its length against the bytes left in the file before it
+    reads or allocates anything."""
 
     def __init__(self, f):
         self.f = f
         self.h = hashlib.sha256()
         self.left = os.fstat(f.fileno()).st_size - f.tell()
-
-    def write(self, data) -> None:
-        self.f.write(data)
-        self.h.update(data)
 
     def _claim(self, n: int) -> None:
         if n > self.left:
@@ -649,34 +674,9 @@ class _ModelFile:
         return arr
 
 
-def save_model(model: ClassifierModel, path: str) -> str:
-    """Write the model file and return the hex SHA-256 of the whole file.
-
-    The digest comes from the hash already kept for the checksum trailer, so
-    callers need not read the file back to fingerprint it.
-    """
-    blocks = (model.config.to_json_obj(), model.tokenizer.to_json_obj())
-    with atomic_open(path, "wb") as f:
-        w = _ModelFile(f)
-        w.write(MODEL_MAGIC)
-        w.write(struct.pack("<I", MODEL_FORMAT_VERSION))
-        for block in blocks:
-            data = canonical_json(block).encode("utf-8")
-            w.write(struct.pack("<I", len(data)))
-            w.write(data)
-        w.write(struct.pack("<Q", len(model.vocab)))
-        for token, count in zip(model.vocab.tokens, model.vocab.counts):
-            tb = token.encode("utf-8")
-            w.write(struct.pack("<I", len(tb)) + tb + struct.pack("<Q", count))
-        w.write(struct.pack("<Q", len(model.table)))
-        w.write(np.ascontiguousarray(model.table, dtype="<f8"))
-        w.write(w.h.digest()[:8])
-    return w.h.hexdigest()
-
-
-def _read_json_block(r: _ModelFile, record: type, name: str):
+def _read_json_block(r: _ModelReader, name: str, decode: Callable):
     try:
-        return record.from_json_obj(json.loads(r.read(r.u32()).decode("utf-8")))
+        return decode(json.loads(r.read(r.u32()).decode("utf-8")))
     except (ValueError, TypeError) as e:
         raise CorruptPayload(f"bad {name} block: {e}") from e
 
@@ -685,27 +685,17 @@ def load_model(path: str) -> ClassifierModel:
     """Read a model file in one pass, hashing it as it streams. A model is
     returned only if the checksum trailer matches and ends the file."""
     with open(path, "rb") as f:
-        r = _ModelFile(f)
+        r = _ModelReader(f)
         magic = r.read(min(4, r.left))
         if magic != MODEL_MAGIC:
             raise BadMagic(magic)
         version = r.u32()
         if version != MODEL_FORMAT_VERSION:
             raise UnsupportedVersion(version)
-        config = _read_json_block(r, ClassifierConfig, "config")
-        stamp = _read_json_block(r, TokenizerStamp, "tokenizer")
-        v = r.u64()
-        if v * 12 > r.left:  # each entry holds at least its two integers
-            raise CorruptPayload("model file truncated")
-        tokens: list[str] = []
-        counts: list[int] = []
-        for _ in range(v):
-            try:
-                tokens.append(r.read(r.u32()).decode("utf-8"))
-            except UnicodeDecodeError as e:
-                raise CorruptPayload("bad vocab token encoding") from e
-            counts.append(r.u64())
-        rows = v + config.bucket
+        config = _read_json_block(r, "config", ClassifierConfig.from_json_obj)
+        stamp = _read_json_block(r, "tokenizer", TokenizerStamp.from_json_obj)
+        vocab = _read_json_block(r, "vocabulary", Vocabulary.from_json_obj)
+        rows = len(vocab) + config.bucket
         if r.u64() != rows:
             raise CorruptPayload("logit table length does not match config")
         table = r.read_floats(rows)
@@ -714,9 +704,7 @@ def load_model(path: str) -> ClassifierModel:
             raise CorruptPayload("checksum mismatch")
         if r.left:
             raise CorruptPayload("trailing bytes after the checksum")
-    if len(set(tokens)) != len(tokens):
-        raise CorruptPayload("duplicate vocab tokens")
-    return ClassifierModel(config, Vocabulary.from_rows(tokens, counts), table, stamp)
+    return ClassifierModel(config, vocab, table, stamp)
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +724,8 @@ def parse_labeled_line(line: str, line_no: int, path: str) -> LabeledExample:
     if not isinstance(obj, dict) or not isinstance(obj.get("label"), str) \
             or not isinstance(obj.get("text"), str):
         raise ValueError(f"{path}:{line_no}: JSON record needs string 'label' and 'text'")
+    if "\\u" in line and any(map(find_lone_surrogate, (obj["label"], obj["text"]))):
+        raise ValueError(f"{path}:{line_no}: 'label' or 'text' holds a lone surrogate escape")
     return LabeledExample(label=obj["label"], text=obj["text"])
 
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -130,6 +131,11 @@ def decode_documents(lines: Iterable[bytes], name: str, strict: bool) -> Iterato
             log.warning("skipping malformed record: %s", e)
 
 
+# A decoded JSON string holds a lone surrogate only where a \u escape put
+# one; such a string cannot be written back as UTF-8.
+find_lone_surrogate = re.compile("[\ud800-\udfff]").search
+
+
 def decode_record(raw: bytes, shard: str, line_no: int) -> Document:
     try:
         text = raw.decode("utf-8")
@@ -139,7 +145,11 @@ def decode_record(raw: bytes, shard: str, line_no: int) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedRecord(shard, line_no, f"invalid JSON: {e.msg}") from e
-    return parse_document(obj, shard, line_no)
+    doc = parse_document(obj, shard, line_no)
+    if b"\\u" in raw and any(map(find_lone_surrogate,
+                                 (doc.id, doc.text, doc.source, *doc.meta, *doc.meta.values()))):
+        raise MalformedRecord(shard, line_no, "a string holds a lone surrogate escape")
+    return doc
 
 
 # The one JSONL line encoder: json.dumps(obj, ensure_ascii=False,

@@ -34,7 +34,6 @@ per manifest whatever the corpus size.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import json
 import logging
 import math
@@ -51,13 +50,12 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
-import numpy as np
-
 from .classifier import (
     CHUNK_DOCS,
     ClassifierModel,
     check_tokenizer,
     featurize_many,
+    model_sha256,
     positive_probs,
     predict_tokens,
 )
@@ -481,21 +479,12 @@ def _load_ledger(path: str) -> dict[str, _LedgerEntry]:
 
 @dataclass
 class _ScoringSetup(JsonRecord):
-    """What a ledger's shards were scored with: the threshold and the model's
-    SHA-256 (_model_sha256). A resume reuses them only under the same setup."""
+    """What a ledger's shards were scored with: the threshold and the SHA-256
+    of the model's file (model_sha256). A resume reuses them only under the
+    same setup."""
 
     threshold: float
     model_sha256: str
-
-
-def _model_sha256(model: ClassifierModel) -> str:
-    """SHA-256 over what a score depends on: config, tokenizer stamp,
-    vocabulary tokens and logit table."""
-    h = hashlib.sha256()
-    for block in (model.config.to_json_obj(), model.tokenizer.to_json_obj(), model.vocab.tokens):
-        h.update(canonical_json(block).encode("utf-8") + b"\n")
-    h.update(np.ascontiguousarray(model.table, dtype="<f8"))
-    return h.hexdigest()
 
 
 def score_corpus(
@@ -543,7 +532,7 @@ def score_corpus(
         make_dirs(os.path.join(out_dir, sub))
     ledger_path = os.path.join(out_dir, "ledger.jsonl")
     setup_path = os.path.join(out_dir, "setup.json")
-    setup = _ScoringSetup(threshold, _model_sha256(model))
+    setup = _ScoringSetup(threshold, model_sha256(model))
     try:
         same_setup = _ScoringSetup.from_file(setup_path) == setup
     except (OSError, ValueError):

@@ -227,7 +227,12 @@ def _fold(entries: list[dict]) -> RunState:
     first = entries[0]
     if first["type"] != "init":
         raise StateCorrupt("journal does not start with an init entry")
-    config = PipelineConfig.from_json_obj(first["data"]["config"])
+    try:
+        config = PipelineConfig.from_json_obj(first["data"]["config"])
+    except ValueError as e:
+        raise JournalUnreadable(
+            f"another websift build wrote this journal with run settings this build "
+            f"refuses ({e}); start the run again in a new directory") from e
     state = RunState(
         run_id=first["data"]["run_id"],
         config=config,

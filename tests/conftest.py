@@ -27,7 +27,7 @@ def zero_model_file(tmp_path) -> str:
     from websift.classifier import ClassifierConfig, ClassifierModel, Vocabulary, save_model
 
     config = ClassifierConfig(dim=64, bucket=1 << 20, min_count=1)
-    vocab = Vocabulary.from_rows(["a", "b"], [3, 2])
+    vocab = Vocabulary(["a", "b"])
     path = str(tmp_path / "zero.bin")
     save_model(ClassifierModel(config, vocab, np.zeros(len(vocab) + config.bucket)), path)
     return path

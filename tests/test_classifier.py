@@ -149,7 +149,7 @@ def small_config(**kw):
 
 def test_featurize_structure():
     config = small_config(bucket=10)
-    vocab = Vocabulary.from_rows(["a", "b", "c"], [1, 1, 1])
+    vocab = Vocabulary(["a", "b", "c"])
     ids = featurize(["a", "b", "d", "c"], vocab, config)
     # unigrams first, unknown "d" skipped; then one id per bigram window
     assert ids[:3].tolist() == [0, 1, 2]
@@ -160,7 +160,7 @@ def test_featurize_structure():
 
 def test_featurize_unknown_token_feeds_ngrams():
     config = small_config(bucket=10)
-    vocab = Vocabulary.from_rows(["a", "b"], [1, 1])
+    vocab = Vocabulary(["a", "b"])
     with_d = featurize(["a", "d", "b"], vocab, config)
     with_e = featurize(["a", "e", "b"], vocab, config)
     # different unknown middle tokens must change the bigram hashes
@@ -170,7 +170,7 @@ def test_featurize_unknown_token_feeds_ngrams():
 
 def test_featurize_empty():
     config = small_config()
-    vocab = Vocabulary.from_rows(["a"], [1])
+    vocab = Vocabulary(["a"])
     assert featurize([], vocab, config).size == 0
 
 
@@ -180,7 +180,7 @@ def test_featurize_empty():
 )
 def test_featurize_matches_reference(tokens, ngrams):
     config = ClassifierConfig(dim=4, bucket=97, word_ngrams=ngrams, min_count=1)
-    vocab = Vocabulary.from_rows(["a", "b", "cc"], [3, 3, 3])
+    vocab = Vocabulary(["a", "b", "cc"])
     got = featurize(tokens, vocab, config)
     assert got.tolist() == reference_ids(tokens, ["a", "b", "cc"], config)
 
@@ -204,7 +204,7 @@ def compositions(n):
 )
 def test_featurize_many_matches_per_document_loop(docs, vocab_tokens, ngrams):
     config = ClassifierConfig(dim=4, bucket=97, word_ngrams=ngrams, min_count=1)
-    vocab = Vocabulary.from_rows(vocab_tokens, [1] * len(vocab_tokens))
+    vocab = Vocabulary(vocab_tokens)
     expected = [featurize_loop(tokens, vocab, config).tolist() for tokens in docs]
     for runs in compositions(len(docs)):
         got = [ids for a, b in runs for ids in featurize_many(docs[a:b], vocab, config)]
@@ -215,7 +215,7 @@ def test_featurize_many_matches_per_document_loop(docs, vocab_tokens, ngrams):
 
 def test_featurize_many_edge_documents():
     config = ClassifierConfig(dim=4, bucket=97, word_ngrams=3, min_count=1)
-    vocab = Vocabulary.from_rows(["a", "b"], [1, 1])
+    vocab = Vocabulary(["a", "b"])
     docs = [[], ["a"], ["zz"], ["zz", "yy"], ["a", "zz", "b"], ["日本語"]]
     got = featurize_many(docs, vocab, config)
     assert [ids.tolist() for ids in got] == [reference_ids(d, ["a", "b"], config) for d in docs]
@@ -224,7 +224,7 @@ def test_featurize_many_edge_documents():
 
 def test_featurize_many_chunks_internally(monkeypatch):
     config = ClassifierConfig(dim=4, bucket=97, word_ngrams=3, min_count=1)
-    vocab = Vocabulary.from_rows(["a", "cc"], [1, 1])
+    vocab = Vocabulary(["a", "cc"])
     docs = [["a", "b", "cc"], [], ["b"], ["cc", "a", "cc", "a"], ["é", "a"]]
     whole = [ids.tolist() for ids in featurize_many(docs, vocab, config)]
     for chunk in (1, 2, 3):
@@ -237,7 +237,6 @@ def test_build_vocab_first_occurrence_order(tokenizer):
     seqs = [tokenizer.tokenize("b a"), tokenizer.tokenize("a c b")]
     vocab = build_vocab(seqs, small_config())
     assert vocab.tokens == ["b", "a", "c"]
-    assert vocab.counts == [2, 2, 1]
     assert vocab.index == {"b": 0, "a": 1, "c": 2}
 
 
@@ -275,7 +274,7 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     dim = 8
     config = ClassifierConfig(dim=dim, bucket=16, min_count=1, word_ngrams=2)
-    vocab = Vocabulary.from_rows(["a", "b", "c"], [2, 2, 2])
+    vocab = Vocabulary(["a", "b", "c"])
     rows = len(vocab) + config.bucket
     input_matrix = rng.uniform(-1.0 / dim, 1.0 / dim, size=(rows, dim))
     w = rng.normal(0.0, 0.5, size=dim)
@@ -595,7 +594,7 @@ def test_logit_table_adds_columns_in_order(monkeypatch, toy_model, toy_matrices)
 
 def test_positive_probs_saturates_without_warnings():
     config = ClassifierConfig(dim=1, bucket=1, min_count=1)
-    model = ClassifierModel(config, Vocabulary.from_rows(["a"], [1]), np.array([-1e4, 1e4]))
+    model = ClassifierModel(config, Vocabulary(["a"]), np.array([-1e4, 1e4]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = positive_probs(model, [np.array([0]), np.array([1]), np.array([], dtype=np.int64)])
@@ -609,8 +608,7 @@ def test_model_round_trip(tmp_path, toy_model, tokenizer):
     save_model(toy_model, path)
     loaded = load_model(path)
     assert loaded.config == toy_model.config
-    assert loaded.vocab.tokens == toy_model.vocab.tokens
-    assert loaded.vocab.counts == toy_model.vocab.counts
+    assert loaded.vocab == toy_model.vocab
     assert loaded.tokenizer == toy_model.tokenizer
     assert np.array_equal(loaded.table, toy_model.table)
     for text in ["good1 good2", "bad1 bad2", "good1 bad2"]:
@@ -647,22 +645,25 @@ def test_load_rejects_unsupported_version(tmp_path, toy_model):
     path = tmp_path / "model.bin"
     save_model(toy_model, str(path))
     data = path.read_bytes()
-    assert MODEL_FORMAT_VERSION == 3
-    # versions 1 and 2 named a vocabulary file instead of holding the vocabulary
-    for version in (1, 2, 4):
+    assert MODEL_FORMAT_VERSION == 4
+    # versions 1 and 2 named a vocabulary file instead of holding the
+    # vocabulary, and version 3 framed each vocabulary token with its count
+    for version in (1, 2, 3, 5):
         body = bytearray(data[:-8])
         body[4:8] = struct.pack("<I", version)
         # keep the checksum valid so only the version trips
         path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest()[:8])
-        with pytest.raises(UnsupportedVersion, match="reads version 3 only; retrain") as err:
+        with pytest.raises(UnsupportedVersion, match="reads version 4 only; retrain") as err:
             load_model(str(path))
         assert err.value.version == version
 
 
-def with_tokenizer_block(data: bytes, block) -> bytes:
-    """A model file's bytes with its tokenizer block replaced by block's
-    canonical JSON, under a valid checksum."""
-    at = 12 + struct.unpack_from("<I", data, 8)[0]
+def with_json_block(data: bytes, n: int, block) -> bytes:
+    """A model file's bytes with its n-th JSON block (0 config, 1 tokenizer,
+    2 vocabulary) replaced by block's canonical JSON, under a valid checksum."""
+    at = 8
+    for _ in range(n):
+        at += 4 + struct.unpack_from("<I", data, at)[0]
     end = at + 4 + struct.unpack_from("<I", data, at)[0]
     new = canonical_json(block).encode("utf-8")
     body = data[:at] + struct.pack("<I", len(new)) + new + data[end:-8]
@@ -686,8 +687,23 @@ GREEDY_SPEC = TokenizerSpec(kind="vocab_greedy", vocab_path="vocab.txt").to_json
 def test_load_rejects_a_malformed_tokenizer_block(tmp_path, toy_model, block, reason):
     path = tmp_path / "model.bin"
     save_model(toy_model, str(path))
-    path.write_bytes(with_tokenizer_block(path.read_bytes(), block))
+    path.write_bytes(with_json_block(path.read_bytes(), 1, block))
     with pytest.raises(CorruptPayload, match=f"bad tokenizer block: .*{reason}"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("block, reason", [
+    ({"tokens": ["a"]}, "expected a JSON array of strings"),
+    (["a", 1], "expected a JSON array of strings"),
+    (["a", None], "expected a JSON array of strings"),
+    (["a", ["b"]], "expected a JSON array of strings"),
+    (["a", "b", "a"], "duplicate tokens"),
+], ids=["object", "number", "null", "nested", "repeated"])
+def test_load_rejects_a_malformed_vocabulary_block(tmp_path, toy_model, block, reason):
+    path = tmp_path / "model.bin"
+    save_model(toy_model, str(path))
+    path.write_bytes(with_json_block(path.read_bytes(), 2, block))
+    with pytest.raises(CorruptPayload, match=f"bad vocabulary block: {reason}"):
         load_model(str(path))
 
 
@@ -732,19 +748,15 @@ def test_load_rejects_every_byte_flip(tmp_path, toy_model):
 
 
 def _length_fields(data: bytes) -> dict[str, tuple[int, str]]:
-    """Offset and struct format of each length field of a version 3 model file."""
+    """Offset and struct format of each length field of a version 4 model file."""
     tokenizer_at = 12 + struct.unpack_from("<I", data, 8)[0]
     vocab_at = tokenizer_at + 4 + struct.unpack_from("<I", data, tokenizer_at)[0]
-    pos = vocab_at + 8
-    first_token_at = pos
-    for _ in range(struct.unpack_from("<Q", data, vocab_at)[0]):
-        pos += 4 + struct.unpack_from("<I", data, pos)[0] + 8
+    table_at = vocab_at + 4 + struct.unpack_from("<I", data, vocab_at)[0]
     return {
         "config length": (8, "<I"),
         "tokenizer length": (tokenizer_at, "<I"),
-        "vocab size": (vocab_at, "<Q"),
-        "token length": (first_token_at, "<I"),
-        "table length": (pos, "<Q"),
+        "vocabulary length": (vocab_at, "<I"),
+        "table length": (table_at, "<Q"),
     }
 
 
@@ -823,8 +835,9 @@ def test_config_validation():
         ClassifierConfig(labels=("same", "same"))
     with pytest.raises(ValueError):
         ClassifierConfig(labels=("only",))
-    with pytest.raises(ValueError):
-        ClassifierConfig(minn=2, maxn=3)
+    # character n-grams are gone, and so are their reserved fields
+    with pytest.raises(ValueError, match="ClassifierConfig: unknown key 'maxn', 'minn'"):
+        ClassifierConfig.from_json_obj({"minn": 0, "maxn": 0})
 
 
 def test_config_json_round_trip():
@@ -832,7 +845,6 @@ def test_config_json_round_trip():
     obj = {
         "dim": 32, "lr": 0.1, "word_ngrams": 3, "min_count": 5, "epochs": 3,
         "bucket": 2_000_000, "seed": 17, "labels": ["drop", "keep"],
-        "minn": 0, "maxn": 0,
     }
     assert ClassifierConfig.from_json_obj(obj) == config
     assert config.positive_label == "keep"
@@ -860,6 +872,15 @@ def test_parse_labeled_line_json_form():
 ])
 def test_parse_labeled_line_rejects(line):
     with pytest.raises(ValueError):
+        parse_labeled_line(line, 7, "f")
+
+
+@pytest.mark.parametrize("line", [
+    '{"label": "positive", "text": "bad \\ud800 surrogate"}',
+    '{"label": "\\udfff", "text": "x"}',
+])
+def test_parse_labeled_line_rejects_a_lone_surrogate_escape(line):
+    with pytest.raises(ValueError, match="^f:7: 'label' or 'text' holds a lone surrogate escape$"):
         parse_labeled_line(line, 7, "f")
 
 

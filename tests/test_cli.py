@@ -21,7 +21,7 @@ from websift import classifier as clf
 from websift import filtering, pipeline, verify
 from websift.documents import Document, iter_documents, write_documents
 from websift.classifier import load_labeled_examples
-from websift.ioutil import sha256_file
+from websift.ioutil import canonical_json, sha256_file, sha256_text
 from websift.normalize import NormalizePolicy, normalize_text
 from websift.tokenizers import TokenizerSpec, load_tokenizer
 
@@ -183,6 +183,19 @@ class TestClassifierCommands:
         assert len(summary["epoch_losses"]) == 3
         assert summary["sha256"] == sha256_file(model_file["path"])
 
+    def test_train_refuses_a_lone_surrogate_escape(self, capsys, tmp_path):
+        # valid JSON whose text cannot be encoded as UTF-8
+        data = tmp_path / "train.jsonl"
+        data.write_text('{"label": "positive", "text": "fresh1 fresh2"}\n'
+                        '{"label": "negative", "text": "bad \\ud800 surrogate"}\n', encoding="utf-8")
+        code, _, err = run(capsys, "classifier", "train", "--data", str(data),
+                           "--out", str(tmp_path / "model.ufwc"), "--min-count", "1")
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {data}:2: 'label' or 'text' holds a lone surrogate escape"
+        ]
+        assert sorted(os.listdir(tmp_path)) == ["train.jsonl"]
+
     def test_predict_labels_split_cleanly(self, capsys, tmp_path, model_file):
         docs = [
             {"id": "good", "text": " ".join(POS_WORDS)},
@@ -325,6 +338,17 @@ class TestDocumentStreams:
         code, _, err = run(capsys, "tokenize", "--in", str(infile))
         assert code == 1
         assert "error: in.jsonl:2: invalid UTF-8" in err
+
+    def test_a_lone_surrogate_escape_names_its_line(self, capsys, tmp_path):
+        # valid JSON whose text cannot be encoded as UTF-8
+        infile = tmp_path / "in.jsonl"
+        infile.write_text(json.dumps(DOCS[0]) + '\n{"id": "b", "text": "bad \\ud800 surrogate"}\n'
+                          + json.dumps(DOCS[1]) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "tokenize", "--in", str(infile),
+                           "--out", str(tmp_path / "out.jsonl"))
+        assert code == 1
+        assert err.splitlines() == ["error: in.jsonl:2: a string holds a lone surrogate escape"]
+        assert sorted(os.listdir(tmp_path)) == ["in.jsonl"]
 
     @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
     def test_damaged_gzip_is_an_error_not_a_traceback(self, capsys, tmp_path, damage):
@@ -498,6 +522,16 @@ class TestFilterCommands:
         assert again["completed_shards"] == 2
         assert again["skipped_shards"] == 2  # nothing rescored
         assert again["corpus_fingerprint"] == summary["corpus_fingerprint"]
+
+    def test_setup_names_the_model_by_its_file_sha256(self, capsys, tmp_path, model_file):
+        write_corpus(str(tmp_path / "corpus"), n_shards=1)
+        code, _, err = run(capsys, "filter", "score", "--model", model_file["path"],
+                           "--shards", str(tmp_path / "corpus" / "*.jsonl"),
+                           "--out", str(tmp_path / "scored"))
+        assert code == 0, err
+        with open(tmp_path / "scored" / "setup.json", encoding="utf-8") as f:
+            named = json.load(f)["model_sha256"]
+        assert named == sha256_file(model_file["path"]) == model_file["summary"]["sha256"]
 
     def test_score_partial_exit(self, capsys, tmp_path, model_file):
         corpus = tmp_path / "corpus"
@@ -868,6 +902,38 @@ class TestPipelineCommands:
         code, _, err = run(capsys, "pipeline", "status", "--run", str(tmp_path / "nowhere"))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("block, refused", [
+        ("classifier", {"minn": 0, "maxn": 0}),    # fields of builds before model format 4
+        ("verify", {"strata": 0}),                 # accepted by builds before AnnealSettings
+    ], ids=["minn-maxn", "strata-0"])
+    def test_a_journal_with_refused_settings_is_one_error_line(
+        self, capsys, tmp_path, monkeypatch, block, refused
+    ):
+        monkeypatch.chdir(tmp_path)
+        pipeline.init_run("run", build_world(tmp_path))
+        path = os.path.join("run", pipeline.JOURNAL_NAME)
+        with open(path, encoding="utf-8") as f:
+            entry = json.loads(f.readline())["entry"]
+        # the init entry another build would have written, its check recomputed
+        entry["data"]["config"][block].update(refused)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(canonical_json({"entry": entry, "check": sha256_text(canonical_json(entry))})
+                    + "\n")
+        with open(path, "rb") as f:
+            journal = f.read()
+        for command in ("status", "resume", "advance"):
+            code, out, err = run(capsys, "pipeline", command, "--run", "run")
+            assert (code, out) == (1, ""), command
+            lines = err.splitlines()
+            assert len(lines) == 1 and "Traceback" not in err, err
+            assert lines[0].startswith(
+                "error: another websift build wrote this journal with run settings this "
+                f"build refuses (PipelineConfig.{block}: "
+            ), err
+            assert lines[0].endswith("); start the run again in a new directory"), err
+        with open(path, "rb") as f:
+            assert f.read() == journal
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,24 @@ def test_decode_record_reports_positions():
         decode_record(b"{not json", "s", 4)
 
 
+@pytest.mark.parametrize("field", [
+    '"id": "a\\ud800", "text": "ok"',
+    '"text": "bad \\ud800 surrogate"',
+    '"text": "ok", "source": "\\udfff"',
+    '"text": "ok", "meta": {"lang": "\\udc00x"}',
+    '"text": "ok", "meta": {"\\ud83d": "en"}',
+], ids=["id", "text", "source", "meta-value", "meta-key"])
+def test_decode_record_refuses_a_lone_surrogate_escape(field):
+    with pytest.raises(MalformedRecord, match="s:4: a string holds a lone surrogate escape"):
+        decode_record(("{" + field + "}").encode(), "s", 4)
+
+
+def test_decode_record_accepts_an_escaped_surrogate_pair():
+    doc = decode_record(b'{"id": "a", "text": "smile \\ud83d\\ude00"}', "s", 1)
+    assert doc.text == "smile \U0001f600"
+    assert doc.text.encode("utf-8")
+
+
 def test_iter_documents_strict_and_lenient(tmp_path):
     shard = tmp_path / "x.jsonl"
     shard.write_text('{"text": "one"}\nnot json\n{"text": "two"}\n')

@@ -28,7 +28,7 @@ from websift.classifier import (
     save_model,
     train,
 )
-from websift.documents import Document, encode_line, write_documents
+from websift.documents import Document, encode_line, shard_name, write_documents
 from websift.errors import WebsiftError
 from websift.filtering import (
     DEFAULT_TOKEN_BIN_EDGES,
@@ -45,6 +45,7 @@ from websift.filtering import (
     token_length_histogram,
     write_keep_manifest,
 )
+from websift.ioutil import sha256_file
 from websift.tokenizers import TokenizerSpec, load_tokenizer
 
 POS_WORDS = [f"good{i}" for i in range(20)]
@@ -718,6 +719,39 @@ def test_score_corpus_resume_rescores_an_older_output_dir_once(
     assert _scored_bytes(out) == _scored_bytes(clean)
 
 
+def test_setup_names_the_model_by_the_sha256_of_its_file(tmp_path, model, tokenizer):
+    # the model was never saved; setup.json names it by the file a save writes
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=1)
+    run = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "out"))
+    with open(os.path.join(run.out_dir, "setup.json"), encoding="utf-8") as f:
+        setup = json.load(f)
+    path = str(tmp_path / "model.ufwc")
+    assert setup == {"threshold": 0.5, "model_sha256": save_model(model, path)}
+    assert setup["model_sha256"] == sha256_file(path)
+
+
+def test_score_corpus_resume_under_another_model_digest_rescores_once(
+    tmp_path, model, tokenizer, caplog
+):
+    # as after an older build, which named the model by another digest
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
+    clean = str(tmp_path / "clean")
+    score_corpus(model, shards, 0.5, tokenizer, clean)
+    out = str(tmp_path / "out")
+    score_corpus(model, shards, 0.5, tokenizer, out)
+    setup = os.path.join(out, "setup.json")
+    with open(setup, "w", encoding="utf-8") as f:
+        json.dump({"threshold": 0.5, "model_sha256": "0" * 64}, f)
+    with caplog.at_level(logging.WARNING, logger="websift.filtering"):
+        run = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    warned = [r for r in caplog.records if "rescoring every shard" in r.getMessage()]
+    assert len(warned) == 1
+    assert (run.completed_shards, run.skipped_shards) == ([shard_name(p) for p in shards], [])
+    assert _scored_bytes(out) == _scored_bytes(clean)
+    again = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert again.skipped_shards == run.completed_shards
+
+
 @pytest.mark.parametrize("change", ["threshold", "model"])
 def test_score_corpus_resume_rescores_everything_under_another_setup(
     tmp_path, model, tokenizer, caplog, change
@@ -881,6 +915,27 @@ def test_score_corpus_counts_malformed_records(tmp_path, model, tokenizer):
     assert run.stats.records_malformed == 2
     assert run.stats.documents_kept == 1
     assert not run.partial
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_score_corpus_counts_a_lone_surrogate_record_as_malformed(
+    tmp_path, model, tokenizer, monkeypatch, workers
+):
+    # valid JSON whose text cannot be encoded as UTF-8
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shards, docs = make_corpus(tmp_path / "corpus", n_shards=1)
+    text = " ".join(POS_WORDS[:6])
+    path = tmp_path / "corpus" / "s001.jsonl"
+    path.write_text(json.dumps({"id": "a", "text": text}) + "\n"
+                    + '{"id": "b", "text": "bad \\ud800 surrogate"}\n'
+                    + json.dumps({"id": "c", "text": text}) + "\n", encoding="utf-8")
+    run = score_corpus(model, shards + [str(path)], 0.5, tokenizer, str(tmp_path / "out"),
+                       workers=workers)
+    assert not run.partial
+    assert run.stats.records_malformed == 1
+    assert run.stats.documents_total == len(docs) + 3
+    with open(tmp_path / "out" / "kept" / "s001.jsonl.scored.jsonl", encoding="utf-8") as f:
+        assert [json.loads(line)["id"] for line in f] == ["a", "c"]
 
 
 def test_keep_manifest_holds_exactly_the_kept_ids(tmp_path, model, tokenizer):

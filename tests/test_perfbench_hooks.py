@@ -38,7 +38,7 @@ def test_classifier_calls_the_harness_makes(perfbench_path):
 
     info = classifier.token_hash.cache_info()
     assert info.hits >= 0 and info.misses >= 0
-    vocab = classifier.Vocabulary.from_rows(["a"], [1])
+    vocab = classifier.Vocabulary(["a"])
     config = classifier.ClassifierConfig(dim=2, bucket=7, min_count=1, word_ngrams=2)
     tracer = measure.install_tracer(True)
     try:

@@ -217,12 +217,12 @@ class TestPipelineConfig:
         # a pool manifest without a parent must keep these exact bytes.
         assert canonical_json(ClassifierConfig().to_json_obj()) == (
             '{"bucket":2000000,"dim":256,"epochs":3,"labels":["negative","positive"],'
-            '"lr":0.1,"maxn":0,"min_count":5,"minn":0,"seed":17,"word_ngrams":3}'
+            '"lr":0.1,"min_count":5,"seed":17,"word_ngrams":3}'
         )
         config = build_world(tmp_path)
         assert canonical_json(config.to_json_obj()) == (
             '{"balance":0.5,"classifier":{"bucket":4096,"dim":16,"epochs":3,'
-            '"labels":["negative","positive"],"lr":0.1,"maxn":0,"min_count":1,"minn":0,'
+            '"labels":["negative","positive"],"lr":0.1,"min_count":1,'
             '"seed":3,"word_ngrams":2},"max_rounds":2,"pool_dir":"pool",'
             '"raw_shards":["raw/*.jsonl"],"sample_size":180,"seed":29,'
             '"target_training_set":120,"threshold":0.5,"tokenizer":{"kind":"unicode_words",'
@@ -231,7 +231,7 @@ class TestPipelineConfig:
             '"rounding_mode":"as_written_max","sequence_length":2,"strata":100}}'
         )
         monkeypatch.chdir(tmp_path)
-        assert init_run("run", config).run_id == "63efc1c68300"
+        assert init_run("run", config).run_id == "d9579e4355f3"
         manifest = SeedPoolManifest(version=1, parent_version=None, categories=(
             SeedCategory("curated", "positive", "editorial", ("ab" * 32,), doc_count=3),
         ))
