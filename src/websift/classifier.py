@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .documents import find_lone_surrogate
+from .documents import holds_lone_surrogate
 from .errors import WebsiftError
 from .ioutil import JsonRecord, atomic_open, canonical_json
 from .tokenizers import Tokenizer, TokenizerSpec
@@ -724,7 +724,7 @@ def parse_labeled_line(line: str, line_no: int, path: str) -> LabeledExample:
     if not isinstance(obj, dict) or not isinstance(obj.get("label"), str) \
             or not isinstance(obj.get("text"), str):
         raise ValueError(f"{path}:{line_no}: JSON record needs string 'label' and 'text'")
-    if "\\u" in line and any(map(find_lone_surrogate, (obj["label"], obj["text"]))):
+    if holds_lone_surrogate((obj["label"], obj["text"])):
         raise ValueError(f"{path}:{line_no}: 'label' or 'text' holds a lone surrogate escape")
     return LabeledExample(label=obj["label"], text=obj["text"])
 

@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -131,9 +130,15 @@ def decode_documents(lines: Iterable[bytes], name: str, strict: bool) -> Iterato
             log.warning("skipping malformed record: %s", e)
 
 
-# A decoded JSON string holds a lone surrogate only where a \u escape put
-# one; such a string cannot be written back as UTF-8.
-find_lone_surrogate = re.compile("[\ud800-\udfff]").search
+def holds_lone_surrogate(strings: Iterable[str]) -> bool:
+    """Whether a string holds a lone surrogate, which a \\u escape can put
+    into decoded JSON and which cannot be written as UTF-8."""
+    try:
+        for s in strings:
+            s.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def decode_record(raw: bytes, shard: str, line_no: int) -> Document:
@@ -146,8 +151,7 @@ def decode_record(raw: bytes, shard: str, line_no: int) -> Document:
     except json.JSONDecodeError as e:
         raise MalformedRecord(shard, line_no, f"invalid JSON: {e.msg}") from e
     doc = parse_document(obj, shard, line_no)
-    if b"\\u" in raw and any(map(find_lone_surrogate,
-                                 (doc.id, doc.text, doc.source, *doc.meta, *doc.meta.values()))):
+    if holds_lone_surrogate((doc.id, doc.text, doc.source, *doc.meta, *doc.meta.values())):
         raise MalformedRecord(shard, line_no, "a string holds a lone surrogate escape")
     return doc
 

@@ -198,7 +198,7 @@ def _parse_entry(raw: bytes) -> dict:
 
 
 def read_journal(run_dir: str, heal: bool = False) -> list[dict]:
-    """Validated journal entries.
+    """Validated journal entries, none if a crash tore the first one.
 
     A torn final line is dropped; with heal=True it is also truncated away.
     Write paths heal before they append: an entry appended after an
@@ -214,8 +214,6 @@ def read_journal(run_dir: str, heal: bool = False) -> list[dict]:
     for i, entry in enumerate(entries):
         if entry["seq"] != i:
             raise StateCorrupt(f"journal entry {i} has seq {entry['seq']}")
-    if not entries:
-        raise JournalUnreadable("journal holds no valid entries")
     return entries
 
 
@@ -224,6 +222,8 @@ def _append_entry(run_dir: str, seq: int, kind: str, round_no: int, data: dict) 
 
 
 def _fold(entries: list[dict]) -> RunState:
+    if not entries:
+        raise JournalUnreadable("journal holds no valid entries")
     first = entries[0]
     if first["type"] != "init":
         raise StateCorrupt("journal does not start with an init entry")
@@ -363,15 +363,12 @@ def _derived_seed(seed: int, round_no: int, purpose: str) -> int:
 def init_run(run_dir: str, config: PipelineConfig) -> RunState:
     make_dirs(run_dir)
     if os.path.exists(_journal_path(run_dir)):
-        try:
-            read_journal(run_dir)
-        except JournalUnreadable:
-            # A crash while writing the very first entry leaves a journal
-            # holding no state; discard it so the run can start over.
-            log.warning("discarding journal with no valid entries in %s", run_dir)
-            os.remove(_journal_path(run_dir))
-        else:
+        if read_journal(run_dir):
             raise WebsiftError(f"run directory {run_dir} is already initialized")
+        # A crash while writing the very first entry leaves a journal
+        # holding no state; discard it so the run can start over.
+        log.warning("discarding journal with no valid entries in %s", run_dir)
+        os.remove(_journal_path(run_dir))
     store = SeedPoolStore(config.pool_dir)
     pool_version = store.latest_version()
     if pool_version is None:

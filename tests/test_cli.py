@@ -910,8 +910,9 @@ class TestPipelineCommands:
     def test_a_journal_with_refused_settings_is_one_error_line(
         self, capsys, tmp_path, monkeypatch, block, refused
     ):
+        config = build_world(tmp_path)
         monkeypatch.chdir(tmp_path)
-        pipeline.init_run("run", build_world(tmp_path))
+        pipeline.init_run("run", config)
         path = os.path.join("run", pipeline.JOURNAL_NAME)
         with open(path, encoding="utf-8") as f:
             entry = json.loads(f.readline())["entry"]
@@ -932,6 +933,11 @@ class TestPipelineCommands:
                 f"build refuses (PipelineConfig.{block}: "
             ), err
             assert lines[0].endswith("); start the run again in a new directory"), err
+        # init keeps another build's run history and does not start over
+        with open("pipeline.json", "w", encoding="utf-8") as f:
+            json.dump(config.to_json_obj(), f)
+        code, _, err = run(capsys, "pipeline", "init", "--run", "run", "--config", "pipeline.json")
+        assert code == 1 and "already initialized" in err, err
         with open(path, "rb") as f:
             assert f.read() == journal
 

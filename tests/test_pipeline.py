@@ -291,6 +291,16 @@ class TestInit:
         with pytest.raises(WebsiftError, match="already initialized"):
             init_run("run", config)
 
+    def test_discards_a_journal_torn_in_its_first_entry(self, tmp_path, monkeypatch):
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        os.makedirs("run")
+        with open(os.path.join("run", pipeline.JOURNAL_NAME), "w", encoding="utf-8") as f:
+            f.write('{"entry": {"seq": 0')
+        assert read_journal("run") == []
+        init_run("run", config)
+        assert run_status("run")["round"] == 1
+
     def test_refuses_empty_pool(self, tmp_path, monkeypatch):
         config = build_world(tmp_path)
         monkeypatch.chdir(tmp_path)
