@@ -37,6 +37,7 @@ import math
 import operator
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, count, repeat
@@ -202,10 +203,7 @@ def build_vocab(token_seqs: Iterable[Sequence[str]], config: ClassifierConfig) -
     Row ids follow first occurrence order in the stream, so the same corpus
     in the same order always yields the same embedding layout.
     """
-    counts: dict[str, int] = {}
-    for seq in token_seqs:
-        for tok in seq:
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = Counter(chain.from_iterable(token_seqs))
     tokens = [t for t, c in counts.items() if c >= config.min_count]
     if not tokens:
         raise EmptyVocabulary()
@@ -216,7 +214,7 @@ def token_hashes(tokens: Sequence[str]) -> np.ndarray:
     """token_hash of every token (uint64), computed together in numpy.
 
     The tokens' UTF-8 bytes go right-aligned into a matrix with one row per
-    byte position and one column per token, zero-padded on the left. Each
+    token and one column per byte position, zero-padded on the left. Each
     byte position then costs two numpy calls however many tokens there are.
     A zero byte multiplies the state by FNV_PRIME, so a token of length L in
     a matrix of width W starts from FNV_OFFSET times the inverse prime to the
@@ -225,7 +223,7 @@ def token_hashes(tokens: Sequence[str]) -> np.ndarray:
     widen the matrix.
     """
     n = len(tokens)
-    encoded = [t.encode("utf-8") for t in tokens]
+    encoded = list(map(str.encode, tokens))     # UTF-8
     lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=n)
     longest = int(lengths.max(initial=0))
     if longest > HASH_BYTE_CAP:
@@ -236,10 +234,11 @@ def token_hashes(tokens: Sequence[str]) -> np.ndarray:
         return out
     h = _FNV_PADDED_START[longest - lengths]
     blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    by_position = np.zeros((longest, n), dtype=np.uint8)
-    row = np.arange(blob.size) + np.repeat(longest - np.cumsum(lengths), lengths)
-    by_position[row, np.repeat(np.arange(n), lengths)] = blob
-    for byte in by_position:
+    # token i's bytes end at (i + 1) * longest in the flattened matrix
+    ends = np.arange(1, n + 1) * longest
+    by_token = np.zeros(n * longest, dtype=np.uint8)
+    by_token[np.arange(blob.size) + np.repeat(ends - np.cumsum(lengths), lengths)] = blob
+    for byte in by_token.reshape(n, longest).T:
         h ^= byte
         h *= _FNV_PRIME_U32
     return h.astype(np.uint64)
@@ -256,11 +255,13 @@ def featurize_many(
     token hash still feeds the n-grams they sit in. A document with no ids
     predicts the uniform distribution.
 
-    Documents are featurized CHUNK_DOCS at a time: each distinct token of a
-    chunk is looked up and hashed once, and the n-gram windows run over all
-    the chunk's tokens at once, dropping the windows that cross a document
-    boundary. A chunk's ids are views into one array. The ids do not depend
-    on how the documents are split into calls or chunks.
+    Documents are featurized CHUNK_DOCS at a time. One dict.setdefault pass
+    over a chunk's tokens finds its distinct tokens and where each token
+    first occurs; each distinct token is looked up and hashed once, and the
+    n-gram windows run over all the chunk's tokens at once, dropping the
+    windows that cross a document boundary. A chunk's ids are views into one
+    array. The ids do not depend on how the documents are split into calls
+    or chunks.
     """
     out: list[np.ndarray] = []
     for start in range(0, len(token_lists), CHUNK_DOCS):
@@ -273,27 +274,34 @@ def _featurize_chunk(
 ) -> list[np.ndarray]:
     n_docs = len(token_lists)
     lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n_docs)
-    flat = list(chain.from_iterable(token_lists))
-    distinct = dict(zip(dict.fromkeys(flat), count()))
-    inverse = np.fromiter(map(distinct.__getitem__, flat), dtype=np.intp, count=len(flat))
+    n_tokens = int(lengths.sum())
+    # One pass indexes the chunk: first maps each distinct token, in
+    # first-occurrence order, to where it first occurs, and first_at[t] is
+    # that position for token t. inverse[t] is the rank of token t in first.
+    first: dict[str, int] = {}
+    first_at = np.fromiter(map(first.setdefault, chain.from_iterable(token_lists), count()),
+                           dtype=np.intp, count=n_tokens)
+    rank = np.empty(n_tokens, dtype=np.intp)
+    rank[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = np.arange(len(first))
+    inverse = rank[first_at]
     # grid[0, t]: the unigram row of token t; grid[n - 1, t]: the n-gram row
     # of the window starting at token t. valid marks the ids that exist.
-    grid = np.zeros((config.word_ngrams, len(flat)), dtype=np.int64)
-    grid[0] = np.fromiter(map(vocab.index.get, distinct, repeat(-1)), dtype=np.int64,
-                          count=len(distinct))[inverse]
+    grid = np.zeros((config.word_ngrams, n_tokens), dtype=np.int64)
+    grid[0] = np.fromiter(map(vocab.index.get, first, repeat(-1)), dtype=np.int64,
+                          count=len(first))[inverse]
     valid = np.empty(grid.shape, dtype=bool)
     np.greater_equal(grid[0], 0, out=valid[0])
     if config.word_ngrams > 1:
-        hashes = token_hashes(list(distinct))[inverse]
+        hashes = token_hashes(list(first))[inverse]
         bucket = np.uint64(config.bucket)
         h = hashes.copy()
-        for n in range(2, min(config.word_ngrams, len(flat)) + 1):
+        for n in range(2, min(config.word_ngrams, n_tokens) + 1):
             h *= _NGRAM_MULT_U64
-            h[: len(flat) - n + 1] += hashes[n - 1 :]
+            h[: n_tokens - n + 1] += hashes[n - 1 :]
             grid[n - 1] = h % bucket
         grid[1:] += len(vocab)
         # a window fits when its document has n tokens left from its start
-        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(flat))
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(n_tokens)
         np.greater_equal(left, np.arange(2, config.word_ngrams + 1)[:, None], out=valid[1:])
     # grid[valid] runs part by part; a stable sort by document keeps that
     # order within each document: unigrams, then n-grams by length.
@@ -730,12 +738,21 @@ def parse_labeled_line(line: str, line_no: int, path: str) -> LabeledExample:
 
 
 def load_labeled_examples(path: str) -> list[LabeledExample]:
-    """Read training data: __label__<name> <text> lines or JSONL with a label field."""
+    """Read training data: __label__<name> <text> lines or JSONL with a label field.
+
+    Lines end at \\n, \\r\\n or \\r, as in text mode's universal newlines,
+    and each is decoded alone, so invalid UTF-8 is reported with its line."""
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            out.append(parse_labeled_line(line, line_no, path))
+    line_no = 0
+    with open(path, "rb") as f:
+        for raw in f:
+            for line in raw.splitlines():
+                line_no += 1
+                if not line:
+                    continue
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise ValueError(f"{path}:{line_no}: invalid UTF-8 at byte {e.start}") from None
+                out.append(parse_labeled_line(text, line_no, path))
     return out

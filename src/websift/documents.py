@@ -118,9 +118,10 @@ def iter_documents(path: str, strict: bool = True) -> Iterator[Document]:
 
 def decode_documents(lines: Iterable[bytes], name: str, strict: bool) -> Iterator[Document]:
     """The decode loop of iter_documents over any binary line stream (such
-    as stdin), naming records and id-less documents after name."""
+    as stdin), naming records and id-less documents after name. Lines are
+    as a binary file yields them, never empty."""
     for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
+        if raw.isspace():
             continue
         try:
             yield decode_record(raw, name, line_no)

@@ -291,7 +291,7 @@ def _read_shard(path: str, on_malformed: Callable[[str], None]) -> Iterator[Docu
     perfbench traces."""
     name = shard_name(path)
     for line_no, raw in iter_shard_lines(path):
-        if not raw.strip():
+        if raw.isspace():
             continue
         try:
             doc = decode_record(raw, name, line_no)

@@ -3,6 +3,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -896,3 +897,26 @@ def test_load_labeled_examples(tmp_path):
         LabeledExample("positive", "alpha beta"),
         LabeledExample("negative", "gamma"),
     ]
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_load_labeled_examples_reads_lf_crlf_and_cr_lines_alike(tmp_path, newline):
+    # each ends a line, as in text mode's universal newlines
+    path = tmp_path / "train.txt"
+    lines = ["__label__positive alpha  beta\t", "", '{"label": "negative", "text": "gamma é"}']
+    path.write_bytes(newline.join(line.encode("utf-8") for line in lines) + newline)
+    with open(path, "r", encoding="utf-8") as f:
+        assert [line.rstrip("\n") for line in f] == lines
+    assert load_labeled_examples(str(path)) == [
+        LabeledExample("positive", "alpha  beta\t"),
+        LabeledExample("negative", "gamma é"),
+    ]
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_load_labeled_examples_names_the_line_of_invalid_utf8(tmp_path, newline):
+    path = tmp_path / "train.txt"
+    path.write_bytes(b"__label__positive ok" + newline + newline
+                     + b"__label__negative caf\xc3 \xff" + newline)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: invalid UTF-8 at byte 21$"):
+        load_labeled_examples(str(path))

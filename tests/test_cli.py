@@ -196,6 +196,15 @@ class TestClassifierCommands:
         ]
         assert sorted(os.listdir(tmp_path)) == ["train.jsonl"]
 
+    def test_train_names_the_line_of_invalid_utf8(self, capsys, tmp_path):
+        data = tmp_path / "train.txt"
+        data.write_bytes(b"__label__positive fresh1 fresh2\r\n__label__negative bad \xff\r\n")
+        code, _, err = run(capsys, "classifier", "train", "--data", str(data),
+                           "--out", str(tmp_path / "model.ufwc"), "--min-count", "1")
+        assert code == 1
+        assert err.splitlines() == [f"error: {data}:2: invalid UTF-8 at byte 22"]
+        assert sorted(os.listdir(tmp_path)) == ["train.txt"]
+
     def test_predict_labels_split_cleanly(self, capsys, tmp_path, model_file):
         docs = [
             {"id": "good", "text": " ".join(POS_WORDS)},

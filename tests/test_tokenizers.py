@@ -1,10 +1,13 @@
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from websift.tokenizers import (
+    Tokenizer,
     TokenizerSpec,
     VocabMalformed,
     VocabNotFound,
@@ -94,6 +97,45 @@ def test_vocab_greedy_reconstructs_exactly(tmp_path):
 @given(st.text(alphabet="abcde", max_size=40))
 def test_vocab_greedy_matches_reference(greedy_tok, text):
     assert greedy_tok.tokenize(text) == greedy_reference(text, set(GREEDY_ENTRIES))
+
+
+_STRUCTURAL_SPLIT = re.compile(r"([\n\t\r])")
+
+
+def tokenize_reference(text: str, preserve_structural: bool, flat) -> list[str]:
+    """Tokenize by one regex split on \\n, \\t and \\r, each kept as a token,
+    with flat tokenizing the text between them."""
+    if not preserve_structural:
+        return flat(text)
+    out = []
+    for part in _STRUCTURAL_SPLIT.split(text):
+        if part in ("\n", "\t", "\r"):
+            out.append(part)
+        elif part:
+            out += flat(part)
+    return out
+
+
+# Letters, structural characters, CRLF and every str.isspace() code point
+# (\x0b, \x1c, \x85, \u2028, \u3000, ...): the characters where line splitting
+# and whitespace splitting could disagree.
+TEXT_PIECES = sorted(set("abcdeé\n\t\r") | {"\r\n"}
+                     | {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()})
+TEXT = st.lists(st.sampled_from(TEXT_PIECES), max_size=40).map("".join)
+
+
+@pytest.mark.parametrize("preserve_structural", [True, False])
+@pytest.mark.parametrize("kind", ["unicode_words", "vocab_greedy"])
+@given(text=TEXT)
+def test_tokenize_matches_regex_reference(kind, preserve_structural, text):
+    if kind == "unicode_words":
+        tok = Tokenizer(TokenizerSpec(preserve_structural=preserve_structural))
+        flat = str.split
+    else:
+        spec = TokenizerSpec(kind, "v.txt", preserve_structural)
+        tok = Tokenizer(spec, frozenset(GREEDY_ENTRIES))
+        flat = lambda part: greedy_reference(part, set(GREEDY_ENTRIES))
+    assert tok.tokenize(text) == tokenize_reference(text, preserve_structural, flat)
 
 
 def test_vocab_greedy_structural_split(tmp_path):
