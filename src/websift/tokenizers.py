@@ -8,10 +8,11 @@ Two kinds are supported:
 
 Both can emit \\n, \\t and \\r as standalone single-character tokens
 (preserve_structural, on by default) so structural layout survives into
-feature space. The text is split into lines with str.split; only a line
-holding \\t or \\r goes through a regex split, and the pieces between
-structural characters are tokenized by kind. vocab_greedy guarantees exact
-reconstruction: concatenating the tokens reproduces the input byte for byte.
+feature space. A text holding no \\t or \\r is split into lines with
+str.split; any other text goes through one regex split on \\n, \\t and \\r.
+The pieces between structural characters are tokenized by kind.
+vocab_greedy guarantees exact reconstruction: concatenating the tokens
+reproduces the input byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .ioutil import JsonRecord
 
 KINDS = ("unicode_words", "vocab_greedy")
 
-_TAB_CR_SPLIT = re.compile(r"([\t\r])")
+_STRUCTURAL = ("\n", "\t", "\r")
+_STRUCTURAL_SPLIT = re.compile(r"([\n\t\r])")
 
 
 class VocabNotFound(WebsiftError):
@@ -72,19 +74,19 @@ class Tokenizer:
         out: list[str] = []
         if not self.spec.preserve_structural:
             self._tokenize_flat(text, out)
-            return out
-        # Most lines hold no \t or \r: they skip the regex.
-        for line in text.split("\n"):
-            if "\t" in line or "\r" in line:
-                for part in _TAB_CR_SPLIT.split(line):
-                    if part == "\t" or part == "\r":
-                        out.append(part)
-                    elif part:
-                        self._tokenize_flat(part, out)
-            elif line:
-                self._tokenize_flat(line, out)
-            out.append("\n")
-        out.pop()   # no "\n" follows the last line
+        elif "\t" in text or "\r" in text:
+            for part in _STRUCTURAL_SPLIT.split(text):
+                if part in _STRUCTURAL:
+                    out.append(part)
+                elif part:
+                    self._tokenize_flat(part, out)
+        else:
+            # Most texts hold no \t or \r: they skip the regex.
+            for line in text.split("\n"):
+                if line:
+                    self._tokenize_flat(line, out)
+                out.append("\n")
+            out.pop()   # no "\n" follows the last line
         return out
 
     def token_count(self, text: str) -> int:
