@@ -26,6 +26,12 @@ numpy SIMD levels too: training calls no BLAS product, sums w . hidden with
 math.fsum (correctly rounded) and the table in a fixed column order. It does
 not hold across C math libraries, whose exp may differ per CPU in the last
 bit; and scoring's np.exp can differ by an ulp between numpy SIMD levels.
+
+As in fastText, training holds the feature rows as float32, 4 bytes per
+value: each initial value is the float64 draw rounded to float32, and each
+step's row update is rounded to float32 once, then subtracted in float32.
+Everything else (w, the hidden state, the logistic and the table) is
+float64, and every float32 value widens exactly wherever it meets one.
 """
 
 from __future__ import annotations
@@ -380,11 +386,14 @@ def example_grads(
     (p - y) w / feature_count. With no features the row gradient is
     zero-length.
 
+    The rows may be float32 or float64; h is summed in float64 either way, so
+    float32 rows give the same bits as their float64 copy.
+
     s is summed by math.fsum, which rounds correctly, and math.exp only sees
     arguments <= 0, so a saturated logit neither overflows nor warns.
     """
     if ids.size:
-        hidden = input_matrix.take(ids, axis=0).mean(axis=0)
+        hidden = input_matrix.take(ids, axis=0).mean(axis=0, dtype=np.float64)
     else:
         hidden = np.zeros(input_matrix.shape[1])
     s = math.fsum((hidden * w).tolist())
@@ -415,35 +424,37 @@ def _row_update_plan(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return uniq[order], [int((counts > r).sum()) for r in range(counts.max(initial=0))]
 
 
-# _logit_table multiplies at most this many weights per numpy call.
-_TABLE_BLOCK_ELEMS = 1 << 18
+# _sgd draws and _logit_table multiplies at most this many values per numpy call.
+_BLOCK_ELEMS = 1 << 18
 
 
 def _logit_table(input_matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """table[r] = sum over k of input_matrix[r, k] * w[k], added in column
-    order k = 0, 1, ... for every row.
+    """table[r] = sum over k of input_matrix[r, k] * w[k] in float64, added
+    in column order k = 0, 1, ... for every row, starting from +0.0.
 
     Not a matrix product: BLAS may split and reorder that sum depending on
     its threads, and the table's bits must not depend on the machine.
     """
     rows, dim = input_matrix.shape
     table = np.zeros(rows)
-    step = max(1, _TABLE_BLOCK_ELEMS // dim)
+    # numpy sums a one-row block pairwise, not in column order, so every
+    # block holds at least two rows: a last block of one row starts a row early.
+    step = max(2, _BLOCK_ELEMS // dim)
     terms = np.empty((dim, min(step, rows)))
     for start in range(0, rows, step):
+        start = max(0, min(start, rows - 2))
         block = input_matrix[start : start + step]
         block_terms = terms[:, : len(block)]
         np.multiply(block.T, w[:, None], out=block_terms)
-        sums = table[start : start + len(block)]
-        for column in block_terms:
-            sums += column
+        np.add.reduce(block_terms, axis=0, initial=0.0, out=table[start : start + len(block)])
     return table
 
 
 def _sgd(
     dataset: Sequence[LabeledExample], config: ClassifierConfig, tokenizer: Tokenizer
 ) -> tuple[Vocabulary, np.ndarray, np.ndarray, tuple[float, ...]]:
-    """The training loop of train: (vocab, input_matrix, w, epoch_losses).
+    """The training loop of train: (vocab, input_matrix, w, epoch_losses),
+    input_matrix being float32 and w float64.
 
     w is the difference of the two output rows of fastText's two-label
     softmax, trained on its own: each of those rows would move by
@@ -468,7 +479,11 @@ def _sgd(
     rng = np.random.default_rng(config.seed)
     rows = len(vocab) + config.bucket
     bound = 1.0 / config.dim
-    input_matrix = rng.uniform(-bound, bound, size=(rows, config.dim))
+    input_matrix = np.empty((rows, config.dim), dtype=np.float32)
+    step = max(1, _BLOCK_ELEMS // config.dim)
+    for start in range(0, rows, step):
+        block = input_matrix[start : start + step]
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
     w = np.zeros(config.dim)
 
     total = config.epochs * len(dataset)
@@ -483,7 +498,7 @@ def _sgd(
             loss_sum += loss
             w -= 2.0 * lr_t * grad_w
             if prefixes:
-                update = lr_t * grad_row
+                update = (lr_t * grad_row).astype(np.float32)
                 block = input_matrix[distinct]
                 for n in prefixes:
                     block[:n] -= update

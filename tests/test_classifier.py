@@ -335,11 +335,20 @@ def make_dataset(seed=0, n_per_class=15, words_per_doc=25):
     return out
 
 
+def f32(x: float) -> float:
+    """x rounded to the nearest float32."""
+    return float(np.float32(x))
+
+
 def python_train(dataset, config, tokenizer):
     """The same SGD restated with scalar python floats.
 
     Independent of the numpy code paths except for drawing the initial
-    input matrix from the identical generator.
+    input matrix from the identical generator. The input rows are float32
+    values: rounded once at init, and each update is rounded to float32
+    before it is subtracted and after. (The difference of two float32
+    values, taken in float64 and rounded to float32, is the float32
+    difference.)
     """
     counts: dict[str, int] = {}
     for ex in dataset:
@@ -348,7 +357,7 @@ def python_train(dataset, config, tokenizer):
     vocab_tokens = [t for t, c in counts.items() if c >= config.min_count]
     rows = len(vocab_tokens) + config.bucket
     rng = np.random.default_rng(config.seed)
-    A = [[float(x) for x in row]
+    A = [[f32(x) for x in row]
          for row in rng.uniform(-1.0 / config.dim, 1.0 / config.dim, size=(rows, config.dim))]
     B = [[0.0] * config.dim for _ in range(2)]
     label_index = {name: i for i, name in enumerate(config.labels)}
@@ -379,7 +388,7 @@ def python_train(dataset, config, tokenizer):
                     B[i][j] -= lr * g[i] * hidden[j]
             for r in ids:
                 for j in range(config.dim):
-                    A[r][j] -= lr * grad_row[j]
+                    A[r][j] = f32(A[r][j] - f32(lr * grad_row[j]))
         losses.append(loss_sum / len(dataset))
     return vocab_tokens, A, B, losses
 
@@ -405,12 +414,13 @@ def numpy_loop_train(dataset, config, tokenizer):
     """The per-epoch numpy loop train replaced, kept as a bit-exact oracle.
 
     Every step tokenizes and featurizes its example again and applies the
-    row update with np.subtract.at.
+    row update, rounded to float32, with np.subtract.at on float32 rows.
     """
     vocab = build_vocab((tokenizer.tokenize(ex.text) for ex in dataset), config)
     rng = np.random.default_rng(config.seed)
     rows = len(vocab) + config.bucket
-    input_matrix = rng.uniform(-1.0 / config.dim, 1.0 / config.dim, size=(rows, config.dim))
+    input_matrix = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
+                               size=(rows, config.dim)).astype(np.float32)
     w = np.zeros(config.dim)
     label_index = {name: i for i, name in enumerate(config.labels)}
     total = config.epochs * len(dataset)
@@ -426,7 +436,7 @@ def numpy_loop_train(dataset, config, tokenizer):
             loss_sum += loss
             w -= 2.0 * lr_t * grad_w
             if ids.size:
-                np.subtract.at(input_matrix, ids, lr_t * grad_row)
+                np.subtract.at(input_matrix, ids, (lr_t * grad_row).astype(np.float32))
         losses.append(loss_sum / len(dataset))
     return input_matrix, w, losses
 
@@ -449,11 +459,45 @@ def test_train_is_bit_identical_to_per_occurrence_updates(tokenizer):
                          return_counts=True)[1].max(initial=0) for ex in dataset]
     assert max(repeats) >= 3 and min(repeats) == 0
 
-    _, trained_input, trained_w, epoch_losses = classifier._sgd(dataset, config, tokenizer)
-    input_matrix, w, losses = numpy_loop_train(dataset, config, tokenizer)
-    assert np.array_equal(trained_input, input_matrix)
-    assert np.array_equal(trained_w, w)
-    assert list(epoch_losses) == losses
+    # at lr 1.0 some rows end differently unless each update is rounded to float32
+    for lr in (config.lr, 1.0):
+        run = dataclasses.replace(config, lr=lr)
+        _, trained_input, trained_w, epoch_losses = classifier._sgd(dataset, run, tokenizer)
+        input_matrix, w, losses = numpy_loop_train(dataset, run, tokenizer)
+        assert np.array_equal(trained_input, input_matrix)
+        assert np.array_equal(trained_w, w)
+        assert list(epoch_losses) == losses
+
+
+def test_sgd_holds_one_float32_matrix(tokenizer):
+    config = ClassifierConfig(dim=64, bucket=200_000, min_count=1, epochs=1)
+    dataset = make_dataset(n_per_class=2)
+    tracemalloc.start()
+    try:
+        _, input_matrix, w, _ = classifier._sgd(dataset, config, tokenizer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert input_matrix.dtype == np.float32 and input_matrix.flags.c_contiguous
+    assert w.dtype == np.float64
+    # a float64 copy of the matrix, even a passing one, would double the peak
+    assert peak <= 1.1 * input_matrix.nbytes
+
+
+def test_example_grads_on_float32_rows_match_their_float64_copy():
+    rng = np.random.default_rng(8)
+    for probe in range(200):
+        dim = int(rng.choice([1, 2, 7, 64, 256]))
+        rows = int(rng.integers(1, 40))
+        a32 = rng.uniform(-1.0 / dim, 1.0 / dim, size=(rows, dim)).astype(np.float32)
+        ids = rng.integers(0, rows, size=int(rng.integers(0, 600)))
+        w = rng.normal(0.0, 2.0, size=dim)
+        y = probe % 2
+        loss32, grad_w32, grad_row32 = example_grads(a32, w, ids, y)
+        loss64, grad_w64, grad_row64 = example_grads(a32.astype(np.float64), w, ids, y)
+        assert loss32 == loss64
+        assert grad_w32.dtype == np.float64 and grad_w32.tobytes() == grad_w64.tobytes()
+        assert grad_row32.tobytes() == grad_row64.tobytes()
 
 
 def test_train_counts_each_zero_feature_example_once(tokenizer, caplog):
@@ -535,7 +579,7 @@ def softmax_positive(input_matrix, w, ids) -> float:
     positive probability, sigmoid(w . mean(A[ids]))."""
     if not ids.size:
         return 0.5
-    return float(1.0 / (1.0 + np.exp(-(w @ input_matrix[ids].mean(axis=0)))))
+    return float(1.0 / (1.0 + np.exp(-(w @ input_matrix[ids].mean(axis=0, dtype=np.float64)))))
 
 
 # in-vocabulary words, out-of-vocabulary words and repeats of both
@@ -579,18 +623,25 @@ def test_table_scores_do_not_depend_on_chunking(docs, toy_model, wide_model, toy
 
 def test_logit_table_adds_columns_in_order(monkeypatch, toy_model, toy_matrices):
     _, input_matrix, w, _ = toy_matrices
+    assert input_matrix.dtype == np.float32
     assert np.array_equal(toy_model.table, classifier._logit_table(input_matrix, w))
+    # dim 16: numpy sums a lone row of 8 or more values pairwise, in another order
     rng = np.random.default_rng(4)
-    a, w = rng.normal(size=(23, 6)), rng.normal(size=6)
-    expected = []
-    for row in a.tolist():
-        s = 0.0
-        for x, wk in zip(row, w.tolist()):
-            s += x * wk
-        expected.append(s)
-    for block_elems in (6, 30, 1 << 18):  # one row, five rows with a remainder, all rows
-        monkeypatch.setattr(classifier, "_TABLE_BLOCK_ELEMS", block_elems)
-        assert classifier._logit_table(a, w).tolist() == expected
+    dim = 16
+    a, w = rng.normal(size=(23, dim)), rng.normal(size=dim)
+    a[0] = -abs(a[0])  # under w = 0 every term is -0.0, and the sum must still be +0.0
+    for rows, weights in [(a, w), (a.astype(np.float32), w), (a, np.zeros(dim))]:
+        expected = []
+        for row in rows.tolist():
+            s = 0.0
+            for x, wk in zip(row, weights.tolist()):
+                s += x * wk
+            expected.append(s)
+        # two rows, five rows with a remainder, eleven rows with one row over, all rows
+        for block_elems in (dim, 5 * dim, 11 * dim, 1 << 18):
+            monkeypatch.setattr(classifier, "_BLOCK_ELEMS", block_elems)
+            got = classifier._logit_table(rows, weights)
+            assert got.tobytes() == np.array(expected).tobytes()
 
 
 def test_positive_probs_saturates_without_warnings():
