@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, count, repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -57,6 +57,8 @@ from .ioutil import JsonRecord, atomic_open, canonical_json
 from .tokenizers import Tokenizer, TokenizerSpec
 
 log = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 # ---------------------------------------------------------------------------
 # errors
@@ -156,9 +158,12 @@ _FNV_PADDED_START = np.array(
     [FNV_OFFSET * pow(FNV_PRIME, -k, 1 << 32) % (1 << 32) for k in range(HASH_BYTE_CAP + 1)],
     dtype=np.uint32,
 )
-# Documents featurize_many featurizes together. Larger chunks share more of
-# the fixed numpy cost per chunk; memory grows with the chunk's token count.
-CHUNK_DOCS = 256
+# The token budget of a chunk: scoring, featurize_many and training take
+# their documents a chunk at a time, each document counting its tokens plus
+# one, and a document over the budget is a chunk of its own. Larger chunks
+# share more of the fixed numpy cost per chunk; a chunk's memory grows with
+# its tokens, so the budget bounds it however long the documents are.
+CHUNK_TOKENS = 8192
 
 
 @lru_cache(maxsize=1 << 20)
@@ -250,8 +255,26 @@ def token_hashes(tokens: Sequence[str]) -> np.ndarray:
     return h.astype(np.uint64)
 
 
+def token_chunks(items: Iterable[_T], size: Callable[[_T], int] = len) -> Iterator[list[_T]]:
+    """items in order, cut into chunks of CHUNK_TOKENS: an item counts
+    size(item) + 1, a chunk holds items while their counts fit the budget,
+    and an item over the budget is a chunk of its own. items are drawn as
+    the chunk fills, so at most one chunk and the item after it are held."""
+    chunk: list[_T] = []
+    room = CHUNK_TOKENS
+    for item in items:
+        cost = size(item) + 1
+        if cost > room and chunk:
+            yield chunk
+            chunk, room = [], CHUNK_TOKENS
+        chunk.append(item)
+        room -= cost
+    if chunk:
+        yield chunk
+
+
 def featurize_many(
-    token_lists: Sequence[Sequence[str]], vocab: Vocabulary, config: ClassifierConfig
+    token_lists: Iterable[Sequence[str]], vocab: Vocabulary, config: ClassifierConfig
 ) -> list[np.ndarray]:
     """Map each document's tokens to its feature row ids (int64).
 
@@ -261,18 +284,17 @@ def featurize_many(
     token hash still feeds the n-grams they sit in. A document with no ids
     predicts the uniform distribution.
 
-    Documents are featurized CHUNK_DOCS at a time. One dict.setdefault pass
-    over a chunk's tokens finds its distinct tokens and where each token
-    first occurs; each distinct token is looked up and hashed once, and the
-    n-gram windows run over all the chunk's tokens at once, dropping the
-    windows that cross a document boundary. A chunk's ids are views into one
-    array. The ids do not depend on how the documents are split into calls
-    or chunks.
+    Documents are featurized a token_chunks chunk at a time, and a lazy
+    token_lists is drawn one chunk at a time. One dict.setdefault pass over
+    a chunk's tokens finds its distinct tokens and where each token first
+    occurs; each distinct token is looked up and hashed once, and the n-gram
+    windows run over all the chunk's tokens at once, dropping the windows
+    that cross a document boundary. A chunk's ids are views into one array.
+    The ids do not depend on how the documents are split into calls or
+    chunks.
     """
-    out: list[np.ndarray] = []
-    for start in range(0, len(token_lists), CHUNK_DOCS):
-        out += _featurize_chunk(token_lists[start : start + CHUNK_DOCS], vocab, config)
-    return out
+    chunks = token_chunks(token_lists)
+    return list(chain.from_iterable(map(_featurize_chunk, chunks, repeat(vocab), repeat(config))))
 
 
 def _featurize_chunk(
@@ -373,6 +395,15 @@ class Prediction:
     prob: float
     dist: dict[str, float]
 
+    @staticmethod
+    def of(config: ClassifierConfig, p: float) -> "Prediction":
+        """The prediction for positive-label probability p; a tie goes to
+        the first label."""
+        negative, positive = config.labels
+        dist = {negative: 1.0 - p, positive: p}
+        label = positive if p > dist[negative] else negative
+        return Prediction(label=label, prob=dist[label], dist=dist)
+
 
 def example_grads(
     input_matrix: np.ndarray, w: np.ndarray, ids: np.ndarray, y: int
@@ -467,13 +498,14 @@ def _sgd(
         if ex.label not in label_index:
             raise ValueError(f"label {ex.label!r} not in configured labels {config.labels}")
 
-    token_seqs = [tokenizer.tokenize(ex.text) for ex in dataset]
-    vocab = build_vocab(token_seqs, config)
+    # Two passes tokenize the examples, so no more than one chunk of token
+    # lists is held: one counts the vocabulary, one featurizes.
+    vocab = build_vocab((tokenizer.tokenize(ex.text) for ex in dataset), config)
+    token_seqs = (tokenizer.tokenize(ex.text) for ex in dataset)
     steps = [
         (ids, *_row_update_plan(ids), label_index[ex.label])
         for ex, ids in zip(dataset, featurize_many(token_seqs, vocab, config))
     ]
-    del token_seqs
     zero_feature = sum(1 for ids, *_ in steps if not ids.size)
 
     rng = np.random.default_rng(config.seed)
@@ -520,7 +552,10 @@ def train(
     seed pool assembler); train never reorders, so identical inputs produce
     an identical model.
 
-    Each example is tokenized and featurized once, before the first epoch.
+    Each example is featurized once, before the first epoch, from two
+    streamed tokenize passes: one counts the vocabulary, and one feeds
+    featurize_many a chunk at a time, so the token lists of the whole
+    dataset are never held at once.
     A step updates each distinct feature row once per occurrence of that row
     in the example, in sequence, so a repeated row receives exactly the
     updates a per-occurrence loop would give it.
@@ -584,19 +619,38 @@ def predict_tokens(model: ClassifierModel, tokens: Sequence[str]) -> np.ndarray:
     return np.array([1.0 - p, p])
 
 
-def predict_many(model: ClassifierModel, texts: Sequence[str], tokenizer: Tokenizer) -> list[Prediction]:
-    """predict for each text, featurized together by featurize_many. Raises
-    TokenizerMismatch unless tokenizer is the model's."""
+def score_stream(
+    model: ClassifierModel, tokenizer: Tokenizer, items: Iterable[_T],
+    text: Callable[[_T], str] = str,
+) -> Iterator[tuple[_T, int, float, bool]]:
+    """Each of items, in order, with its text's token count, its positive
+    probability and whether it has no feature row (it then scores exactly
+    0.5). items are texts, or text(item) is the item's text.
+
+    Items are tokenized as a token_chunks chunk fills, and each chunk is
+    featurized and scored at once, so memory is one chunk's however many
+    items there are. Its feature ids are dropped before the chunk is
+    yielded. No score depends on where chunks split.
+    """
+    tokenized = ((item, tokenizer.tokenize(text(item))) for item in items)
+    for chunk in token_chunks(tokenized, _token_count):
+        ids = _featurize_chunk([tokens for _, tokens in chunk], model.vocab, model.config)
+        probs = positive_probs(model, ids).tolist()
+        bare = [not row.size for row in ids]
+        del ids
+        for (item, tokens), p, no_features in zip(chunk, probs, bare):
+            yield item, len(tokens), p, no_features
+
+
+def _token_count(item_tokens: tuple[object, list[str]]) -> int:
+    return len(item_tokens[1])
+
+
+def predict_many(model: ClassifierModel, texts: Iterable[str], tokenizer: Tokenizer) -> list[Prediction]:
+    """predict for each text, scored a chunk at a time by score_stream.
+    Raises TokenizerMismatch unless tokenizer is the model's."""
     check_tokenizer(model, tokenizer)
-    token_lists = [tokenizer.tokenize(text) for text in texts]
-    ids = featurize_many(token_lists, model.vocab, model.config)
-    negative, positive = model.config.labels
-    out = []
-    for p in positive_probs(model, ids).tolist():
-        dist = {negative: 1.0 - p, positive: p}
-        label = positive if p > dist[negative] else negative  # a tie goes to the first label
-        out.append(Prediction(label=label, prob=dist[label], dist=dist))
-    return out
+    return [Prediction.of(model.config, p) for _, _, p, _ in score_stream(model, tokenizer, texts)]
 
 
 def predict(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> Prediction:

@@ -16,7 +16,8 @@ import logging
 import os
 import sys
 from dataclasses import fields, replace
-from itertools import count, islice
+from itertools import count
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import classifier as clf
@@ -70,20 +71,15 @@ def _write_out(path: Optional[str], chunks: Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _map_documents(args, to_records: Callable[[list[Document]], Iterable[dict]]) -> int:
-    """Read documents from --in or stdin, clf.CHUNK_DOCS at a time, and write
-    the records to_records(chunk) gives, one per line, to --out."""
+def _map_documents(args, to_records: Callable[[Iterator[Document]], Iterable[dict]]) -> int:
+    """Read documents from --in or stdin and write the records to_records
+    gives for them, one per line, to --out. to_records draws the documents
+    as it needs them, so memory does not grow with the input."""
     if args.infile:
         docs = iter_documents(args.infile)
     else:
         docs = decode_documents(sys.stdin.buffer, "<stdin>", strict=True)
-
-    def lines() -> Iterator[str]:
-        while chunk := list(islice(docs, clf.CHUNK_DOCS)):
-            for record in to_records(chunk):
-                yield encode_line(record) + "\n"
-
-    _write_out(args.out, lines())
+    _write_out(args.out, (encode_line(record) + "\n" for record in to_records(docs)))
     return EXIT_OK
 
 
@@ -132,11 +128,10 @@ def _cmd_classifier_predict(args) -> int:
     model = clf.load_model(args.model)
     tokenizer = clf.model_tokenizer(model)
 
-    def labeled(docs: list[Document]) -> Iterator[dict]:
-        preds = clf.predict_many(model, [doc.text for doc in docs], tokenizer)
-        for doc, pred in zip(docs, preds):
-            positive = pred.dist[model.config.positive_label]
-            yield {"id": doc.id, "label": pred.label, "prob": pred.prob, "score": positive}
+    def labeled(docs: Iterator[Document]) -> Iterator[dict]:
+        for doc, _, p, _ in clf.score_stream(model, tokenizer, docs, attrgetter("text")):
+            pred = clf.Prediction.of(model.config, p)
+            yield {"id": doc.id, "label": pred.label, "prob": pred.prob, "score": p}
 
     return _map_documents(args, labeled)
 

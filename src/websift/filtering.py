@@ -3,17 +3,20 @@
 score_corpus streams sharded JSONL through a trained classifier and splits
 every document into a kept or rejected stream by thresholding the positive
 class probability (kept means score >= threshold). score_documents is the
-one scoring loop, for corpus shards and the pipeline's sample alike: it
-featurizes CHUNK_DOCS documents by one featurize_many call and scores them
-by one positive_probs call over the model's logit table, which sums each
-document's entries as a segment of its own, so no output byte depends on
-the chunk size. Shards are independent units of work that this process and
-forked workers claim one at a time from a shared claim file. The claiming
-process hashes the shard and reuses it if a completed-shard ledger names
-that digest, so interrupted runs restart without rescoring finished shards.
-Unreadable shards (missing, truncated or corrupt .gz) are reported and
-skipped so one bad file cannot sink a long run; malformed records are
-skipped, counted and logged.
+one scoring loop, for corpus shards and the pipeline's sample alike. Over
+classifier.score_stream, it tokenizes documents until their tokens fill a
+chunk of classifier.CHUNK_TOKENS (each document counts one more than its
+tokens, and a longer document is a chunk of its own), featurizes the chunk
+at once and scores it by one positive_probs call over the model's logit
+table, which sums each document's entries as a segment of its own. So no
+output byte depends on where chunks split, and a scoring process holds one
+chunk of tokens however long its documents are. Shards are independent
+units of work that this process and forked workers claim one at a time
+from a shared claim file. The claiming process hashes the shard and reuses
+it if a completed-shard ledger names that digest, so interrupted runs
+restart without rescoring finished shards. Unreadable shards (missing,
+truncated or corrupt .gz) are reported and skipped so one bad file cannot
+sink a long run; malformed records are skipped, counted and logged.
 
 Each scored shard leaves three files, all durable before its ledger line:
 its kept and rejected streams and ids/<shard>.kept_ids, its kept ids
@@ -51,13 +54,11 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .classifier import (
-    CHUNK_DOCS,
     ClassifierModel,
     check_tokenizer,
-    featurize_many,
     model_sha256,
-    positive_probs,
     predict_tokens,
+    score_stream,
 )
 from .documents import (
     SHARD_READ_ERRORS,
@@ -220,20 +221,15 @@ def score_documents(
     model: ClassifierModel, tokenizer: Tokenizer, threshold: float,
     docs: Iterable[Document], stats: FilterStats,
 ) -> Iterator[tuple[Document, float, bool, bool]]:
-    """Each of docs, read CHUNK_DOCS at a time, with its score, whether it
-    is kept and whether it has no feature row (it then scores exactly 0.5),
-    tallied into stats as it is yielded."""
-    docs = iter(docs)
-    while chunk := list(islice(docs, CHUNK_DOCS)):
-        token_lists = [tokenizer.tokenize(doc.text) for doc in chunk]
-        ids = featurize_many(token_lists, model.vocab, model.config)
-        scores = positive_probs(model, ids).tolist()
-        bare = [not doc_ids.size for doc_ids in ids]
-        del ids     # not held while the chunk is consumed and the next featurized
-        for doc, tokens, score, no_features in zip(chunk, token_lists, scores, bare):
-            kept = score >= threshold
-            stats.observe(score, len(tokens), kept)
-            yield doc, score, kept, no_features
+    """Each of docs with its score, whether it is kept and whether it has no
+    feature row (it then scores exactly 0.5), tallied into stats as it is
+    yielded. Documents are tokenized as a chunk of classifier.CHUNK_TOKENS
+    tokens fills and scored a chunk at a time, by classifier.score_stream."""
+    scored = score_stream(model, tokenizer, docs, operator.attrgetter("text"))
+    for doc, n_tokens, score, no_features in scored:
+        kept = score >= threshold
+        stats.observe(score, n_tokens, kept)
+        yield doc, score, kept, no_features
 
 
 @dataclass

@@ -119,17 +119,18 @@ class Tokenizer:
 
 
 def load_vocab(path: str) -> frozenset[str]:
-    """Load a vocabulary file: one non-empty UTF-8 token per line, no duplicates."""
+    """Load a vocabulary file: one non-empty UTF-8 token per line, no duplicates.
+
+    Lines end at \\n, \\r\\n or \\r, as in text mode's universal newlines,
+    so a file saved with CRLF line ends loads the same tokens; a newline at
+    the end of the file ends the last line and adds no entry."""
     try:
         with open(path, "rb") as f:
             data = f.read()
     except FileNotFoundError:
         raise VocabNotFound(path) from None
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()  # trailing newline at EOF, not an entry
     tokens: set[str] = set()
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(data.splitlines(), start=1):
         try:
             token = raw.decode("utf-8")
         except UnicodeDecodeError:

@@ -228,10 +228,26 @@ def test_featurize_many_chunks_internally(monkeypatch):
     vocab = Vocabulary(["a", "cc"])
     docs = [["a", "b", "cc"], [], ["b"], ["cc", "a", "cc", "a"], ["é", "a"]]
     whole = [ids.tolist() for ids in featurize_many(docs, vocab, config)]
-    for chunk in (1, 2, 3):
-        monkeypatch.setattr(classifier, "CHUNK_DOCS", chunk)
+    # a budget of 1 puts each document in a chunk of its own; at 4 the
+    # four-token document is longer than the budget
+    for budget in (1, 4, 6):
+        monkeypatch.setattr(classifier, "CHUNK_TOKENS", budget)
         assert [ids.tolist() for ids in featurize_many(docs, vocab, config)] == whole
+        assert [ids.tolist() for ids in featurize_many(iter(docs), vocab, config)] == whole
     assert whole == [reference_ids(d, ["a", "cc"], config) for d in docs]
+
+
+def test_token_chunks_fill_the_token_budget(monkeypatch):
+    monkeypatch.setattr(classifier, "CHUNK_TOKENS", 6)
+    docs = [["a"] * n for n in (0, 2, 1, 9, 0, 5, 0, 0, 3, 2)]
+    chunks = [[len(d) for d in chunk] for chunk in classifier.token_chunks(docs)]
+    # each document counts its tokens plus one; the nine-token one and the
+    # five-token one (6 with its one) each fill a chunk alone
+    assert chunks == [[0, 2, 1], [9], [0], [5], [0, 0, 3], [2]]
+    assert list(classifier.token_chunks([])) == []
+    drawn = []
+    lazy = classifier.token_chunks(drawn.append(d) or d for d in docs)
+    assert len(next(lazy)) == 3 and len(drawn) == 4     # the chunk and the item after it
 
 
 def test_build_vocab_first_occurrence_order(tokenizer):
@@ -518,6 +534,49 @@ def test_train_is_deterministic(tmp_path, tokenizer):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_train_holds_one_chunk_of_token_lists(monkeypatch, tokenizer):
+    """train tokenizes as it goes: while the vocabulary is counted, and while
+    each chunk is featurized, no token lists are alive but that chunk's and
+    the one that closed it. The model does not depend on the budget."""
+    dataset = make_dataset(n_per_class=20, words_per_doc=9)
+    config = ClassifierConfig(dim=8, bucket=64, min_count=1)
+    expected = classifier.model_sha256(train(dataset, config, tokenizer))
+
+    live = [0]      # token lists alive
+
+    class TokenList(list):
+        def __del__(self):
+            live[0] -= 1
+
+    class Tracking(Tokenizer):
+        def tokenize(self, text):
+            live[0] += 1
+            return TokenList(super().tokenize(text))
+
+    counted, featurized = [], []
+    real_build_vocab, real_featurize_chunk = classifier.build_vocab, classifier._featurize_chunk
+
+    def build_vocab(token_seqs, config):
+        def drawn():
+            for tokens in token_seqs:
+                counted.append(live[0])
+                yield tokens
+        return real_build_vocab(drawn(), config)
+
+    def featurize_chunk(token_lists, vocab, config):
+        featurized.append((live[0], len(token_lists)))
+        return real_featurize_chunk(token_lists, vocab, config)
+
+    monkeypatch.setattr(classifier, "build_vocab", build_vocab)
+    monkeypatch.setattr(classifier, "_featurize_chunk", featurize_chunk)
+    monkeypatch.setattr(classifier, "CHUNK_TOKENS", 30)     # three examples a chunk
+    model = train(dataset, config, Tracking(tokenizer.spec))
+    assert classifier.model_sha256(model) == expected
+    assert len(counted) == len(dataset) and max(counted) <= 2
+    assert len(featurized) > 10 and all(alive <= n + 1 for alive, n in featurized), featurized
+    assert live == [0]
+
+
 def test_train_loss_decreases_and_separates(tokenizer):
     dataset = make_dataset(words_per_doc=40)
     config = ClassifierConfig(dim=16, bucket=1000, min_count=1)
@@ -603,8 +662,10 @@ def test_table_scores_do_not_depend_on_chunking(docs, toy_model, wide_model, toy
     with pytest.MonkeyPatch.context() as mp:
         for model in (toy_model, wide_model):
             expected = [score_tokens(model, d) for d in docs]
-            for chunk in (1, 7, 256):
-                mp.setattr(classifier, "CHUNK_DOCS", chunk)
+            # a budget of 1 puts each document in a chunk of its own, and at
+            # 5 the document of four "good1" tokens is longer than the budget
+            for budget in (1, 5, classifier.CHUNK_TOKENS):
+                mp.setattr(classifier, "CHUNK_TOKENS", budget)
                 for runs in compositions(len(docs)):
                     got = [s for a, b in runs for s in positive_probs(
                         model, featurize_many(docs[a:b], model.vocab, model.config)).tolist()]

@@ -267,7 +267,9 @@ class TestClassifierCommands:
         assert not out.exists()
 
     def test_predict_matches_library_across_chunks(self, capsys, tmp_path, model_file, monkeypatch):
-        monkeypatch.setattr(clf, "CHUNK_DOCS", 2)
+        # a budget of 2 puts each document in a chunk of its own, every
+        # non-empty one longer than the budget
+        monkeypatch.setattr(clf, "CHUNK_TOKENS", 2)
         texts = [" ".join(POS_WORDS[:i]) + " " + " ".join(NEG_WORDS[i:]) for i in range(5)] + [""]
         infile = tmp_path / "in.jsonl"
         infile.write_text(

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from websift import filtering
+from websift import classifier, filtering
 from websift.classifier import (
-    CHUNK_DOCS,
+    CHUNK_TOKENS,
     ClassifierConfig,
     LabeledExample,
     TokenizerMismatch,
@@ -352,11 +352,13 @@ def test_scoring_bytes_do_not_depend_on_chunks_or_workers(
         with open(path, "w", encoding="utf-8") as f:
             f.writelines(lines)
     results = []
-    for chunk in (1, 3, 4, filtering.CHUNK_DOCS):
-        monkeypatch.setattr(filtering, "CHUNK_DOCS", chunk)
+    # a budget of 1 puts each document in a chunk of its own, every 12-token
+    # document longer than the budget; at 30 a chunk holds two of them
+    for budget in (1, 14, 30, classifier.CHUNK_TOKENS):
+        monkeypatch.setattr(classifier, "CHUNK_TOKENS", budget)
         for workers in (1, 2):
             caplog.clear()
-            out = str(tmp_path / f"c{chunk}w{workers}")
+            out = str(tmp_path / f"c{budget}w{workers}")
             with caplog.at_level(logging.INFO, logger="websift.filtering"):
                 run = score_corpus(model, shards, 0.5, tokenizer, out, workers=workers)
             messages = [r.getMessage() for r in caplog.records if r.name == "websift.filtering"]
@@ -1016,7 +1018,9 @@ def test_score_corpus_empty_text_scores_half(tmp_path, model, tokenizer):
 def test_score_documents_matches_predict_many_and_tallies_stats(model, tokenizer):
     words = POS_WORDS + NEG_WORDS
     texts = ["", "unseen", "unseen words"] + [
-        " ".join(words[(i * j) % len(words)] for j in range(i % 9)) for i in range(CHUNK_DOCS + 40)
+        # about 5 tokens a document counted against the budget: two chunks
+        " ".join(words[(i * j) % len(words)] for j in range(i % 9))
+        for i in range(CHUNK_TOKENS // 4 + 40)
     ]
     docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
     stats = FilterStats()
@@ -1036,7 +1040,8 @@ def test_score_documents_matches_predict_many_and_tallies_stats(model, tokenizer
 
 def test_score_documents_memory_does_not_grow_with_the_stream(model, tokenizer):
     """A lazily generated stream is scored a chunk at a time: the tracemalloc
-    peak over 8N documents of about 1 KB stays within 1.5x of that over N."""
+    peak over 8N documents of about 1 KB stays within 1.5x of that over N,
+    N filling four chunks."""
     words = POS_WORDS + NEG_WORDS
 
     def peak(n: int) -> int:
@@ -1054,8 +1059,34 @@ def test_score_documents_memory_does_not_grow_with_the_stream(model, tokenizer):
         return peak
 
     # holding the 8N documents themselves would about double the larger peak
-    small, large = peak(4 * CHUNK_DOCS), peak(32 * CHUNK_DOCS)
+    per_chunk = CHUNK_TOKENS // 171     # 170 tokens and one
+    small, large = peak(4 * per_chunk), peak(32 * per_chunk)
     assert large <= 1.5 * small, (small, large)
+
+
+def test_score_documents_memory_does_not_grow_with_document_length(model, tokenizer):
+    """Chunks are cut by tokens, not documents: the tracemalloc peak over
+    documents ten times longer stays within 1.5x of that over short ones,
+    the same number of documents each."""
+    words = POS_WORDS + NEG_WORDS
+
+    def peak(length: int) -> int:
+        docs = (Document(id=f"d{i}", text=" ".join(words[(i + j) % len(words)]
+                                                   for j in range(length)))
+                for i in range(300))
+        stats = FilterStats()
+        tracemalloc.start()
+        try:
+            for _ in score_documents(model, tokenizer, 0.5, docs, stats):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.tokens_total == 300 * length
+        return peak
+
+    short, long = peak(100), peak(1000)
+    assert long <= 1.5 * short, (short, long)
 
 
 def test_score_corpus_argument_validation(tmp_path, model, tokenizer):

@@ -183,6 +183,24 @@ def test_load_vocab_accepts_missing_trailing_newline(tmp_path):
     assert load_vocab(str(path)) == {"a", "b"}
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_load_vocab_reads_crlf_and_cr_files_as_lf(tmp_path, newline):
+    entries = [b"ab", b"cd", "été".encode("utf-8")]
+    lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+    lf.write_bytes(b"\n".join(entries) + b"\n")
+    other.write_bytes(newline.join(entries) + newline)
+    assert load_vocab(str(other)) == load_vocab(str(lf)) == {"ab", "cd", "été"}
+    text = "abcd étéx\r\ncdab"
+    tokens = [load_tokenizer(TokenizerSpec(kind="vocab_greedy", vocab_path=str(p))).tokenize(text)
+              for p in (lf, other)]
+    assert tokens[0] == tokens[1] == ["ab", "cd", " ", "été", "x", "\r", "\n", "cd", "ab"]
+    # a blank line is still an empty entry, counted by its line ends
+    other.write_bytes(newline.join([b"a", b"", b"b"]))
+    with pytest.raises(VocabMalformed) as err:
+        load_vocab(str(other))
+    assert err.value.line_no == 2
+
+
 # -- spec validation -----------------------------------------------------------
 
 def test_spec_requires_vocab_for_greedy():
