@@ -16,8 +16,10 @@ sigmoid(w . hidden). That is linear in the hidden state, so training folds
 w into a logit table with one float per feature row (row . w), and scoring
 reads only that table: the logistic of the mean of the document's table
 entries. The model file holds the table, not the weights, and the tokenizer
-the model was trained with, vocabulary included, so a model file is all
-that scoring reads.
+the model was trained with, vocabulary included, as a tokenizers.Tokenizer
+record: a model file is all that scoring reads, and scoring always
+tokenizes with model.tokenizer. predict and predict_many take a tokenizer
+only to check it against the model's (check_tokenizer).
 
 Training is single threaded and bit-for-bit deterministic for a fixed
 (config, dataset order) pair, which lets callers fingerprint model files and
@@ -40,21 +42,20 @@ import hashlib
 import json
 import logging
 import math
-import operator
 import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, count, repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .documents import holds_lone_surrogate
 from .errors import WebsiftError
 from .ioutil import JsonRecord, atomic_open, canonical_json
-from .tokenizers import Tokenizer, TokenizerSpec
+from .tokenizers import Tokenizer
 
 log = logging.getLogger(__name__)
 
@@ -128,11 +129,6 @@ class ClassifierConfig(JsonRecord):
         if not all(isinstance(l, str) and l for l in labels):
             raise ValueError("labels must be non-empty strings")
 
-    @property
-    def positive_label(self) -> str:
-        """Second label is the kept class by convention."""
-        return self.labels[1]
-
 
 @dataclass(frozen=True)
 class LabeledExample:
@@ -147,7 +143,6 @@ FNV_OFFSET = 2166136261
 FNV_PRIME = 16777619
 NGRAM_MULTIPLIER = 116049371
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _NGRAM_MULT_U64 = np.uint64(NGRAM_MULTIPLIER)
 _FNV_PRIME_U32 = np.uint32(FNV_PRIME)
 # token_hashes hashes tokens up to this many UTF-8 bytes in numpy, one byte
@@ -172,14 +167,6 @@ def token_hash(token: str) -> int:
     h = FNV_OFFSET
     for b in token.encode("utf-8"):
         h = ((h ^ b) * FNV_PRIME) & _MASK32
-    return h
-
-
-def ngram_hash(token_hashes: Sequence[int]) -> int:
-    """Combine per-token hashes into one wrapping 64-bit value."""
-    h = token_hashes[0] & _MASK64
-    for t in token_hashes[1:]:
-        h = (h * NGRAM_MULTIPLIER + t) & _MASK64
     return h
 
 
@@ -352,40 +339,12 @@ def featurize(tokens: Sequence[str], vocab: Vocabulary, config: ClassifierConfig
 # ---------------------------------------------------------------------------
 # model
 
-@dataclass(frozen=True)
-class TokenizerStamp(JsonRecord):
-    """The tokenizer a model was trained with: its spec and, for
-    vocab_greedy, its vocabulary, sorted in Python string order."""
-
-    spec: TokenizerSpec = field(default_factory=TokenizerSpec)
-    vocab: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.spec.kind == "unicode_words":
-            if self.vocab is not None:
-                raise ValueError("a unicode_words tokenizer has no vocabulary")
-        elif self.vocab is None:
-            raise ValueError("a vocab_greedy tokenizer needs its vocabulary")
-        elif not all(map(operator.lt, ("",) + self.vocab, self.vocab)):  # "" sorts first
-            raise ValueError("vocabulary tokens must be non-empty, sorted and distinct")
-
-    @staticmethod
-    def of(tokenizer: Tokenizer) -> "TokenizerStamp":
-        vocab = None if tokenizer.vocab is None else tuple(sorted(tokenizer.vocab))
-        return TokenizerStamp(tokenizer.spec, vocab)
-
-    @cached_property
-    def built(self) -> Tokenizer:
-        """The Tokenizer this stamp describes, built once."""
-        return Tokenizer(self.spec, None if self.vocab is None else frozenset(self.vocab))
-
-
 @dataclass
 class ClassifierModel:
     config: ClassifierConfig
     vocab: Vocabulary
     table: np.ndarray           # (len(vocab) + bucket,) float64: each row's logit difference
-    tokenizer: TokenizerStamp = field(default_factory=TokenizerStamp)
+    tokenizer: Tokenizer = field(default_factory=Tokenizer)
     epoch_losses: tuple[float, ...] = ()  # training metadata, not serialized
 
 
@@ -434,11 +393,6 @@ def example_grads(
     d = p - y
     grad_row = (d / ids.size) * w if ids.size else np.zeros(0)
     return loss, d * hidden, grad_row
-
-
-def example_loss(input_matrix: np.ndarray, w: np.ndarray, ids: np.ndarray, y: int) -> float:
-    """Log loss of one example at the given parameters."""
-    return example_grads(input_matrix, w, ids, y)[0]
 
 
 def _row_update_plan(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -562,14 +516,14 @@ def train(
     """
     vocab, input_matrix, w, epoch_losses = _sgd(dataset, config, tokenizer)
     table = _logit_table(input_matrix, w)
-    return ClassifierModel(config, vocab, table, TokenizerStamp.of(tokenizer), epoch_losses)
+    return ClassifierModel(config, vocab, table, tokenizer, epoch_losses)
 
 
 def check_tokenizer(model: ClassifierModel, tokenizer: Tokenizer) -> None:
     """Raise TokenizerMismatch unless tokenizer is the one model was trained
     with: the same kind, preserve_structural and vocabulary. The vocabulary
     file's path is not compared; the model carries the vocabulary."""
-    want = model_tokenizer(model)
+    want = model.tokenizer
     if tokenizer is want:
         return
     got, spec = tokenizer.spec, want.spec
@@ -579,14 +533,10 @@ def check_tokenizer(model: ClassifierModel, tokenizer: Tokenizer) -> None:
             f"{canonical_json(spec.to_json_obj())}"
         )
     if tokenizer.vocab != want.vocab:
-        extra, missing = len(tokenizer.vocab - want.vocab), len(want.vocab - tokenizer.vocab)
+        got_vocab, want_vocab = set(tokenizer.vocab), set(want.vocab)
+        extra, missing = len(got_vocab - want_vocab), len(want_vocab - got_vocab)
         raise TokenizerMismatch(f"tokenizer vocabulary {got.vocab_path} has {extra} "
                                 f"tokens the model's lacks and lacks {missing} of the model's")
-
-
-def model_tokenizer(model: ClassifierModel) -> Tokenizer:
-    """The tokenizer model was trained with, built from the model alone."""
-    return model.tokenizer.built
 
 
 def positive_probs(model: ClassifierModel, id_lists: Sequence[np.ndarray]) -> np.ndarray:
@@ -620,19 +570,20 @@ def predict_tokens(model: ClassifierModel, tokens: Sequence[str]) -> np.ndarray:
 
 
 def score_stream(
-    model: ClassifierModel, tokenizer: Tokenizer, items: Iterable[_T],
-    text: Callable[[_T], str] = str,
+    model: ClassifierModel, items: Iterable[_T], text: Callable[[_T], str] = str,
 ) -> Iterator[tuple[_T, int, float, bool]]:
     """Each of items, in order, with its text's token count, its positive
     probability and whether it has no feature row (it then scores exactly
-    0.5). items are texts, or text(item) is the item's text.
+    0.5). items are texts, or text(item) is the item's text; each is
+    tokenized with the model's tokenizer.
 
     Items are tokenized as a token_chunks chunk fills, and each chunk is
     featurized and scored at once, so memory is one chunk's however many
     items there are. Its feature ids are dropped before the chunk is
     yielded. No score depends on where chunks split.
     """
-    tokenized = ((item, tokenizer.tokenize(text(item))) for item in items)
+    tokenize = model.tokenizer.tokenize
+    tokenized = ((item, tokenize(text(item))) for item in items)
     for chunk in token_chunks(tokenized, _token_count):
         ids = _featurize_chunk([tokens for _, tokens in chunk], model.vocab, model.config)
         probs = positive_probs(model, ids).tolist()
@@ -648,9 +599,10 @@ def _token_count(item_tokens: tuple[object, list[str]]) -> int:
 
 def predict_many(model: ClassifierModel, texts: Iterable[str], tokenizer: Tokenizer) -> list[Prediction]:
     """predict for each text, scored a chunk at a time by score_stream.
-    Raises TokenizerMismatch unless tokenizer is the model's."""
+    Raises TokenizerMismatch unless tokenizer is the model's; the texts are
+    tokenized with the model's tokenizer either way."""
     check_tokenizer(model, tokenizer)
-    return [Prediction.of(model.config, p) for _, _, p, _ in score_stream(model, tokenizer, texts)]
+    return [Prediction.of(model.config, p) for _, _, p, _ in score_stream(model, texts)]
 
 
 def predict(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> Prediction:
@@ -667,7 +619,7 @@ def predict(model: ClassifierModel, text: str, tokenizer: Tokenizer) -> Predicti
 #   u32     format version (currently 4)
 #   three blocks, each a u32 length and then that many bytes of canonical JSON:
 #     config      the ClassifierConfig
-#     tokenizer   the TokenizerStamp: {"spec": {...}, "vocab": [...] or null},
+#     tokenizer   the Tokenizer record: {"spec": {...}, "vocab": [...] or null},
 #                 the vocab_greedy vocabulary sorted in Python string order
 #     vocabulary  the feature vocabulary's V tokens, in row order
 #   u64     logit table length (V + bucket), then that many little-endian float64
@@ -770,7 +722,7 @@ def load_model(path: str) -> ClassifierModel:
         if version != MODEL_FORMAT_VERSION:
             raise UnsupportedVersion(version)
         config = _read_json_block(r, "config", ClassifierConfig.from_json_obj)
-        stamp = _read_json_block(r, "tokenizer", TokenizerStamp.from_json_obj)
+        tokenizer = _read_json_block(r, "tokenizer", Tokenizer.from_json_obj)
         vocab = _read_json_block(r, "vocabulary", Vocabulary.from_json_obj)
         rows = len(vocab) + config.bucket
         if r.u64() != rows:
@@ -781,7 +733,7 @@ def load_model(path: str) -> ClassifierModel:
             raise CorruptPayload("checksum mismatch")
         if r.left:
             raise CorruptPayload("trailing bytes after the checksum")
-    return ClassifierModel(config, vocab, table, stamp)
+    return ClassifierModel(config, vocab, table, tokenizer)
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,9 @@ def _cmd_classifier_train(args) -> int:
 
 def _cmd_classifier_predict(args) -> int:
     model = clf.load_model(args.model)
-    tokenizer = clf.model_tokenizer(model)
 
     def labeled(docs: Iterator[Document]) -> Iterator[dict]:
-        for doc, _, p, _ in clf.score_stream(model, tokenizer, docs, attrgetter("text")):
+        for doc, _, p, _ in clf.score_stream(model, docs, attrgetter("text")):
             pred = clf.Prediction.of(model.config, p)
             yield {"id": doc.id, "label": pred.label, "prob": pred.prob, "score": p}
 
@@ -188,13 +187,12 @@ def _cmd_seedpool_show(args) -> int:
 
 def _cmd_filter_score(args) -> int:
     model = clf.load_model(args.model)
-    tokenizer = clf.model_tokenizer(model)
     shards = expand_shards(args.shards)
     run = filtering.score_corpus(
         model,
         shards,
         threshold=args.threshold,
-        tokenizer=tokenizer,
+        tokenizer=model.tokenizer,
         out_dir=args.out,
         workers=args.workers,
         resume=args.resume,

@@ -3,20 +3,22 @@
 score_corpus streams sharded JSONL through a trained classifier and splits
 every document into a kept or rejected stream by thresholding the positive
 class probability (kept means score >= threshold). score_documents is the
-one scoring loop, for corpus shards and the pipeline's sample alike. Over
-classifier.score_stream, it tokenizes documents until their tokens fill a
-chunk of classifier.CHUNK_TOKENS (each document counts one more than its
-tokens, and a longer document is a chunk of its own), featurizes the chunk
-at once and scores it by one positive_probs call over the model's logit
-table, which sums each document's entries as a segment of its own. So no
-output byte depends on where chunks split, and a scoring process holds one
-chunk of tokens however long its documents are. Shards are independent
-units of work that this process and forked workers claim one at a time
-from a shared claim file. The claiming process hashes the shard and reuses
-it if a completed-shard ledger names that digest, so interrupted runs
-restart without rescoring finished shards. Unreadable shards (missing,
-truncated or corrupt .gz) are reported and skipped so one bad file cannot
-sink a long run; malformed records are skipped, counted and logged.
+one scoring loop, for corpus shards and the pipeline's sample alike. It
+tokenizes with the model's own tokenizer; score_corpus takes a tokenizer
+only to check it against the model's. Over classifier.score_stream, it
+tokenizes documents until their tokens fill a chunk of
+classifier.CHUNK_TOKENS (each document counts one more than its tokens, and
+a longer document is a chunk of its own), featurizes the chunk at once and
+scores it by one positive_probs call over the model's logit table, which
+sums each document's entries as a segment of its own. So no output byte
+depends on where chunks split, and a scoring process holds one chunk of
+tokens however long its documents are. Shards are independent units of work
+that this process and forked workers claim one at a time from a shared
+claim file. The claiming process hashes the shard and reuses it if a
+completed-shard ledger names that digest, so interrupted runs restart
+without rescoring finished shards. Unreadable shards (missing, truncated or
+corrupt .gz) are reported and skipped so one bad file cannot sink a long
+run; malformed records are skipped, counted and logged.
 
 Each scored shard leaves three files, all durable before its ledger line:
 its kept and rejected streams and ids/<shard>.kept_ids, its kept ids
@@ -218,14 +220,13 @@ def score_tokens(model: ClassifierModel, tokens: Sequence[str]) -> float:
 
 
 def score_documents(
-    model: ClassifierModel, tokenizer: Tokenizer, threshold: float,
-    docs: Iterable[Document], stats: FilterStats,
+    model: ClassifierModel, threshold: float, docs: Iterable[Document], stats: FilterStats,
 ) -> Iterator[tuple[Document, float, bool, bool]]:
     """Each of docs with its score, whether it is kept and whether it has no
     feature row (it then scores exactly 0.5), tallied into stats as it is
     yielded. Documents are tokenized as a chunk of classifier.CHUNK_TOKENS
     tokens fills and scored a chunk at a time, by classifier.score_stream."""
-    scored = score_stream(model, tokenizer, docs, operator.attrgetter("text"))
+    scored = score_stream(model, docs, operator.attrgetter("text"))
     for doc, n_tokens, score, no_features in scored:
         kept = score >= threshold
         stats.observe(score, n_tokens, kept)
@@ -297,9 +298,7 @@ def _read_shard(path: str, on_malformed: Callable[[str], None]) -> Iterator[Docu
         yield doc
 
 
-def _score_shard(
-    model: ClassifierModel, tokenizer: Tokenizer, threshold: float, path: str, out_dir: str
-) -> _ShardResult:
+def _score_shard(model: ClassifierModel, threshold: float, path: str, out_dir: str) -> _ShardResult:
     """Score one shard through score_documents. Logs nothing: it may run in
     a worker process, so the caller logs the result's malformed records and
     zero-feature count."""
@@ -311,7 +310,7 @@ def _score_shard(
     kept_path, rejected_path, ids_path = _output_paths(out_dir, shard_name(path))
     with atomic_open(kept_path) as kf, atomic_open(rejected_path) as rf, \
             atomic_open(ids_path) as idf:
-        scored = score_documents(model, tokenizer, threshold, docs, stats)
+        scored = score_documents(model, threshold, docs, stats)
         for doc, score, kept, no_features in scored:
             zero_feature += no_features
             obj = doc.to_json_obj()
@@ -511,7 +510,7 @@ def score_corpus(
     count.
 
     Raises TokenizerMismatch unless tokenizer is the one the model was
-    trained with.
+    trained with. Documents are tokenized with the model's tokenizer.
     """
     check_tokenizer(model, tokenizer)
     if not shards:
@@ -549,7 +548,7 @@ def score_corpus(
         prior = ledger.get(name)
         if prior and prior.digest == digest and all(map(os.path.exists, _output_paths(out_dir, name))):
             return None
-        result = _score_shard(model, tokenizer, threshold, path, out_dir)
+        result = _score_shard(model, threshold, path, out_dir)
         result.digest = digest
         return result
 

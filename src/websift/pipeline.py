@@ -554,7 +554,7 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
     scores_path, scores_rel = _artifact(run_dir, state.round, "sample_scores")
     scores_sha256 = write_lines(scores_path, (
         canonical_json({"id": doc.id, "text": doc.text, "score": score, "kept": kept})
-        for doc, score, kept, _ in score_documents(model, tokenizer, config.threshold, sample, stats)
+        for doc, score, kept, _ in score_documents(model, config.threshold, sample, stats)
     ))
     if stats.tokens_kept == 0:
         raise WebsiftError("no sample document cleared the threshold; nothing to verify")

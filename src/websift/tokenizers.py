@@ -13,12 +13,18 @@ str.split; any other text goes through one regex split on \\n, \\t and \\r.
 The pieces between structural characters are tokenized by kind.
 vocab_greedy guarantees exact reconstruction: concatenating the tokens
 reproduces the input byte for byte.
+
+A TokenizerSpec declares the setup; load_tokenizer reads its vocabulary
+file into a Tokenizer, the one record of a tokenizer: its spec and sorted
+vocabulary. A model file stores that record, so the model carries the
+tokenizer that scoring runs.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import WebsiftError
@@ -58,17 +64,26 @@ class TokenizerSpec(JsonRecord):
             raise ValueError("unicode_words does not take a vocab_path")
 
 
-class Tokenizer:
-    """A loaded, ready-to-run tokenizer: its spec and, for vocab_greedy, its
-    vocabulary."""
+@dataclass(frozen=True)
+class Tokenizer(JsonRecord):
+    """A ready-to-run tokenizer: its spec and, for vocab_greedy, its
+    vocabulary, sorted in Python string order. It is the tokenizer block of
+    a model file as written."""
 
-    def __init__(self, spec: TokenizerSpec, vocab: Optional[frozenset[str]] = None):
-        self.spec = spec
-        self.vocab = vocab
-        if vocab:
-            self._lengths = sorted({len(t) for t in vocab}, reverse=True)
-        else:
-            self._lengths = []
+    spec: TokenizerSpec = field(default_factory=TokenizerSpec)
+    vocab: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        if self.spec.kind == "unicode_words":
+            if self.vocab is not None:
+                raise ValueError("a unicode_words tokenizer has no vocabulary")
+        elif self.vocab is None:
+            raise ValueError("a vocab_greedy tokenizer needs its vocabulary")
+        elif not all(map(operator.lt, ("",) + self.vocab, self.vocab)):  # "" sorts first
+            raise ValueError("vocabulary tokens must be non-empty, sorted and distinct")
+        vocab = self.vocab or ()
+        object.__setattr__(self, "_known", frozenset(vocab))
+        object.__setattr__(self, "_lengths", sorted({len(t) for t in vocab}, reverse=True))
 
     def tokenize(self, text: str) -> list[str]:
         out: list[str] = []
@@ -99,7 +114,7 @@ class Tokenizer:
             self._greedy(text, out)
 
     def _greedy(self, text: str, out: list[str]) -> None:
-        vocab = self.vocab
+        known = self._known
         n = len(text)
         i = 0
         while i < n:
@@ -108,7 +123,7 @@ class Tokenizer:
                 if length > remaining:
                     continue
                 piece = text[i : i + length]
-                if piece in vocab:
+                if piece in known:
                     out.append(piece)
                     i += length
                     break
@@ -118,8 +133,9 @@ class Tokenizer:
                 i += 1
 
 
-def load_vocab(path: str) -> frozenset[str]:
-    """Load a vocabulary file: one non-empty UTF-8 token per line, no duplicates.
+def load_vocab(path: str) -> tuple[str, ...]:
+    """Load a vocabulary file: one non-empty UTF-8 token per line, no
+    duplicates. Returns its tokens sorted in Python string order.
 
     Lines end at \\n, \\r\\n or \\r, as in text mode's universal newlines,
     so a file saved with CRLF line ends loads the same tokens; a newline at
@@ -140,7 +156,7 @@ def load_vocab(path: str) -> frozenset[str]:
         if token in tokens:
             raise VocabMalformed(path, line_no, f"duplicate entry {token!r}")
         tokens.add(token)
-    return frozenset(tokens)
+    return tuple(sorted(tokens))
 
 
 def load_tokenizer(spec: TokenizerSpec) -> Tokenizer:

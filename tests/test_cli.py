@@ -1163,7 +1163,7 @@ def train_with_greedy_tokenizer(capsys, tmp_path, vocab_path=None):
 def test_scoring_commands_use_the_model_tokenizer(capsys, tmp_path):
     model_path, _, spec, in_memory = train_with_greedy_tokenizer(capsys, tmp_path)
     tokenizer = load_tokenizer(spec)
-    assert clf.load_model(model_path).tokenizer == clf.TokenizerStamp.of(tokenizer)
+    assert clf.load_model(model_path).tokenizer == tokenizer
     corpus = tmp_path / "corpus"
     write_corpus(str(corpus), n_shards=1)
     docs = list(iter_documents(str(corpus / "shard000.jsonl")))

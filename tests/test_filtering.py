@@ -46,7 +46,7 @@ from websift.filtering import (
     write_keep_manifest,
 )
 from websift.ioutil import sha256_file
-from websift.tokenizers import TokenizerSpec, load_tokenizer
+from websift.tokenizers import Tokenizer, TokenizerSpec, load_tokenizer
 
 POS_WORDS = [f"good{i}" for i in range(20)]
 NEG_WORDS = [f"bad{i}" for i in range(20)]
@@ -483,7 +483,7 @@ def fail_in_worker(monkeypatch, tmp_path, fail):
 
     def score_shard(*args):
         if os.getpid() != parent:
-            started.write_text(os.path.basename(args[3]))
+            started.write_text(os.path.basename(args[2]))
             fail()
         deadline = time.monotonic() + 30
         while not started.exists() and time.monotonic() < deadline:
@@ -565,9 +565,9 @@ def test_forked_workers_score_each_shard_exactly_once(tmp_path, model, tokenizer
         marker = tmp_path / f"{os.path.basename(path)}.{suffix}"
         os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
 
-    def score_once(model, tokenizer, threshold, path, out_dir):
+    def score_once(model, threshold, path, out_dir):
         mark_once(path, "claimed")
-        return real_score_shard(model, tokenizer, threshold, path, out_dir)
+        return real_score_shard(model, threshold, path, out_dir)
 
     def digest_once(path):
         mark_once(path, "hashed")
@@ -1024,7 +1024,7 @@ def test_score_documents_matches_predict_many_and_tallies_stats(model, tokenizer
     ]
     docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
     stats = FilterStats()
-    got = list(score_documents(model, tokenizer, 0.5, iter(docs), stats))
+    got = list(score_documents(model, 0.5, iter(docs), stats))
     probs = [p.dist["positive"] for p in predict_many(model, texts, tokenizer)]
     assert [doc for doc, *_ in got] == docs
     assert [score for _, score, _, _ in got] == probs
@@ -1038,7 +1038,7 @@ def test_score_documents_matches_predict_many_and_tallies_stats(model, tokenizer
     assert stats == expected
 
 
-def test_score_documents_memory_does_not_grow_with_the_stream(model, tokenizer):
+def test_score_documents_memory_does_not_grow_with_the_stream(model):
     """A lazily generated stream is scored a chunk at a time: the tracemalloc
     peak over 8N documents of about 1 KB stays within 1.5x of that over N,
     N filling four chunks."""
@@ -1050,7 +1050,7 @@ def test_score_documents_memory_does_not_grow_with_the_stream(model, tokenizer):
         stats = FilterStats()
         tracemalloc.start()
         try:
-            for _ in score_documents(model, tokenizer, 0.5, docs, stats):
+            for _ in score_documents(model, 0.5, docs, stats):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1064,7 +1064,7 @@ def test_score_documents_memory_does_not_grow_with_the_stream(model, tokenizer):
     assert large <= 1.5 * small, (small, large)
 
 
-def test_score_documents_memory_does_not_grow_with_document_length(model, tokenizer):
+def test_score_documents_memory_does_not_grow_with_document_length(model):
     """Chunks are cut by tokens, not documents: the tracemalloc peak over
     documents ten times longer stays within 1.5x of that over short ones,
     the same number of documents each."""
@@ -1077,7 +1077,7 @@ def test_score_documents_memory_does_not_grow_with_document_length(model, tokeni
         stats = FilterStats()
         tracemalloc.start()
         try:
-            for _ in score_documents(model, tokenizer, 0.5, docs, stats):
+            for _ in score_documents(model, 0.5, docs, stats):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1141,6 +1141,39 @@ def test_a_copied_vocabulary_file_is_the_model_tokenizer(tmp_path):
         with pytest.raises(TokenizerMismatch, match=match):
             score_corpus(model, shards, 0.5, other, str(tmp_path / "refused"))
         assert not (tmp_path / "refused").exists()
+
+
+class UnusedTokenizer(Tokenizer):
+    """A tokenizer that check_tokenizer accepts but that must never run."""
+
+    def tokenize(self, text):
+        raise AssertionError("scoring tokenized with the tokenizer argument")
+
+
+@pytest.mark.parametrize("kind", ["unicode_words", "vocab_greedy"])
+def test_scoring_runs_the_tokenizer_the_model_carries(tmp_path, model, tokenizer, kind, monkeypatch):
+    """A tokenizer argument is only checked against the model's: scoring
+    runs model.tokenizer, so a checked tokenizer that cannot tokenize still
+    gives the bytes and predictions of a run given the model's tokenizer."""
+    if kind == "vocab_greedy":
+        vocab_file = tmp_path / "vocab.txt"
+        vocab_file.write_text("\n".join(POS_WORDS + NEG_WORDS) + "\n", encoding="utf-8")
+        tokenizer = load_tokenizer(TokenizerSpec(kind="vocab_greedy", vocab_path=str(vocab_file)))
+        dataset = [LabeledExample(label, " ".join(words[i:] + words[:i]))
+                   for label, words in (("positive", POS_WORDS), ("negative", NEG_WORDS))
+                   for i in range(4)]
+        model = train(dataset, ClassifierConfig(dim=8, bucket=64, min_count=1), tokenizer)
+    unused = UnusedTokenizer(tokenizer.spec, tokenizer.vocab)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shards, docs = make_corpus(tmp_path / "corpus", n_shards=3)
+    for workers in (1, 2):
+        clean = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / f"clean{workers}"),
+                             workers=workers)
+        run = score_corpus(model, shards, 0.5, unused, str(tmp_path / f"unused{workers}"),
+                           workers=workers)
+        assert run_bytes(run.out_dir) == run_bytes(clean.out_dir)
+    texts = [doc.text for doc in docs]
+    assert predict_many(model, texts, unused) == predict_many(model, texts, tokenizer)
 
 
 # -- keep manifests -------------------------------------------------------------------

@@ -25,7 +25,6 @@ from websift.classifier import (
     ClassifierConfig,
     load_labeled_examples,
     load_model,
-    model_tokenizer,
     predict_many,
     train,
 )
@@ -408,7 +407,7 @@ class TestNominalRun:
         assert len(rounds) == 2
         for n, clf in enumerate(rounds):
             model = load_model(os.path.join(control["run_dir"], clf["model_path"]))
-            tokenizer = model_tokenizer(model)
+            tokenizer = model.tokenizer
             with open(os.path.join(control["run_dir"], clf["sample_scores_path"]),
                       encoding="utf-8") as f:
                 rows = [json.loads(line) for line in f]

@@ -133,7 +133,7 @@ def test_tokenize_matches_regex_reference(kind, preserve_structural, text):
         flat = str.split
     else:
         spec = TokenizerSpec(kind, "v.txt", preserve_structural)
-        tok = Tokenizer(spec, frozenset(GREEDY_ENTRIES))
+        tok = Tokenizer(spec, tuple(sorted(GREEDY_ENTRIES)))
         flat = lambda part: greedy_reference(part, set(GREEDY_ENTRIES))
     assert tok.tokenize(text) == tokenize_reference(text, preserve_structural, flat)
 
@@ -179,8 +179,8 @@ def test_load_vocab_rejects_invalid_utf8(tmp_path):
 
 def test_load_vocab_accepts_missing_trailing_newline(tmp_path):
     path = tmp_path / "v.txt"
-    path.write_bytes(b"a\nb")
-    assert load_vocab(str(path)) == {"a", "b"}
+    path.write_bytes(b"b\na")
+    assert load_vocab(str(path)) == ("a", "b")     # sorted, as a Tokenizer stores it
 
 
 @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
@@ -189,7 +189,7 @@ def test_load_vocab_reads_crlf_and_cr_files_as_lf(tmp_path, newline):
     lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
     lf.write_bytes(b"\n".join(entries) + b"\n")
     other.write_bytes(newline.join(entries) + newline)
-    assert load_vocab(str(other)) == load_vocab(str(lf)) == {"ab", "cd", "été"}
+    assert load_vocab(str(other)) == load_vocab(str(lf)) == ("ab", "cd", "été")
     text = "abcd étéx\r\ncdab"
     tokens = [load_tokenizer(TokenizerSpec(kind="vocab_greedy", vocab_path=str(p))).tokenize(text)
               for p in (lf, other)]
@@ -223,3 +223,18 @@ def test_spec_json_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec.to_json_obj()))
     assert TokenizerSpec.from_file(str(path)) == spec
+
+
+GREEDY = TokenizerSpec(kind="vocab_greedy", vocab_path="v.txt")
+
+
+@pytest.mark.parametrize("spec, vocab, reason", [
+    (TokenizerSpec(), ("a",), "unicode_words tokenizer has no vocabulary"),
+    (GREEDY, None, "vocab_greedy tokenizer needs its vocabulary"),
+    (GREEDY, ("", "a"), "must be non-empty, sorted and distinct"),
+    (GREEDY, ("b", "a"), "must be non-empty, sorted and distinct"),
+    (GREEDY, ("a", "a"), "must be non-empty, sorted and distinct"),
+], ids=["vocab-on-unicode-words", "no-vocab-on-greedy", "empty-token", "unsorted", "duplicated"])
+def test_tokenizer_rejects_a_malformed_vocabulary(spec, vocab, reason):
+    with pytest.raises(ValueError, match=reason):
+        Tokenizer(spec, vocab)
