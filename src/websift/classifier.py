@@ -161,7 +161,10 @@ _FNV_PADDED_START = np.array(
 CHUNK_TOKENS = 8192
 
 
-@lru_cache(maxsize=1 << 20)
+# Only tokens over HASH_BYTE_CAP bytes come here (URLs, hashes, base64). The
+# cache holds half a chunk's tokens, so it grows no larger than one chunk; a
+# recurring set of more long tokens misses and pays the per-byte loop.
+@lru_cache(maxsize=1 << 12)
 def token_hash(token: str) -> int:
     """FNV-1a over the token's UTF-8 bytes, 32-bit, zero-extended to 64."""
     h = FNV_OFFSET

@@ -13,12 +13,15 @@ scores it by one positive_probs call over the model's logit table, which
 sums each document's entries as a segment of its own. So no output byte
 depends on where chunks split, and a scoring process holds one chunk of
 tokens however long its documents are. Shards are independent units of work
-that this process and forked workers claim one at a time from a shared
-claim file. The claiming process hashes the shard and reuses it if a
-completed-shard ledger names that digest, so interrupted runs restart
-without rescoring finished shards. Unreadable shards (missing, truncated or
-corrupt .gz) are reported and skipped so one bad file cannot sink a long
-run; malformed records are skipped, counted and logged.
+that this process and forked workers, no more processes than the CPUs it
+may run on, claim one at a time from a shared claim file. The claiming
+process hashes the shard and reuses it if a completed-shard ledger names
+that digest, so interrupted runs restart without rescoring finished
+shards. Each ledger line carries a check, the SHA-256 of the rest of its
+object, so an edited line is damage and its shard is rescored. Unreadable
+shards (missing, truncated or corrupt .gz) are reported and skipped so one
+bad file cannot sink a long run; malformed records are skipped, counted
+and logged.
 
 Each scored shard leaves three files, all durable before its ledger line:
 its kept and rejected streams and ids/<shard>.kept_ids, its kept ids
@@ -84,6 +87,7 @@ from .ioutil import (
     make_dirs,
     read_log,
     remove_file,
+    sha256_text,
 )
 from .tokenizers import Tokenizer
 
@@ -362,7 +366,8 @@ def _score_pending(
     settle: Callable[[int, _Outcome], None],
     claims_dir: str,
 ) -> None:
-    """Run score_one on every shard in min(workers, shards, CPUs) processes.
+    """Run score_one on every shard in min(workers, shards, CPUs this process
+    may run on) processes.
 
     Each process claims the next shard index with a 4-byte os.read of one
     shared, unlinked claim file; Linux moves a shared offset atomically on
@@ -407,7 +412,7 @@ def _score_pending(
                 yield int.from_bytes(raw, "little")
 
         try:
-            for _ in range(min(workers, len(shards), os.cpu_count() or 1) - 1):
+            for _ in range(min(workers, len(shards), len(os.sched_getaffinity(0))) - 1):
                 reader, writer = os.pipe()
                 if (pid := os.fork()) == 0:
                     try:
@@ -444,14 +449,21 @@ class _LedgerEntry(JsonRecord):
     stats: FilterStats
 
 
+def _ledger_line(entry: _LedgerEntry) -> str:
+    """The entry's object plus "check", the SHA-256 of the object's canonical JSON."""
+    obj = entry.to_json_obj()
+    return canonical_json({**obj, "check": sha256_text(canonical_json(obj))})
+
+
 def _ledger_entry(raw: bytes) -> _LedgerEntry:
-    """Parse a ledger line. Every stats key has a default, so a line counts
-    only if its entry re-encodes to exactly the line's object."""
+    """Parse a ledger line, refusing one whose check does not match the rest
+    of its object: a changed number, or a line written before the check."""
     obj = json.loads(raw)
-    entry = _LedgerEntry.from_json_obj(obj)
-    if entry.to_json_obj() != obj:
-        raise ValueError("ledger entry does not re-encode to itself")
-    return entry
+    if not isinstance(obj, dict):
+        raise ValueError("ledger line is not a JSON object")
+    if obj.pop("check", None) != sha256_text(canonical_json(obj)):
+        raise ValueError("ledger line checksum mismatch")
+    return _LedgerEntry.from_json_obj(obj)
 
 
 def _load_ledger(path: str) -> dict[str, _LedgerEntry]:
@@ -501,13 +513,13 @@ def score_corpus(
     as a clean run leaves it. Every input document lands in exactly one
     output stream, in its shard's input order.
 
-    Shards are claimed by min(workers, shards, CPUs) processes: this one and
-    forked workers, which share the model and ledger copy-on-write and claim
-    shards from a claim file in out_dir; one process forks nothing. The
-    claiming process hashes a shard and decides its reuse, so no shard is
-    read before scoring starts. Forking is only safe while no other thread
-    of the caller holds a lock. No ledger, log or output byte depends on the
-    count.
+    Shards are claimed by min(workers, shards, CPUs this process may run on)
+    processes: this one and forked workers, which share the model and ledger
+    copy-on-write and claim shards from a claim file in out_dir; one process
+    forks nothing. The claiming process hashes a shard and decides its
+    reuse, so no shard is read before scoring starts. Forking is only safe
+    while no other thread of the caller holds a lock. No ledger, log or
+    output byte depends on the count.
 
     Raises TokenizerMismatch unless tokenizer is the one the model was
     trained with. Documents are tokenized with the model's tokenizer.
@@ -575,7 +587,7 @@ def score_corpus(
                      "n-gram, scored 0.5", name, outcome.zero_feature)
         zero_feature += outcome.zero_feature
         entry = _LedgerEntry(name, outcome.digest, outcome.stats)
-        append_line(ledger_path, canonical_json(entry.to_json_obj()))
+        append_line(ledger_path, _ledger_line(entry))
         superseded |= name in ledger
         ledger[name] = entry
 
@@ -586,7 +598,7 @@ def score_corpus(
         stats.merge(ledger[name].stats)
     if superseded:      # compact to one entry per shard, as a clean run writes
         with atomic_open(ledger_path) as f:
-            f.writelines(canonical_json(ledger[name].to_json_obj()) + "\n" for name in completed)
+            f.writelines(_ledger_line(ledger[name]) + "\n" for name in completed)
 
     fingerprint = corpus_fingerprint(ledger[n].digest for n in completed)
     manifest_path = os.path.join(out_dir, "keep_manifest.txt")

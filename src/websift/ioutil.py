@@ -12,7 +12,7 @@ entry in its parent is durable before anything inside it is, and a file
 whose absence later writes rely on is removed with remove_file.
 
 The records the package writes as JSON (settings, pool manifests,
-scoring-ledger entries and their stats, step plans) and the token manifests
+scoring-ledger entries and their stats, step plans, eval reports) and the token manifests
 and eval scores that other tools write are dataclasses that inherit
 JsonRecord, the one codec between such a record and its JSON form.
 """

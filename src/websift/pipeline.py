@@ -8,12 +8,15 @@ into their parent too. Re-running a step after a crash regenerates
 identical artifacts because every stage is seeded and deterministic; resume
 therefore converges to the same run regardless of where execution stopped.
 
-The transition rules live in one place, _apply. _fold replays the journal
-through it, and a step records its result with _commit, which appends the
-entry and applies the same entry to the live state, so the state a write
-operation returns is the state a replay rebuilds. run_round and
-ingest_report each read the journal once (healing a torn tail), fold it and
-verify every journaled artifact before they act.
+The transition rules live in one table, _TRANSITIONS: each entry type with
+the status it arrives in, the status it leaves and the verdict it records.
+_apply folds an entry by it; _fold replays the journal through _apply, and
+a step records its result with _commit, which appends the entry and applies
+the same entry to the live state, so the state a write operation returns is
+the state a replay rebuilds. run_round and ingest_report each read the
+journal once (healing a torn tail), fold it and verify every journaled
+artifact before they act. A step only sequences work: the seed pool builds
+its own versions, and the eval report is its own JSON record.
 
 Round flow: assemble a balanced training set from the seed pool, train a
 classifier, score a fixed-size sample of the raw pool, emit an annealing
@@ -21,8 +24,8 @@ verification plan for the kept subset, then wait for benchmark results.
 The sample is scored as corpus shards are, by filtering.score_documents,
 and its scores stream to disk. An improved verdict before the round limit
 folds the kept and rejected sample documents back into the pool as fresh
-categories for the next round; an improved verdict at the limit promotes
-the classifier; anything else rejects the run.
+categories in the next pool version, for the next round; an improved
+verdict at the limit promotes the classifier; anything else rejects the run.
 
 Paths inside the config (pool, raw shards, default manifest) may be
 relative; they resolve against the working directory, which keeps a run
@@ -73,7 +76,6 @@ from .verify import (
     TokenManifest,
     build_anneal_plan,
     eval_report,
-    report_to_json_obj,
 )
 
 log = logging.getLogger(__name__)
@@ -173,9 +175,6 @@ class RunState:
     rounds: dict[int, RoundState]
     next_seq: int = 1  # seq of the next journal entry: the count folded so far
 
-    def current_round(self) -> RoundState:
-        return self.rounds[self.round]
-
 
 # ---------------------------------------------------------------------------
 # journal
@@ -246,51 +245,41 @@ def _fold(entries: list[dict]) -> RunState:
     return state
 
 
+# entry type -> (status it arrives in, status it leaves, verdict it records);
+# an entry with no verdict is a step's result, kept in the RoundState field of its name
+_TRANSITIONS = {
+    "training_set": (AWAITING_TRAINING_SET, AWAITING_CLASSIFIER, None),
+    "classifier": (AWAITING_CLASSIFIER, AWAITING_VERIFICATION, None),
+    "report": (AWAITING_VERIFICATION, VERDICT_READY, None),
+    "advance": (VERDICT_READY, AWAITING_TRAINING_SET, "improved"),
+    "promoted": (VERDICT_READY, PROMOTED, "improved"),
+    "rejected": (VERDICT_READY, REJECTED, "not_improved"),
+}
+
+
 def _apply(state: RunState, entry: dict) -> None:
     """Fold one post-init entry into state: the run's only transition rules."""
     kind, round_no, data = entry["type"], entry["round"], entry["data"]
     rs = state.rounds.get(round_no)
     if rs is None or round_no != state.round:
         raise StateCorrupt(f"entry for round {round_no} while in round {state.round}")
-    if kind == "training_set":
-        _expect(state, AWAITING_TRAINING_SET, kind)
-        rs.training_set = data
-        state.status = AWAITING_CLASSIFIER
-    elif kind == "classifier":
-        _expect(state, AWAITING_CLASSIFIER, kind)
-        rs.classifier = data
-        state.status = AWAITING_VERIFICATION
-    elif kind == "report":
-        _expect(state, AWAITING_VERIFICATION, kind)
-        rs.report = data
-        state.status = VERDICT_READY
-    elif kind == "advance":
-        _expect(state, VERDICT_READY, kind)
-        rs.verdict = "improved"
+    if kind not in _TRANSITIONS:
+        raise StateCorrupt(f"unknown journal entry type {kind!r}")
+    arrives, leaves, verdict = _TRANSITIONS[kind]
+    if state.status != arrives:
+        raise StateCorrupt(
+            f"entry {kind!r} arrived in status {state.status!r}, expected {arrives!r}"
+        )
+    if verdict is None:
+        setattr(rs, kind, data)
+    else:
+        rs.verdict = verdict
+    if kind == "advance":
         state.pool_version = data["next_pool_version"]
         state.round += 1
-        state.rounds[state.round] = RoundState(
-            round=state.round, pool_version=state.pool_version
-        )
-        state.status = AWAITING_TRAINING_SET
-    elif kind == "promoted":
-        _expect(state, VERDICT_READY, kind)
-        rs.verdict = "improved"
-        state.status = PROMOTED
-    elif kind == "rejected":
-        _expect(state, VERDICT_READY, kind)
-        rs.verdict = "not_improved"
-        state.status = REJECTED
-    else:
-        raise StateCorrupt(f"unknown journal entry type {kind!r}")
+        state.rounds[state.round] = RoundState(round=state.round, pool_version=state.pool_version)
+    state.status = leaves
     state.next_seq += 1
-
-
-def _expect(state: RunState, status: str, kind: str) -> None:
-    if state.status != status:
-        raise StateCorrupt(
-            f"entry {kind!r} arrived in status {state.status!r}, expected {status!r}"
-        )
 
 
 def _commit(run_dir: str, state: RunState, kind: str, data: dict) -> None:
@@ -418,7 +407,7 @@ def run_status(run_dir: str) -> dict:
 
 def status_view(state: RunState) -> dict:
     """The status the CLI prints for a run state."""
-    rs = state.current_round()
+    rs = state.rounds[state.round]
     return {
         "run_id": state.run_id,
         "status": state.status,
@@ -445,20 +434,14 @@ def run_round(run_dir: str) -> RunState:
             raise NotReady("awaiting verification results; ingest an eval report")
         if state.status in TERMINAL:
             raise NotReady(f"run is terminal ({state.status})")
-        while True:
+        while state.status in _STEPS:
             try:
-                if state.status == AWAITING_TRAINING_SET:
-                    _do_training_set(run_dir, state)
-                elif state.status == AWAITING_CLASSIFIER:
-                    _do_classifier(run_dir, state)
-                elif state.status == VERDICT_READY:
-                    _do_verdict(run_dir, state)
+                _STEPS[state.status](run_dir, state)
             except (RoundFailed, StateCorrupt):
                 raise
             except WebsiftError as e:
                 raise RoundFailed(state.round, e) from e
-            if state.status in TERMINAL or state.status == AWAITING_VERIFICATION:
-                return state
+        return state
 
 
 def ingest_report(
@@ -479,7 +462,7 @@ def ingest_report(
             raise NotReady(f"cannot ingest a report in status {state.status!r}")
         report = eval_report(baseline, candidate, grouping=grouping, margin=margin)
         path, rel = _artifact(run_dir, state.round, "eval_report.json")
-        digest = write_lines(path, [canonical_json(report_to_json_obj(report))])
+        digest = write_lines(path, [canonical_json(report.to_json_obj())])
         _commit(run_dir, state, "report", {
             "report_path": rel,
             "report_sha256": digest,
@@ -515,16 +498,13 @@ def _do_training_set(run_dir: str, state: RunState) -> None:
     })
 
 
-def _iter_raw_documents(config: PipelineConfig):
-    for path in expand_shards(config.raw_shards):
-        yield from iter_documents(path, strict=False)
-
-
 def _reservoir_sample(config: PipelineConfig, round_no: int) -> list[Document]:
     rng = np.random.default_rng(_derived_seed(config.seed, round_no, "sample"))
     k = config.sample_size
+    docs = (doc for path in expand_shards(config.raw_shards)
+            for doc in iter_documents(path, strict=False))
     reservoir: list[tuple[int, Document]] = []
-    for i, doc in enumerate(_iter_raw_documents(config)):
+    for i, doc in enumerate(docs):
         if i < k:
             reservoir.append((i, doc))
         else:
@@ -539,7 +519,7 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
     config = state.config
     tokenizer = load_tokenizer(config.tokenizer)
     examples = load_labeled_examples(
-        os.path.join(run_dir, state.current_round().training_set["training_set_path"])
+        os.path.join(run_dir, state.rounds[state.round].training_set["training_set_path"])
     )
     model = train(examples, config.classifier, tokenizer)
     for epoch, loss in enumerate(model.epoch_losses, start=1):
@@ -585,7 +565,7 @@ def _do_classifier(run_dir: str, state: RunState) -> None:
 
 def _do_verdict(run_dir: str, state: RunState) -> None:
     config = state.config
-    rs = state.current_round()
+    rs = state.rounds[state.round]
     if not rs.report["improved"]:
         _commit(run_dir, state, "rejected", {"verdicts": rs.report["verdicts"]})
         return
@@ -596,39 +576,29 @@ def _do_verdict(run_dir: str, state: RunState) -> None:
     # Improved with rounds to spare: fold the scored sample back into the
     # pool as inferred categories and start the next round from them.
     scores_path = os.path.join(run_dir, rs.classifier["sample_scores_path"])
-    kept_docs: list[Document] = []
-    rejected_docs: list[Document] = []
+    sample: dict[bool, list[Document]] = {True: [], False: []}     # by whether kept
     with open(scores_path, "r", encoding="utf-8") as f:    # hash-verified: every line is a record
-        for line in f:
-            obj = json.loads(line)
-            doc = Document(id=obj["id"], text=obj["text"])
-            (kept_docs if obj["kept"] else rejected_docs).append(doc)
+        for obj in map(json.loads, f):
+            sample[obj["kept"]].append(Document(id=obj["id"], text=obj["text"]))
 
     store = SeedPoolStore(config.pool_dir)
     manifest = store.load_manifest(state.pool_version)
     new_categories = []
-    for polarity, docs in ((seedpool.POSITIVE, kept_docs), (seedpool.NEGATIVE, rejected_docs)):
-        if not docs:
+    for kept, polarity, kind in ((True, seedpool.POSITIVE, "kept"),
+                                 (False, seedpool.NEGATIVE, "rejected")):
+        if not sample[kept]:
             log.info("round %d produced no %s sample documents to fold", state.round, polarity)
             continue
-        name = f"round{state.round}_{'kept' if polarity == seedpool.POSITIVE else 'rejected'}"
-        digest = store.put_object(docs)
-        new_categories.append(
-            seedpool.SeedCategory(
-                name=name,
-                polarity=polarity,
-                source=f"pipeline:{state.run_id}:round{state.round}",
-                objects=(digest,),
-                doc_count=len(docs),
-            )
-        )
-    next_manifest = seedpool.SeedPoolManifest(
-        version=manifest.version + 1,
-        parent_version=manifest.version,
-        categories=manifest.categories + tuple(new_categories),
-    )
-    store.commit(next_manifest)
+        new_categories.append(store.put_category(
+            f"round{state.round}_{kind}", polarity,
+            f"pipeline:{state.run_id}:round{state.round}", sample[kept]))
+    next_manifest = store.commit_child(manifest, manifest.categories + tuple(new_categories))
     _commit(run_dir, state, "advance", {
         "next_pool_version": next_manifest.version,
         "added_categories": [c.name for c in new_categories],
     })
+
+
+# status -> the step run_round takes in it
+_STEPS = {AWAITING_TRAINING_SET: _do_training_set, AWAITING_CLASSIFIER: _do_classifier,
+          VERDICT_READY: _do_verdict}

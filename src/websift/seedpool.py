@@ -1,12 +1,15 @@
 """Versioned seed pools and balanced training set assembly.
 
 A pool is a directory holding append-only manifest versions plus
-content-addressed document objects. Categories carry a polarity (positive
-means high quality) and an optional resample factor for sources known to be
-underrepresented. Assembly draws a uniform per-category quota for each
-polarity, samples without replacement up to each category's effective size
-(documents repeat at most resample_factor times), and shuffles the combined
-set with a seeded RNG so downstream training sees a reproducible order.
+content-addressed document objects. Every edit is made by two store methods:
+put_category stores documents as one object and returns their category, and
+commit_child commits the version after a parent manifest. Categories carry
+a polarity (positive means high quality) and an optional resample factor
+for sources known to be underrepresented. Assembly draws a uniform
+per-category quota for each polarity, samples without replacement up to
+each category's effective size (documents repeat at most resample_factor
+times), and shuffles the combined set with a seeded RNG so downstream
+training sees a reproducible order.
 """
 
 from __future__ import annotations
@@ -183,7 +186,7 @@ class SeedPoolStore:
     def put_object(self, docs: list[Document]) -> str:
         data = "".join(encode_line(d.to_json_obj()) + "\n" for d in docs).encode("utf-8")
         digest = hashlib.sha256(data).hexdigest()
-        path = os.path.join(self.object_dir, f"{digest}.jsonl")
+        path = self.object_path(digest)
         if not os.path.exists(path):
             with atomic_open(path, "wb") as f:
                 f.write(data)
@@ -205,6 +208,29 @@ class SeedPoolStore:
 
     # -- pool editing ------------------------------------------------------
 
+    def put_category(
+        self, name: str, polarity: str, source: str, docs: list[Document], resample_factor: int = 1
+    ) -> SeedCategory:
+        """Store docs as one object and return the category that holds it."""
+        return SeedCategory(
+            name=name,
+            polarity=polarity,
+            source=source,
+            objects=(self.put_object(docs),),
+            doc_count=len(docs),
+            resample_factor=resample_factor,
+        )
+
+    def commit_child(self, parent: SeedPoolManifest,
+                     categories: tuple[SeedCategory, ...]) -> SeedPoolManifest:
+        """Commit the version after parent, holding categories. The child of
+        version 0, the empty pool, names no parent version."""
+        return self.commit(SeedPoolManifest(
+            version=parent.version + 1,
+            parent_version=parent.version or None,
+            categories=categories,
+        ))
+
     def add_category(
         self,
         name: str,
@@ -216,28 +242,12 @@ class SeedPoolStore:
     ) -> SeedPoolManifest:
         if parent_version is None:
             parent_version = self.latest_version()
-        if parent_version is None:
-            parent = SeedPoolManifest(version=0, parent_version=None, categories=())
-        else:
-            parent = self.load_manifest(parent_version)
-        for cat in parent.categories:
-            if cat.name == name:
-                raise WebsiftError(f"category {name!r} already exists")
-        digest = self.put_object(docs)
-        new_cat = SeedCategory(
-            name=name,
-            polarity=polarity,
-            source=source,
-            objects=(digest,),
-            doc_count=len(docs),
-            resample_factor=resample_factor,
-        )
-        manifest = SeedPoolManifest(
-            version=parent.version + 1,
-            parent_version=parent.version if parent.version > 0 else None,
-            categories=parent.categories + (new_cat,),
-        )
-        return self.commit(manifest)
+        parent = (SeedPoolManifest(version=0, parent_version=None, categories=())
+                  if parent_version is None else self.load_manifest(parent_version))
+        if any(cat.name == name for cat in parent.categories):
+            raise WebsiftError(f"category {name!r} already exists")
+        new_cat = self.put_category(name, polarity, source, docs, resample_factor)
+        return self.commit_child(parent, parent.categories + (new_cat,))
 
     def mark_underrepresented(
         self, name: str, factor: int, version: Optional[int] = None
@@ -246,14 +256,10 @@ class SeedPoolStore:
             raise FactorOutOfRange(factor)
         parent = self.load_manifest(version)
         parent.category(name)  # raises UnknownCategory
-        cats = tuple(
+        return self.commit_child(parent, tuple(
             replace(c, resample_factor=factor) if c.name == name else c
             for c in parent.categories
-        )
-        manifest = SeedPoolManifest(
-            version=parent.version + 1, parent_version=parent.version, categories=cats
-        )
-        return self.commit(manifest)
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ build_anneal_plan runs both and records the provenance.
 
 eval_report compares two benchmark score sets with per-metric and per-group
 point differences. The Overall average runs over the union metric list, not
-over group means, so unevenly sized groups do not skew it.
+over group means, so unevenly sized groups do not skew it. Its EvalReport
+is a JsonRecord whose fields are eval_report.json's keys.
 """
 
 from __future__ import annotations
@@ -464,7 +465,9 @@ class EvalScores(JsonRecord):
 
 
 @dataclass(frozen=True)
-class MetricRow:
+class MetricRow(JsonRecord):
+    DERIVED = ("diff",)
+
     metric: str
     baseline: float
     candidate: float
@@ -475,7 +478,9 @@ class MetricRow:
 
 
 @dataclass(frozen=True)
-class GroupRow:
+class GroupRow(JsonRecord):
+    DERIVED = ("diff",)
+
     group: str
     metrics: tuple[str, ...]
     baseline_avg: float
@@ -488,11 +493,13 @@ class GroupRow:
 
 
 @dataclass(frozen=True)
-class EvalReport:
-    baseline_label: str
-    candidate_label: str
+class EvalReport(JsonRecord):
+    DERIVED = ("improved_everywhere",)
+
+    baseline: str                  # the runs' labels
+    candidate: str
     margin: float
-    rows: tuple[MetricRow, ...]
+    metrics: tuple[MetricRow, ...]
     groups: tuple[GroupRow, ...]   # grouping order, Overall last
 
     @property
@@ -548,49 +555,20 @@ def eval_report(
     groups = [group_row(name, metrics) for name, metrics in grouping.groups]
     groups.append(group_row(OVERALL, union))
     return EvalReport(
-        baseline_label=baseline.run_label,
-        candidate_label=candidate.run_label,
+        baseline=baseline.run_label,
+        candidate=candidate.run_label,
         margin=margin,
-        rows=rows,
+        metrics=rows,
         groups=tuple(groups),
     )
 
 
-def report_to_json_obj(report: EvalReport) -> dict:
-    return {
-        "baseline": report.baseline_label,
-        "candidate": report.candidate_label,
-        "margin": report.margin,
-        "metrics": [
-            {
-                "metric": r.metric,
-                "baseline": r.baseline,
-                "candidate": r.candidate,
-                "diff": r.diff,
-            }
-            for r in report.rows
-        ],
-        "groups": [
-            {
-                "group": g.group,
-                "metrics": list(g.metrics),
-                "baseline_avg": g.baseline_avg,
-                "candidate_avg": g.candidate_avg,
-                "diff": g.diff,
-                "verdict": g.verdict,
-            }
-            for g in report.groups
-        ],
-        "improved_everywhere": report.improved_everywhere,
-    }
-
-
 def render_report(report: EvalReport, fmt: str = "table") -> str:
     if fmt == "json":
-        return canonical_json(report_to_json_obj(report)) + "\n"
-    header = ["Metric", report.baseline_label, report.candidate_label, "Diff"]
+        return canonical_json(report.to_json_obj()) + "\n"
+    header = ["Metric", report.baseline, report.candidate, "Diff"]
     body: list[list[str]] = []
-    for r in report.rows:
+    for r in report.metrics:
         body.append([r.metric, f"{r.baseline:.2f}", f"{r.candidate:.2f}", f"{r.diff:+.2f}"])
     for g in report.groups:
         body.append(

@@ -749,7 +749,7 @@ class TestVerifyCommands:
         report = verify.eval_report(
             verify.EvalScores.from_file(bpath), verify.EvalScores.from_file(cpath)
         )
-        assert json.loads(out) == verify.report_to_json_obj(report)
+        assert json.loads(out) == report.to_json_obj()
 
         code, out, _ = run(
             capsys, "verify", "report", "--baseline", bpath, "--candidate", cpath, "--format", "markdown"

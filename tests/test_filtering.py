@@ -287,7 +287,7 @@ def run_bytes(out_dir):
 def test_forked_scoring_matches_serial_bytes_and_logs(
     tmp_path, model, tokenizer, monkeypatch, caplog, workers
 ):
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=7, docs_per_shard=8)
     for path in shards:
         with open(path, "a", encoding="utf-8") as f:
@@ -318,7 +318,7 @@ def test_forked_scoring_matches_serial_bytes_and_logs(
 
 
 def test_forked_scoring_reports_truncated_gzip_shard(tmp_path, model, tokenizer, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, docs = make_corpus(tmp_path / "corpus", n_shards=4)
     with open(shards[0], "rb") as f:
         packed = gzip.compress(f.read())
@@ -342,7 +342,7 @@ def test_forked_scoring_reports_truncated_gzip_shard(tmp_path, model, tokenizer,
 def test_scoring_bytes_do_not_depend_on_chunks_or_workers(
     tmp_path, model, tokenizer, monkeypatch, caplog
 ):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=3, docs_per_shard=8)
     for path in shards:   # a malformed line and a zero-feature document mid-shard
         with open(path, encoding="utf-8") as f:
@@ -397,7 +397,7 @@ def write_corrupt_gzip(path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_corrupt_gzip_shard_is_reported_not_raised(tmp_path, model, tokenizer, monkeypatch, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=3)
     corrupt = str(tmp_path / "corpus" / "s001x.jsonl.gz")
     write_corrupt_gzip(corrupt)
@@ -438,7 +438,7 @@ def test_token_length_stats_count_nothing_from_a_shard_that_fails_part_way(tmp_p
 
 
 def test_score_corpus_raises_when_a_worker_dies(tmp_path, model, tokenizer, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=4)
     out = str(tmp_path / "out")
     parent = os.getpid()
@@ -505,7 +505,7 @@ def ledger_shards(out_dir):
 def test_an_exception_in_a_worker_raises_worker_died(
     tmp_path, model, tokenizer, monkeypatch, capfd
 ):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=4)
     out = str(tmp_path / "out")
 
@@ -527,7 +527,7 @@ def test_an_exception_in_a_worker_raises_worker_died(
 
 def test_no_worker_outlives_score_corpus(tmp_path, model, tokenizer, monkeypatch):
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=4)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "clean"), workers=2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -541,7 +541,7 @@ def test_no_worker_outlives_score_corpus(tmp_path, model, tokenizer, monkeypatch
 
     started = fail_in_worker(monkeypatch, tmp_path, die_or_hang)
     for processes in (2, 3):
-        monkeypatch.setattr(os, "cpu_count", lambda: processes)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
         began = time.monotonic()
         with pytest.raises(WorkerDied):
             score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / f"w{processes}"),
@@ -553,8 +553,24 @@ def test_no_worker_outlives_score_corpus(tmp_path, model, tokenizer, monkeypatch
         os.remove(tmp_path / "died")
 
 
+def test_scoring_forks_no_more_processes_than_the_cpus_it_may_run_on(
+    tmp_path, model, tokenizer, monkeypatch
+):
+    shards, _ = make_corpus(tmp_path / "corpus", n_shards=3, docs_per_shard=4)
+    serial = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "w1"), workers=1)
+
+    def no_fork():
+        raise AssertionError("forked on a process pinned to one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    pinned = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "w2"), workers=2)
+    assert pinned.completed_shards == serial.completed_shards
+    assert run_bytes(pinned.out_dir) == run_bytes(serial.out_dir)
+
+
 def test_forked_workers_score_each_shard_exactly_once(tmp_path, model, tokenizer, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=20, docs_per_shard=4)
     serial = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / "w1"), workers=1)
     real_score_shard = filtering._score_shard
@@ -623,7 +639,7 @@ def test_no_shard_is_read_before_scoring_starts(tmp_path, model, tokenizer, monk
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_score_corpus_resume_skips_unchanged(tmp_path, model, tokenizer, monkeypatch, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, _ = make_corpus(tmp_path / "corpus")
     out = str(tmp_path / "out")
     first = score_corpus(model, shards, 0.5, tokenizer, out, workers=workers)
@@ -638,7 +654,7 @@ def test_score_corpus_resume_skips_unchanged(tmp_path, model, tokenizer, monkeyp
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_score_corpus_resume_rescans_changed_shard(tmp_path, model, tokenizer, monkeypatch, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, docs = make_corpus(tmp_path / "corpus")
     out = str(tmp_path / "out")
     score_corpus(model, shards, 0.5, tokenizer, out, workers=workers)
@@ -854,6 +870,51 @@ def test_score_corpus_resume_treats_a_ledger_line_with_bad_stats_as_damage(
     assert _scored_bytes(out) == _scored_bytes(clean)
 
 
+def test_score_corpus_resume_refuses_a_ledger_line_with_a_changed_number(
+    tmp_path, model, tokenizer, caplog
+):
+    # the line still decodes to valid stats; only its check catches the edit
+    shards, _ = make_corpus(tmp_path / "corpus")
+    clean = str(tmp_path / "clean")
+    first = score_corpus(model, shards, 0.5, tokenizer, clean)
+    out = str(tmp_path / "out")
+    score_corpus(model, shards, 0.5, tokenizer, out)
+    _damage_ledger_line(out, 0, lambda obj: obj["stats"].update(
+        tokens_kept=obj["stats"]["tokens_kept"] + 900))
+    with caplog.at_level(logging.WARNING, logger="websift.filtering"):
+        run = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert any("rescoring every shard" in r.message for r in caplog.records)
+    assert run.skipped_shards == []
+    assert run.stats.to_json_obj() == first.stats.to_json_obj()
+    assert _scored_bytes(out) == _scored_bytes(clean)
+
+
+def test_score_corpus_resume_rescores_a_ledger_without_checks_once(
+    tmp_path, model, tokenizer, caplog
+):
+    shards, _ = make_corpus(tmp_path / "corpus")
+    names = [os.path.basename(p) for p in shards]
+    clean = str(tmp_path / "clean")
+    score_corpus(model, shards, 0.5, tokenizer, clean)
+    out = str(tmp_path / "out")
+    score_corpus(model, shards, 0.5, tokenizer, out)
+    for i in range(len(shards)):    # as an older version wrote its lines
+        _damage_ledger_line(out, i, lambda obj: obj.pop("check"))
+    with caplog.at_level(logging.WARNING, logger="websift.filtering"):
+        run = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert any("rescoring every shard" in r.message for r in caplog.records)
+    assert run.skipped_shards == []
+    assert _scored_bytes(out) == _scored_bytes(clean)
+    again = score_corpus(model, shards, 0.5, tokenizer, out, resume=True)
+    assert again.skipped_shards == names
+
+
+@pytest.mark.parametrize("line", [b"[]", b"3", b'"shard"', b"null"])
+def test_a_ledger_line_that_is_not_an_object_is_a_value_error(line):
+    with pytest.raises(ValueError, match="not a JSON object"):
+        filtering._ledger_entry(line)
+
+
 def test_filter_score_resume_over_damaged_ledger_stats_exits_cleanly(tmp_path, model):
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
     model_path = str(tmp_path / "model.ufwc")
@@ -886,7 +947,7 @@ def test_score_corpus_makes_outputs_durable_before_their_ledger_entry(
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_score_corpus_reports_failed_shards(tmp_path, model, tokenizer, monkeypatch, caplog, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, docs = make_corpus(tmp_path / "corpus", n_shards=2)
     with open(shards[0], "rb") as f:
         packed = gzip.compress(f.read())
@@ -924,7 +985,7 @@ def test_score_corpus_counts_a_lone_surrogate_record_as_malformed(
     tmp_path, model, tokenizer, monkeypatch, workers
 ):
     # valid JSON whose text cannot be encoded as UTF-8
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, docs = make_corpus(tmp_path / "corpus", n_shards=1)
     text = " ".join(POS_WORDS[:6])
     path = tmp_path / "corpus" / "s001.jsonl"
@@ -968,7 +1029,7 @@ _ids = st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=4).filter(str.st
 def test_kept_id_sidecars_merge_into_the_manifest(
     model, tokenizer, monkeypatch, caplog, layout, shared
 ):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     if shared and len(layout) > 1:    # one id kept in two shards
         layout[0].append(("dup\u2028é", True))
         layout[-1].insert(0, ("dup\u2028é", True))
@@ -1038,15 +1099,24 @@ def test_score_documents_matches_predict_many_and_tallies_stats(model, tokenizer
     assert stats == expected
 
 
-def test_score_documents_memory_does_not_grow_with_the_stream(model):
+def test_score_documents_memory_does_not_grow_with_the_stream(model, monkeypatch):
     """A lazily generated stream is scored a chunk at a time: the tracemalloc
-    peak over 8N documents of about 1 KB stays within 1.5x of that over N,
-    N filling four chunks."""
+    peak over 8N documents stays within 1.5x of that over N. That holds for
+    documents of common words, N filling four chunks, and for documents whose
+    every token is new and too long for the numpy hash, N being the fewest
+    whose tokens outnumber the 4,096 entries of the token_hash cache, so that
+    cache cannot grow with the stream either."""
     words = POS_WORDS + NEG_WORDS
 
-    def peak(n: int) -> int:
-        docs = (Document(id=f"d{i}", text=" ".join(words[(i + j) % len(words)] for j in range(170)))
-                for i in range(n))
+    def common(i: int) -> str:
+        return " ".join(words[(i + j) % len(words)] for j in range(170))
+
+    def distinct_long(i: int) -> str:
+        return " ".join(f"{i:08d}{j:03d}".ljust(classifier.HASH_BYTE_CAP + 1, "x")
+                        for j in range(170))
+
+    def peak(text, n: int) -> int:
+        docs = (Document(id=f"d{i}", text=text(i)) for i in range(n))
         stats = FilterStats()
         tracemalloc.start()
         try:
@@ -1060,8 +1130,14 @@ def test_score_documents_memory_does_not_grow_with_the_stream(model):
 
     # holding the 8N documents themselves would about double the larger peak
     per_chunk = CHUNK_TOKENS // 171     # 170 tokens and one
-    small, large = peak(4 * per_chunk), peak(32 * per_chunk)
-    assert large <= 1.5 * small, (small, large)
+    small, large = peak(common, 4 * per_chunk), peak(common, 32 * per_chunk)
+    assert large <= 1.5 * small, ("common", small, large)
+    # long tokens hash a byte at a time, so N is kept small: 25 documents of
+    # 170 tokens outnumber the cache, and a budget of 12 documents a chunk
+    # makes the N run's chunks as full as the 8N run's
+    monkeypatch.setattr(classifier, "CHUNK_TOKENS", 12 * 171)
+    small, large = peak(distinct_long, 25), peak(distinct_long, 8 * 25)
+    assert large <= 1.5 * small, ("distinct_long", small, large)
 
 
 def test_score_documents_memory_does_not_grow_with_document_length(model):
@@ -1164,7 +1240,7 @@ def test_scoring_runs_the_tokenizer_the_model_carries(tmp_path, model, tokenizer
                    for i in range(4)]
         model = train(dataset, ClassifierConfig(dim=8, bucket=64, min_count=1), tokenizer)
     unused = UnusedTokenizer(tokenizer.spec, tokenizer.vocab)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, docs = make_corpus(tmp_path / "corpus", n_shards=3)
     for workers in (1, 2):
         clean = score_corpus(model, shards, 0.5, tokenizer, str(tmp_path / f"clean{workers}"),
@@ -1402,7 +1478,7 @@ def test_token_length_stats_empty_corpus(tmp_path, tokenizer):
 def test_token_length_stats_agree_with_score_corpus(
     tmp_path, model, tokenizer, monkeypatch, caplog, workers
 ):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=3, docs_per_shard=8)
     for k, path in enumerate(shards):   # blank lines, malformed lines, an empty text
         with open(path, encoding="utf-8") as f:

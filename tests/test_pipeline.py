@@ -475,6 +475,55 @@ class TestNominalRun:
 
 
 # ---------------------------------------------------------------------------
+# transition rules
+
+STATUSES = (AWAITING_TRAINING_SET, AWAITING_CLASSIFIER, AWAITING_VERIFICATION,
+            VERDICT_READY, PROMOTED, REJECTED)
+# entry type -> (the status it arrives in, the status it leaves, the verdict it records)
+ARRIVAL = {
+    "training_set": (AWAITING_TRAINING_SET, AWAITING_CLASSIFIER, None),
+    "classifier": (AWAITING_CLASSIFIER, AWAITING_VERIFICATION, None),
+    "report": (AWAITING_VERIFICATION, VERDICT_READY, None),
+    "advance": (VERDICT_READY, AWAITING_TRAINING_SET, "improved"),
+    "promoted": (VERDICT_READY, PROMOTED, "improved"),
+    "rejected": (VERDICT_READY, REJECTED, "not_improved"),
+}
+
+
+@pytest.mark.parametrize("status", STATUSES)
+@pytest.mark.parametrize("kind", sorted(ARRIVAL))
+def test_apply_accepts_an_entry_only_in_its_arrival_status(kind, status):
+    def state():
+        return pipeline.RunState(run_id="r", config=None, status=status, round=1, pool_version=1,
+                                 rounds={1: pipeline.RoundState(round=1, pool_version=1)})
+
+    data = {"next_pool_version": 2}
+    for other_round in (0, 2):
+        s = state()
+        with pytest.raises(StateCorrupt, match=f"entry for round {other_round} while in round 1"):
+            pipeline._apply(s, {"type": kind, "round": other_round, "data": data})
+        assert (s.status, s.next_seq) == (status, 1)
+    arrives, leaves, verdict = ARRIVAL[kind]
+    s = state()
+    entry = {"type": kind, "round": 1, "data": data}
+    if status != arrives:
+        with pytest.raises(StateCorrupt) as err:
+            pipeline._apply(s, entry)
+        assert str(err.value) == f"entry {kind!r} arrived in status {status!r}, expected {arrives!r}"
+        assert (s.status, s.next_seq, s.rounds[1]) == (status, 1, pipeline.RoundState(1, 1))
+        return
+    pipeline._apply(s, entry)
+    assert (s.status, s.next_seq) == (leaves, 2)
+    assert s.rounds[1].verdict == verdict
+    if verdict is None:
+        assert getattr(s.rounds[1], kind) is data
+    if kind == "advance":
+        assert (s.round, s.pool_version, s.rounds[2]) == (2, 2, pipeline.RoundState(2, 2))
+    else:
+        assert (s.round, s.pool_version, sorted(s.rounds)) == (1, 1, [1])
+
+
+# ---------------------------------------------------------------------------
 # verdicts
 
 class TestVerdicts:

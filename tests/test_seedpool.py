@@ -136,6 +136,23 @@ def test_commit_conflict_on_divergent_content(store):
         store.commit(other)
 
 
+def test_put_category_and_commit_child(store, monkeypatch):
+    docs = make_docs("a", 4)
+    cat = store.put_category("a", "positive", "s", docs, resample_factor=2)
+    assert (cat.objects, cat.doc_count, cat.resample_factor) == ((store.put_object(docs),), 4, 2)
+    assert store.category_documents(cat) == docs
+    assert store.versions() == []       # storing documents commits no version
+    committed = []
+    commit = store.commit
+    monkeypatch.setattr(store, "commit", lambda m: committed.append(m) or commit(m))
+    empty = SeedPoolManifest(version=0, parent_version=None, categories=())
+    m1 = store.commit_child(empty, (cat,))
+    m2 = store.commit_child(m1, ())
+    assert [(m.version, m.parent_version) for m in (m1, m2)] == [(1, None), (2, 1)]
+    assert committed == [m1, m2]
+    assert store.load_manifest(2) == m2
+
+
 def test_mark_underrepresented(store):
     store.add_category("a", "positive", "s", make_docs("a", 3))
     m = store.mark_underrepresented("a", 4)

@@ -12,6 +12,7 @@ from websift import cli
 from websift.verify import (
     AnnealSettings,
     CandidateEpochOverflow,
+    EvalReport,
     EvalScores,
     InsufficientDefaultTokens,
     ManifestShard,
@@ -24,7 +25,6 @@ from websift.verify import (
     eval_report,
     plan_steps,
     render_report,
-    report_to_json_obj,
 )
 
 
@@ -448,7 +448,7 @@ def test_report_single_group_averages():
 
 def test_report_identity_run_all_zero():
     report = eval_report(run("a", MIX_BASE), run("a-again", MIX_BASE))
-    assert all(r.diff == 0.0 for r in report.rows)
+    assert all(r.diff == 0.0 for r in report.metrics)
     assert all(g.diff == 0.0 for g in report.groups)
     assert set(report.verdicts.values()) == {"neutral"}
 
@@ -514,8 +514,30 @@ def test_render_report_formats():
     assert md.startswith("| Metric |")
     assert "|---|---|---|---|" in md
     as_json = json.loads(render_report(report, fmt="json"))
-    assert as_json == report_to_json_obj(report)
+    assert as_json == report.to_json_obj()
     assert as_json["improved_everywhere"] is True
     assert [g["group"] for g in as_json["groups"]] == ["English", "Chinese", "Overall"]
     with pytest.raises(ValueError):
         render_report(report, fmt="html")
+
+
+def test_render_report_json_bytes():
+    # eval_report.json's bytes for a small report, written out in full
+    g = MetricGrouping(groups=(("A", ("x", "y")), ("B", ("z",))))
+    report = eval_report(run("base", {"x": 50.0, "y": 40.0, "z": 30.0}),
+                         run("cand", {"x": 50.5, "y": 40.25, "z": 29.5}), g, margin=0.125)
+    text = render_report(report, fmt="json")
+    assert text == (
+        '{"baseline":"base","candidate":"cand","groups":['
+        '{"baseline_avg":45.0,"candidate_avg":45.375,"diff":0.375,"group":"A",'
+        '"metrics":["x","y"],"verdict":"improved"},'
+        '{"baseline_avg":30.0,"candidate_avg":29.5,"diff":-0.5,"group":"B",'
+        '"metrics":["z"],"verdict":"regressed"},'
+        '{"baseline_avg":40.0,"candidate_avg":40.083333333333336,"diff":0.0833333333333357,'
+        '"group":"Overall","metrics":["x","y","z"],"verdict":"neutral"}],'
+        '"improved_everywhere":false,"margin":0.125,"metrics":['
+        '{"baseline":50.0,"candidate":50.5,"diff":0.5,"metric":"x"},'
+        '{"baseline":40.0,"candidate":40.25,"diff":0.25,"metric":"y"},'
+        '{"baseline":30.0,"candidate":29.5,"diff":-0.5,"metric":"z"}]}\n'
+    )
+    assert EvalReport.from_json_obj(json.loads(text)) == report
