@@ -468,6 +468,61 @@ def test_train_is_bit_identical_to_per_occurrence_updates(tokenizer):
         assert list(epoch_losses) == losses
 
 
+def test_model_bytes_do_not_depend_on_draw_blocks_or_chunk_cuts(monkeypatch, tmp_path, tokenizer):
+    """_sgd draws the matrix _BLOCK_ELEMS values at a time and featurizes a
+    CHUNK_TOKENS chunk at a time. Every cut matches the oracle, which draws
+    the matrix in one block and featurizes each step alone, bit for bit, and
+    every model saves to the same bytes."""
+    dataset = make_dataset(n_per_class=6, words_per_doc=9) + [
+        LabeledExample("positive", " ".join(["good1", "good2"] * 20)),
+        LabeledExample("negative", ""),
+    ]
+    config = ClassifierConfig(dim=5, bucket=7, word_ngrams=3, min_count=1, epochs=2, lr=0.3)
+    input_matrix, w, losses = numpy_loop_train(dataset, config, tokenizer)
+    rows = input_matrix.shape[0]
+    # 3, 5 and 9 rows a block, each leaving a partial last block
+    cases = [(n * config.dim + 1, classifier.CHUNK_TOKENS) for n in (3, 5, 9)]
+    assert all(rows % (block_elems // config.dim) for block_elems, _ in cases)
+    # one example a chunk; two examples a chunk, and the 40-token example
+    # over the budget; several examples a chunk, cut across chunks
+    cases += [(classifier._BLOCK_ELEMS, budget) for budget in (1, 25, 64)]
+    digests = set()
+    for block_elems, budget in cases:
+        monkeypatch.setattr(classifier, "_BLOCK_ELEMS", block_elems)
+        monkeypatch.setattr(classifier, "CHUNK_TOKENS", budget)
+        _, trained_input, trained_w, epoch_losses = classifier._sgd(dataset, config, tokenizer)
+        assert np.array_equal(trained_input, input_matrix)
+        assert np.array_equal(trained_w, w)
+        assert list(epoch_losses) == losses
+        digests.add(save_model(train(dataset, config, tokenizer), str(tmp_path / "model.bin")))
+    assert len(digests) == 1
+
+
+def test_training_memory_grows_with_the_int32_ids_only(tokenizer):
+    """What training holds per example is its int32 feature ids, its int32
+    distinct rows (no more than its ids) and a few offsets: the tracemalloc
+    peak grows by under 10 bytes per added feature id. int64 ids and a
+    separate array, tuple and list per example held about 15 bytes."""
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(1000)]
+    dataset = [LabeledExample(label, " ".join(rng.choice(words, 100)))
+               for label in ("negative", "positive") * 1200]
+    config = ClassifierConfig(dim=4, bucket=1000, word_ngrams=3, min_count=1, epochs=1)
+    peaks = []
+    for n in (600, 2400):
+        tracemalloc.start()
+        try:
+            train(dataset[:n], config, tokenizer)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    vocab = build_vocab((tokenizer.tokenize(ex.text) for ex in dataset), config)
+    added_ids = sum(map(len, featurize_many(
+        (tokenizer.tokenize(ex.text) for ex in dataset[600:]), vocab, config)))
+    assert added_ids >= 1800 * 290      # about 300 ids an example
+    assert (peaks[1] - peaks[0]) / added_ids < 10, peaks
+
+
 def test_sgd_holds_one_float32_matrix(tokenizer):
     config = ClassifierConfig(dim=64, bucket=200_000, min_count=1, epochs=1)
     dataset = make_dataset(n_per_class=2)
