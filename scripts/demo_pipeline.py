@@ -95,10 +95,8 @@ def main() -> int:
             state = pipeline.run_round(run_dir)
         print(f"final status: {state.status}")
         print("journal:")
-        with open(os.path.join(run_dir, "journal.jsonl"), encoding="utf-8") as f:
-            for line in f:
-                entry = json.loads(line)["entry"]
-                print(f"  {entry['seq']}: {entry['type']} (round {entry['round']})")
+        for entry in pipeline.read_journal(run_dir):
+            print(f"  {entry['seq']}: {entry['type']} (round {entry['round']})")
     finally:
         if args.keep:
             print(f"scratch kept at {root}")

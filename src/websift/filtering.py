@@ -17,11 +17,11 @@ that this process and forked workers, no more processes than the CPUs it
 may run on, claim one at a time from a shared claim file. The claiming
 process hashes the shard and reuses it if a completed-shard ledger names
 that digest, so interrupted runs restart without rescoring finished
-shards. Each ledger line carries a check, the SHA-256 of the rest of its
-object, so an edited line is damage and its shard is rescored. Unreadable
-shards (missing, truncated or corrupt .gz) are reported and skipped so one
-bad file cannot sink a long run; malformed records are skipped, counted
-and logged.
+shards. The ledger is an ioutil log, so each line carries a check and an
+edited line is damage: its shard, or every shard if the line is not the
+last, is rescored. Unreadable shards (missing, truncated or corrupt .gz)
+are reported and skipped so one bad file cannot sink a long run; malformed
+records are skipped, counted and logged.
 
 Each scored shard leaves three files, all durable before its ledger line:
 its kept and rejected streams and ids/<shard>.kept_ids, its kept ids
@@ -42,7 +42,6 @@ per manifest whatever the corpus size.
 from __future__ import annotations
 
 import bisect
-import json
 import logging
 import math
 import operator
@@ -80,14 +79,14 @@ from .errors import WebsiftError
 from .ioutil import (
     JsonRecord,
     LogCorrupt,
-    append_line,
+    append_record,
     atomic_open,
     atomic_write_text,
     canonical_json,
     make_dirs,
     read_log,
+    record_line,
     remove_file,
-    sha256_text,
 )
 from .tokenizers import Tokenizer
 
@@ -449,23 +448,6 @@ class _LedgerEntry(JsonRecord):
     stats: FilterStats
 
 
-def _ledger_line(entry: _LedgerEntry) -> str:
-    """The entry's object plus "check", the SHA-256 of the object's canonical JSON."""
-    obj = entry.to_json_obj()
-    return canonical_json({**obj, "check": sha256_text(canonical_json(obj))})
-
-
-def _ledger_entry(raw: bytes) -> _LedgerEntry:
-    """Parse a ledger line, refusing one whose check does not match the rest
-    of its object: a changed number, or a line written before the check."""
-    obj = json.loads(raw)
-    if not isinstance(obj, dict):
-        raise ValueError("ledger line is not a JSON object")
-    if obj.pop("check", None) != sha256_text(canonical_json(obj)):
-        raise ValueError("ledger line checksum mismatch")
-    return _LedgerEntry.from_json_obj(obj)
-
-
 def _load_ledger(path: str) -> dict[str, _LedgerEntry]:
     """Completed-shard records keyed by shard name; last entry wins.
 
@@ -474,7 +456,7 @@ def _load_ledger(path: str) -> dict[str, _LedgerEntry]:
     so the outputs come out the same.
     """
     try:
-        entries = read_log(path, _ledger_entry, heal=True)
+        entries = read_log(path, _LedgerEntry.from_json_obj, heal=True)
     except FileNotFoundError:
         return {}
     except LogCorrupt as e:
@@ -587,7 +569,7 @@ def score_corpus(
                      "n-gram, scored 0.5", name, outcome.zero_feature)
         zero_feature += outcome.zero_feature
         entry = _LedgerEntry(name, outcome.digest, outcome.stats)
-        append_line(ledger_path, _ledger_line(entry))
+        append_record(ledger_path, entry.to_json_obj())
         superseded |= name in ledger
         ledger[name] = entry
 
@@ -598,7 +580,7 @@ def score_corpus(
         stats.merge(ledger[name].stats)
     if superseded:      # compact to one entry per shard, as a clean run writes
         with atomic_open(ledger_path) as f:
-            f.writelines(_ledger_line(ledger[name]) + "\n" for name in completed)
+            f.writelines(record_line(ledger[name].to_json_obj()) + "\n" for name in completed)
 
     fingerprint = corpus_fingerprint(ledger[n].digest for n in completed)
     manifest_path = os.path.join(out_dir, "keep_manifest.txt")

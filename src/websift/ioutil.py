@@ -4,12 +4,14 @@ Every file the package writes reaches disk one of two ways. Whole files
 (models, training sets, pool manifests and objects, scored shards, plans,
 the CLI's --out files) go through atomic_open: a reader sees the old file
 or the complete new one, never a partial one, and the new one is durable
-once the call returns. Logs that record progress
-(the scoring ledger, the pipeline journal) go through append_line and are
-read back by read_log, which owns the rule for what a crash mid-append
-leaves behind. Directories are made with make_dirs, so a new directory's
-entry in its parent is durable before anything inside it is, and a file
-whose absence later writes rely on is removed with remove_file.
+once the call returns. Logs that record progress (the scoring ledger, the
+pipeline journal) hold one JSON object a line, with "check", the SHA-256
+of the rest of the object, beside its keys. record_line and append_record
+write such lines and read_log reads them back: only they build or verify a
+check, and read_log owns the rule for what a crash mid-append or an edited
+line leaves behind. Directories are made with make_dirs, so a new
+directory's entry in its parent is durable before anything inside it is,
+and a file whose absence later writes rely on is removed with remove_file.
 
 The records the package writes as JSON (settings, pool manifests,
 scoring-ledger entries and their stats, step plans, eval reports) and the token manifests
@@ -256,29 +258,35 @@ def remove_file(path: str) -> None:
     _fsync_dir(path)
 
 
-def append_line(path: str, line: str) -> None:
-    """Append line (which holds no newline) to a log, durably.
+def record_line(entry: dict) -> str:
+    """A log line for entry, a JSON object with no "check" key: its keys
+    plus "check", the SHA-256 of entry's canonical JSON."""
+    return canonical_json({**entry, "check": sha256_text(canonical_json(entry))})
+
+
+def append_record(path: str, entry: dict) -> None:
+    """Append record_line(entry) and a newline to a log, durably.
 
     The directory is fsynced too when this append creates the file.
     """
     created = not os.path.exists(path)
     with open(path, "a", encoding="utf-8") as f:
-        f.write(line + "\n")
+        f.write(record_line(entry) + "\n")
         f.flush()
         os.fsync(f.fileno())
     if created:
         _fsync_dir(path)
 
 
-def read_log(path: str, parse: Callable[[bytes], Any], heal: bool = False) -> list:
-    """Parse every line of an append log, in order.
+def read_log(path: str, parse: Callable[[dict], Any], heal: bool = False) -> list:
+    """Parse every entry of an append log, in order.
 
-    A line counts once its newline is on disk. parse gets each line without
-    its newline and raises ValueError, KeyError or TypeError on a bad one.
-    An unterminated or unparseable final line is a torn append: it is
-    dropped with a warning and, with heal=True, truncated away so the next
-    append starts on a fresh line. A bad line before the final one raises
-    LogCorrupt. A missing file raises FileNotFoundError.
+    A line counts once its newline is on disk and its check matches. parse
+    gets each line's entry, without "check", and raises ValueError, KeyError
+    or TypeError on a bad one. An unterminated or bad final line is a torn
+    append: it is dropped with a warning and, with heal=True, truncated away
+    so the next append starts on a fresh line. A bad line before the final
+    one raises LogCorrupt. A missing file raises FileNotFoundError.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -290,7 +298,12 @@ def read_log(path: str, parse: Callable[[bytes], Any], heal: bool = False) -> li
         try:
             if end < 0:
                 raise ValueError("no terminating newline")
-            records.append(parse(data[start:end]))
+            obj = json.loads(data[start:end])
+            if not isinstance(obj, dict):
+                raise ValueError(f"not a JSON object but a JSON {_json_type(obj)}")
+            if obj.pop("check", None) != sha256_text(canonical_json(obj)):
+                raise ValueError("its check does not match the rest of it")
+            records.append(parse(obj))
         except (ValueError, KeyError, TypeError) as e:
             line_no = len(records) + 1
             if not final:

@@ -1,11 +1,12 @@
 """Multi-round selection pipeline with a crash-safe journal.
 
 A run lives in its own directory. Every state transition appends one
-checksummed JSON line to journal.jsonl, and artifacts are written (and
-fsynced) before the entry that references them, so the journal never points
-at bytes that are not on disk; new run and round directories are fsynced
-into their parent too. Re-running a step after a crash regenerates
-identical artifacts because every stage is seeded and deterministic; resume
+entry, {"seq", "type", "round", "data"}, to journal.jsonl, an ioutil log
+whose lines each carry their check. Artifacts are written (and fsynced)
+before the entry that references them, so the journal never points at
+bytes that are not on disk; new run and round directories are fsynced into
+their parent too. Re-running a step after a crash regenerates identical
+artifacts because every stage is seeded and deterministic; resume
 therefore converges to the same run regardless of where execution stopped.
 
 The transition rules live in one table, _TRANSITIONS: each entry type with
@@ -58,7 +59,7 @@ from .filtering import FilterStats, score_documents, score_tokens  # noqa: F401
 from .ioutil import (
     JsonRecord,
     LogCorrupt,
-    append_line,
+    append_record,
     canonical_json,
     make_dirs,
     read_log,
@@ -183,19 +184,6 @@ def _journal_path(run_dir: str) -> str:
     return os.path.join(run_dir, JOURNAL_NAME)
 
 
-def _entry_line(seq: int, kind: str, round_no: int, data: dict) -> str:
-    entry = {"seq": seq, "type": kind, "round": round_no, "data": data}
-    return canonical_json({"entry": entry, "check": sha256_text(canonical_json(entry))})
-
-
-def _parse_entry(raw: bytes) -> dict:
-    obj = json.loads(raw)
-    entry = obj["entry"]
-    if sha256_text(canonical_json(entry)) != obj["check"]:
-        raise ValueError("checksum mismatch")
-    return entry
-
-
 def read_journal(run_dir: str, heal: bool = False) -> list[dict]:
     """Validated journal entries, none if a crash tore the first one.
 
@@ -205,7 +193,7 @@ def read_journal(run_dir: str, heal: bool = False) -> list[dict]:
     is no longer the tail. Any other malformed line is StateCorrupt.
     """
     try:
-        entries = read_log(_journal_path(run_dir), _parse_entry, heal=heal)
+        entries = read_log(_journal_path(run_dir), dict, heal=heal)
     except LogCorrupt as e:
         raise StateCorrupt(f"journal damaged: {e}") from e
     except OSError as e:
@@ -214,10 +202,6 @@ def read_journal(run_dir: str, heal: bool = False) -> list[dict]:
         if entry["seq"] != i:
             raise StateCorrupt(f"journal entry {i} has seq {entry['seq']}")
     return entries
-
-
-def _append_entry(run_dir: str, seq: int, kind: str, round_no: int, data: dict) -> None:
-    append_line(_journal_path(run_dir), _entry_line(seq, kind, round_no, data))
 
 
 def _fold(entries: list[dict]) -> RunState:
@@ -285,7 +269,7 @@ def _apply(state: RunState, entry: dict) -> None:
 def _commit(run_dir: str, state: RunState, kind: str, data: dict) -> None:
     """Append an entry for the current round, then fold it into state."""
     entry = {"seq": state.next_seq, "type": kind, "round": state.round, "data": data}
-    _append_entry(run_dir, entry["seq"], kind, entry["round"], data)
+    append_record(_journal_path(run_dir), entry)
     _apply(state, entry)
 
 
@@ -351,30 +335,25 @@ def _derived_seed(seed: int, round_no: int, purpose: str) -> int:
 
 def init_run(run_dir: str, config: PipelineConfig) -> RunState:
     make_dirs(run_dir)
-    if os.path.exists(_journal_path(run_dir)):
-        if read_journal(run_dir):
-            raise WebsiftError(f"run directory {run_dir} is already initialized")
-        # A crash while writing the very first entry leaves a journal
-        # holding no state; discard it so the run can start over.
-        log.warning("discarding journal with no valid entries in %s", run_dir)
-        os.remove(_journal_path(run_dir))
-    store = SeedPoolStore(config.pool_dir)
-    pool_version = store.latest_version()
-    if pool_version is None:
-        raise WebsiftError(f"seed pool {config.pool_dir} has no manifests")
-    run_id = sha256_text(canonical_json(config.to_json_obj()) + f"@{pool_version}")[:12]
     with _RunLock(run_dir):
-        _append_entry(
-            run_dir,
-            0,
-            "init",
-            0,
-            {
-                "run_id": run_id,
-                "config": config.to_json_obj(),
-                "pool_version": pool_version,
-            },
-        )
+        if os.path.exists(_journal_path(run_dir)):
+            if read_journal(run_dir):
+                raise WebsiftError(f"run directory {run_dir} is already initialized")
+            # A crash while writing the very first entry leaves a journal
+            # holding no state; discard it so the run can start over.
+            log.warning("discarding journal with no valid entries in %s", run_dir)
+            os.remove(_journal_path(run_dir))
+        pool_version = SeedPoolStore(config.pool_dir).latest_version()
+        if pool_version is None:
+            raise WebsiftError(f"seed pool {config.pool_dir} has no manifests")
+        run_id = sha256_text(canonical_json(config.to_json_obj()) + f"@{pool_version}")[:12]
+        append_record(_journal_path(run_dir), {
+            "seq": 0,
+            "type": "init",
+            "round": 0,
+            "data": {"run_id": run_id, "config": config.to_json_obj(),
+                     "pool_version": pool_version},
+        })
     return resume(run_dir)
 
 

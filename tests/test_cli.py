@@ -21,7 +21,7 @@ from websift import classifier as clf
 from websift import filtering, pipeline, verify
 from websift.documents import Document, iter_documents, write_documents
 from websift.classifier import load_labeled_examples
-from websift.ioutil import canonical_json, sha256_file, sha256_text
+from websift.ioutil import canonical_json, record_line, sha256_file, sha256_text
 from websift.normalize import NormalizePolicy, normalize_text
 from websift.tokenizers import TokenizerSpec, load_tokenizer
 
@@ -926,12 +926,12 @@ class TestPipelineCommands:
         pipeline.init_run("run", config)
         path = os.path.join("run", pipeline.JOURNAL_NAME)
         with open(path, encoding="utf-8") as f:
-            entry = json.loads(f.readline())["entry"]
+            entry = json.loads(f.readline())
         # the init entry another build would have written, its check recomputed
+        del entry["check"]
         entry["data"]["config"][block].update(refused)
         with open(path, "w", encoding="utf-8") as f:
-            f.write(canonical_json({"entry": entry, "check": sha256_text(canonical_json(entry))})
-                    + "\n")
+            f.write(record_line(entry) + "\n")
         with open(path, "rb") as f:
             journal = f.read()
         for command in ("status", "resume", "advance"):
@@ -951,6 +951,51 @@ class TestPipelineCommands:
         assert code == 1 and "already initialized" in err, err
         with open(path, "rb") as f:
             assert f.read() == journal
+
+    def test_a_journal_in_the_nested_line_format_is_refused(self, capsys, tmp_path, monkeypatch):
+        """Builds before the one log line rule wrote each journal line as
+        {"check", "entry": {...}}. No reader accepts that shape: a journal of
+        several such lines is damage, and one holding only its init line is a
+        torn first append, which advance truncates and init starts over."""
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with open("pipeline.json", "w", encoding="utf-8") as f:
+            json.dump(config.to_json_obj(), f)
+        pipeline.init_run("run", config)
+        pipeline.run_round("run")
+        path = os.path.join("run", pipeline.JOURNAL_NAME)
+        nested = [
+            canonical_json({"check": sha256_text(canonical_json(e)), "entry": e}) + "\n"
+            for e in pipeline.read_journal("run")
+        ]
+        init = ("init", "--config", "pipeline.json")
+
+        def refuse(*command, journal):
+            code, out, err = run(capsys, "pipeline", *command, "--run", "run")
+            assert (code, out) == (1, ""), command
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+            assert "Traceback" not in err
+            with open(path, "rb") as f:
+                assert f.read() == journal, command
+            return lines[0]
+
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(nested)
+        whole = "".join(nested).encode("utf-8")
+        for command in (("status",), ("resume",), ("advance",), init):
+            assert "line 1 is invalid" in refuse(*command, journal=whole)
+
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(nested[0])
+        first = nested[0].encode("utf-8")
+        for command in (("status",), ("resume",)):
+            assert "no valid entries" in refuse(*command, journal=first)
+        assert "no valid entries" in refuse("advance", journal=b"")
+        code, out, err = run(capsys, "pipeline", *init, "--run", "run")
+        assert code == 0, err
+        assert json.loads(out)["status"] == pipeline.AWAITING_TRAINING_SET
+        assert [e["type"] for e in pipeline.read_journal("run")] == ["init"]
 
 
 # ---------------------------------------------------------------------------

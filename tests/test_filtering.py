@@ -909,12 +909,6 @@ def test_score_corpus_resume_rescores_a_ledger_without_checks_once(
     assert again.skipped_shards == names
 
 
-@pytest.mark.parametrize("line", [b"[]", b"3", b'"shard"', b"null"])
-def test_a_ledger_line_that_is_not_an_object_is_a_value_error(line):
-    with pytest.raises(ValueError, match="not a JSON object"):
-        filtering._ledger_entry(line)
-
-
 def test_filter_score_resume_over_damaged_ledger_stats_exits_cleanly(tmp_path, model):
     shards, _ = make_corpus(tmp_path / "corpus", n_shards=2)
     model_path = str(tmp_path / "model.ufwc")

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 
 import pytest
 from hypothesis import given
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from websift.classifier import ClassifierConfig
 from websift.ioutil import (
     LogCorrupt,
-    append_line,
+    append_record,
     atomic_open,
     atomic_write_text,
     canonical_json,
     open_maybe_gzip,
     read_log,
+    record_line,
     remove_file,
     sha256_file,
     sha256_text,
@@ -138,52 +140,140 @@ def test_remove_file_fsyncs_the_directory_only_when_it_removed_something(tmp_pat
     assert events == [os.stat(tmp_path).st_ino]
 
 
-def _parse(raw: bytes) -> dict:
-    return json.loads(raw)
+def _lines(*entries: dict) -> bytes:
+    return "".join(record_line(e) + "\n" for e in entries).encode("utf-8")
 
 
-def test_append_line_then_read_log_round_trips(tmp_path):
+def test_record_line_puts_the_check_beside_the_entry_keys():
+    line = record_line({"i": 0, "z": [1]})
+    check = sha256_text('{"i":0,"z":[1]}')
+    assert line == '{"check":"%s","i":0,"z":[1]}' % check
+
+
+def test_append_record_then_read_log_round_trips(tmp_path):
     path = str(tmp_path / "log.jsonl")
     for i in range(3):
-        append_line(path, canonical_json({"i": i}))
+        append_record(path, {"i": i})
     with open(path, "rb") as f:
-        assert f.read() == b'{"i":0}\n{"i":1}\n{"i":2}\n'
-    assert read_log(path, _parse) == [{"i": 0}, {"i": 1}, {"i": 2}]
+        assert f.read() == _lines({"i": 0}, {"i": 1}, {"i": 2})
+    assert read_log(path, dict) == [{"i": 0}, {"i": 1}, {"i": 2}]
 
 
-@pytest.mark.parametrize("tail", [b'{"i":', b'{"i":2}', b"{not json\n"],
-                         ids=["torn", "unterminated", "unparseable"])
+@pytest.mark.parametrize("tail", [
+    _lines({"i": 2})[:9], _lines({"i": 2})[:-1], b"{not json\n", b'{"i":2}\n',
+], ids=["torn", "unterminated", "unparseable", "unchecked"])
 def test_read_log_drops_a_bad_final_line_and_heal_truncates_it(tmp_path, caplog, tail):
     path = tmp_path / "log.jsonl"
-    clean = b'{"i":0}\n{"i":1}\n'
+    clean = _lines({"i": 0}, {"i": 1})
     path.write_bytes(clean + tail)
     with caplog.at_level(logging.WARNING, logger="websift.ioutil"):
-        assert read_log(str(path), _parse) == [{"i": 0}, {"i": 1}]
+        assert read_log(str(path), dict) == [{"i": 0}, {"i": 1}]
     assert any("torn" in r.message for r in caplog.records)
     assert path.read_bytes() == clean + tail  # a plain read changes nothing
 
-    assert read_log(str(path), _parse, heal=True) == [{"i": 0}, {"i": 1}]
+    assert read_log(str(path), dict, heal=True) == [{"i": 0}, {"i": 1}]
     assert path.read_bytes() == clean
-    append_line(str(path), '{"i":2}')
-    assert read_log(str(path), _parse) == [{"i": 0}, {"i": 1}, {"i": 2}]
+    append_record(str(path), {"i": 2})
+    assert read_log(str(path), dict) == [{"i": 0}, {"i": 1}, {"i": 2}]
 
 
 @pytest.mark.parametrize("heal", [False, True])
 def test_read_log_raises_on_a_bad_line_before_the_last(tmp_path, heal):
     path = tmp_path / "log.jsonl"
-    damaged = b'{"i":0}\n{"i"\n{"i":2}\n'
+    damaged = _lines({"i": 0}) + b'{"i"\n' + _lines({"i": 2})
     path.write_bytes(damaged)
     with pytest.raises(LogCorrupt, match="line 2"):
-        read_log(str(path), _parse, heal=heal)
+        read_log(str(path), dict, heal=heal)
     assert path.read_bytes() == damaged
+
+
+@pytest.mark.parametrize("line", [b"[]", b"3", b'"shard"', b"null"])
+def test_a_log_line_that_is_not_an_object_is_refused(tmp_path, line):
+    # parse never sees it, so no parser meets a list or a string as an entry
+    def parse(entry):
+        raise AssertionError(f"parse got {entry!r}")
+
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(line + b"\n" + _lines({"i": 1}))
+    with pytest.raises(LogCorrupt, match="line 1 is invalid: not a JSON object") as caught:
+        read_log(str(path), parse)
+    assert isinstance(caught.value.__cause__, ValueError)
 
 
 def test_read_log_of_an_empty_or_missing_log(tmp_path):
     path = tmp_path / "log.jsonl"
     with pytest.raises(FileNotFoundError):
-        read_log(str(path), _parse)
+        read_log(str(path), dict)
     path.write_bytes(b"")
-    assert read_log(str(path), _parse) == []
+    assert read_log(str(path), dict) == []
+
+
+# No control characters: canonical JSON writes them as \u escapes, whose hex
+# digits can change case without changing the entry.
+_log_text = st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=12)
+_log_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**9), 10**9) | _log_text,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_log_text, children, max_size=3),
+    max_leaves=8,
+)
+log_entries = st.lists(
+    st.dictionaries(_log_text.filter(lambda k: k != "check"), _log_values, max_size=4),
+    min_size=1, max_size=4,
+)
+
+
+@given(log_entries)
+def test_entries_round_trip_through_append_record_and_read_log(entries):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "log.jsonl")
+        for entry in entries:
+            append_record(path, entry)
+        assert read_log(path, dict) == entries
+        with open(path, "rb") as f:
+            assert f.read() == _lines(*entries)
+
+
+def _edit_one_byte(data: bytes, lo: int, hi: int, draw) -> bytes:
+    """data with one byte in [lo, hi) changed to another byte, never a newline."""
+    at = draw(st.integers(lo, hi - 1))
+    byte = draw(st.integers(0, 255).filter(lambda b: b not in (data[at], 0x0A)))
+    return data[:at] + bytes([byte]) + data[at + 1:]
+
+
+@given(log_entries.filter(lambda entries: len(entries) > 1), st.data())
+def test_an_edited_line_before_the_last_is_log_corrupt(entries, data):
+    clean = _lines(*entries)
+    line = data.draw(st.integers(0, len(entries) - 2))
+    start = len(_lines(*entries[:line]))
+    end = start + len(record_line(entries[line]).encode("utf-8"))
+    edited = _edit_one_byte(clean, start, end, data.draw)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "log.jsonl")
+        with open(path, "wb") as f:
+            f.write(edited)
+        for heal in (False, True):
+            with pytest.raises(LogCorrupt, match=f"line {line + 1} is invalid"):
+                read_log(path, dict, heal=heal)
+        with open(path, "rb") as f:
+            assert f.read() == edited
+
+
+@given(log_entries, st.data())
+def test_an_edited_final_line_is_dropped_and_heal_truncates_it(entries, data):
+    kept = _lines(*entries[:-1])
+    clean = _lines(*entries)
+    edited = _edit_one_byte(clean, len(kept), len(clean), data.draw)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "log.jsonl")
+        with open(path, "wb") as f:
+            f.write(edited)
+        assert read_log(path, dict) == entries[:-1]
+        with open(path, "rb") as f:
+            assert f.read() == edited
+        assert read_log(path, dict, heal=True) == entries[:-1]
+        with open(path, "rb") as f:
+            assert f.read() == kept
 
 
 def test_open_maybe_gzip_detects_suffix(tmp_path):

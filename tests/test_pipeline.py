@@ -31,7 +31,7 @@ from websift.classifier import (
 from websift.documents import Document, write_documents
 from websift.errors import WebsiftError
 from websift.filtering import score_corpus
-from websift.ioutil import canonical_json, sha256_file, sha256_text
+from websift.ioutil import append_record, canonical_json, record_line, sha256_file, sha256_text
 from websift.pipeline import (
     AWAITING_CLASSIFIER,
     AWAITING_TRAINING_SET,
@@ -295,7 +295,7 @@ class TestInit:
         monkeypatch.chdir(tmp_path)
         os.makedirs("run")
         with open(os.path.join("run", pipeline.JOURNAL_NAME), "w", encoding="utf-8") as f:
-            f.write('{"entry": {"seq": 0')
+            f.write('{"check": "0')
         assert read_journal("run") == []
         init_run("run", config)
         assert run_status("run")["round"] == 1
@@ -328,15 +328,17 @@ class TestNominalRun:
         assert [e["round"] for e in entries] == [0, 1, 1, 1, 1, 2, 2, 2, 2]
 
     def test_journal_lines_self_describe(self, control):
-        # independent re-check of the line format: each line carries its own
-        # checksum over the canonical entry, and seq equals the line index
+        # independent re-check of the line format: each line is the canonical
+        # entry with its checksum beside its keys, and seq equals the line index
         lines = control["journal"].decode("utf-8").splitlines()
         assert len(lines) == len(NOMINAL_KINDS)
         for i, line in enumerate(lines):
-            obj = json.loads(line)
-            assert set(obj) == {"entry", "check"}
-            assert obj["check"] == sha256_text(canonical_json(obj["entry"]))
-            assert obj["entry"]["seq"] == i
+            entry = json.loads(line)
+            check = entry.pop("check")
+            assert set(entry) == {"seq", "type", "round", "data"}
+            assert check == sha256_text(canonical_json(entry))
+            assert line == canonical_json({**entry, "check": check})
+            assert entry["seq"] == i
 
     def test_pool_version_chain(self, control):
         entries = control["entries"]
@@ -637,6 +639,24 @@ class TestLockingAndFailure:
         assert state.status == AWAITING_VERIFICATION
         assert not os.path.exists(lock)
 
+    def test_init_leaves_a_locked_runs_journal_alone(self, tmp_path, monkeypatch, caplog):
+        # the other writer's first entry is half written: init must not
+        # inspect or discard it before it holds the lock
+        config = build_world(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        os.makedirs("run")
+        journal = os.path.join("run", pipeline.JOURNAL_NAME)
+        with pipeline._RunLock("run"):
+            with open(journal, "w", encoding="utf-8") as f:
+                f.write('{"check": "0')
+            with caplog.at_level(logging.WARNING, logger="websift.pipeline"):
+                with pytest.raises(RunLocked):
+                    init_run("run", config)
+            assert journal_bytes("run") == b'{"check": "0'
+            assert not any("discarding" in r.message for r in caplog.records)
+        assert init_run("run", config).status == AWAITING_TRAINING_SET
+        assert [e["type"] for e in read_journal("run")] == ["init"]
+
     def test_a_killed_writer_leaves_the_run_unlocked(self, tmp_path, monkeypatch):
         config = build_world(tmp_path)
         monkeypatch.chdir(tmp_path)
@@ -773,9 +793,8 @@ class TestCorruption:
     def test_unknown_entry_type_is_fatal(self, tmp_path, control):
         run_dir = str(tmp_path / "copy")
         shutil.copytree(control["run_dir"], run_dir)
-        rogue = pipeline._entry_line(len(NOMINAL_KINDS), "mystery", 2, {})
-        with open(os.path.join(run_dir, pipeline.JOURNAL_NAME), "a", encoding="utf-8") as f:
-            f.write(rogue + "\n")
+        append_record(os.path.join(run_dir, pipeline.JOURNAL_NAME),
+                      {"seq": len(NOMINAL_KINDS), "type": "mystery", "round": 2, "data": {}})
         with pytest.raises(StateCorrupt, match="mystery"):
             run_status(run_dir)
 
@@ -792,7 +811,7 @@ class TestCorruption:
 
         journal = os.path.join("run", pipeline.JOURNAL_NAME)
         with open(journal, "ab") as f:
-            f.write(b'{"entry": {"seq": 3, "ty')
+            f.write(b'{"check": "0')
 
         with caplog.at_level(logging.WARNING, logger="websift.pipeline"):
             state = resume("run")  # read path: fragment ignored, not removed
@@ -805,7 +824,7 @@ class TestCorruption:
         lines = journal_bytes("run").decode("utf-8").splitlines()
         assert len(lines) == 4
         for i, line in enumerate(lines):
-            assert json.loads(line)["entry"]["seq"] == i
+            assert json.loads(line)["seq"] == i
         assert journal_bytes("run").startswith(clean)
 
     def test_relocated_run_resumes(self, tmp_path, monkeypatch):
@@ -911,21 +930,21 @@ class Boom(RuntimeError):
 
 
 def install_crash(monkeypatch, at, torn):
-    real = pipeline._append_entry
+    real = pipeline.append_record
     hits = {"seen": 0, "fired": False}
 
-    def crashing(run_dir, seq, kind, round_no, data):
+    def crashing(path, entry):
         if hits["seen"] == at and not hits["fired"]:
             hits["fired"] = True
             if torn:
-                line = pipeline._entry_line(seq, kind, round_no, data)
-                with open(pipeline._journal_path(run_dir), "a", encoding="utf-8") as f:
+                line = record_line(entry)
+                with open(path, "a", encoding="utf-8") as f:
                     f.write(line[: len(line) // 2])
             raise Boom(f"crash at append {at}")
         hits["seen"] += 1
-        return real(run_dir, seq, kind, round_no, data)
+        return real(path, entry)
 
-    monkeypatch.setattr(pipeline, "_append_entry", crashing)
+    monkeypatch.setattr(pipeline, "append_record", crashing)
     return hits
 
 
